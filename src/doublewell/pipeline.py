@@ -273,10 +273,13 @@ def emit_outputs(result, outdir):
                ["level", "step", "alpha", "gap", "flips"],
                [[s["level"], s["step"], repr(float(s["alpha"])),
                  repr(float(s["gap"])), s["flips"]] for s in best_steps])
+    repeats = {}
     for traces in result.traces_by_level:
         for t in traces:
-            name = f"alpha_trace_L{t.level}_{_slug(t.seed_label)}.csv"
-            _write_csv(path(name),
+            stem = f"alpha_trace_L{t.level}_{_slug(t.seed_label)}"
+            repeats[stem] = repeats.get(stem, 0) + 1
+            suffix = f"-{repeats[stem]}" if repeats[stem] > 1 else ""
+            _write_csv(path(f"{stem}{suffix}.csv"),
                        ["level", "step", "alpha", "gap", "flips"],
                        [[s["level"], s["step"], repr(float(s["alpha"])),
                          repr(float(s["gap"])), s["flips"]]
@@ -390,9 +393,15 @@ def verify_run(run_dir, tol=1e-10):
         "formula_residual": abs(
             relax["alpha_formula_coefficient_1"]
             - report["relaxation"]["alpha_formula_coefficient_1"]),
+        "lower_bound_residual": abs(
+            relax["lower_bound"]["bound"]
+            - report["relaxation"]["lower_bound"]["bound"]),
+        "lower_bound_excess": max(relax["lower_bound"]["bound"] - alpha_re,
+                                  0.0),
     }
     failed = [k for k in ("alpha_residual", "p_residual", "d_residual",
-                          "theta_residual", "formula_residual")
+                          "theta_residual", "formula_residual",
+                          "lower_bound_residual", "lower_bound_excess")
               if checks[k] > tol * scale]
     checks["ok"] = not failed
     if failed:

@@ -197,24 +197,53 @@ def _tilt_sq_over_a(mesh, coeffs, bundle, masks):
     return float((mesh.measures * dens * om0).sum())
 
 
+# Entries per (candidates x tuples) block of the lower-bound search: 1 MiB
+# per float64 temporary, whatever the number of coefficient tuples.
+_BOUND_BLOCK_ENTRIES = 1 << 17
+
+
+def _coefficient_tuples(mesh, coeffs):
+    """Distinct per-element (a, b, C, D) rows and the measure carrying each.
+
+    Returns (a, b, C, D, W) with one entry per distinct row, in
+    lexicographic order, and W_k the summed element measure of row k.
+    """
+    n = mesh.n_comp
+    rows = np.column_stack([coeffs.a, coeffs.b, coeffs.C, coeffs.D])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    W = np.bincount(np.cumsum(first) - 1, weights=mesh.measures[order])
+    rows = rows[first]
+    return rows[:, 0], rows[:, 1], rows[:, 2:2 + n], rows[:, 2 + n:], W
+
+
 def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
     """Certified lower bound from constant dual fields.
 
     For any constant q,  alpha >= -int max over the two phases of the
     conjugate densities; the bound is concave in q, maximized by a coarse
-    grid plus a local simplex polish.
+    grid plus a local simplex polish.  The integrand depends on x only
+    through the coefficients, so the mesh is first reduced to its
+    distinct (a, b, C, D) tuples weighted by their measure: the cost
+    scales with the number of distinct tuples, not of elements.
     """
-    w = mesh.measures
     fw = mesh.frob_w
-    a, b, C, D = coeffs.a, coeffs.b, coeffs.C, coeffs.D
+    a, b, C, D, W = _coefficient_tuples(mesh, coeffs)
+    Cw, Dw = (C * fw).T, (D * fw).T
 
-    def bound(q):
-        q = np.asarray(q, float)
-        q2 = ((q * q) * fw).sum()
-        qC = (q[None, :] * C * fw).sum(axis=1)
-        qD = (q[None, :] * D * fw).sum(axis=1)
-        dens = np.maximum(q2 / (2.0 * a) - qC, q2 / (2.0 * b) - qD)
-        return -float((w * dens).sum())
+    def bounds(Q):
+        """Bound at each row of Q, evaluated block by block."""
+        step = max(1, _BOUND_BLOCK_ENTRIES // len(W))
+        out = np.empty(len(Q))
+        for s in range(0, len(Q), step):
+            q = Q[s:s + step]
+            q2 = ((q * q) @ fw)[:, None]
+            dens = np.maximum(q2 / (2.0 * a) - q @ Cw,
+                              q2 / (2.0 * b) - q @ Dw)
+            out[s:s + step] = -(dens @ W)
+        return out
 
     scale = max(
         float(np.max(a * np.sqrt(mesh.frob_norm2(C)))),
@@ -223,11 +252,11 @@ def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
         * mesh.n_comp
     grids = np.meshgrid(*axes, indexing="ij")
     cands = np.stack([g.ravel() for g in grids], axis=1)
-    vals = np.array([bound(q) for q in cands])
+    vals = bounds(cands)
     best_idx = int(np.argmax(vals))
     q_best, val_best = cands[best_idx], vals[best_idx]
     if polish:
-        res = optimize.minimize(lambda q: -bound(q), q_best,
+        res = optimize.minimize(lambda q: -bounds(q[None, :])[0], q_best,
                                 method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-14,
                                          "maxiter": 4000})

@@ -106,7 +106,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_verify_detects_tampering(tmp_path, capsys):
+def _verify_tampered(tmp_path, tamper):
+    """Exit code of `verify` after `tamper` edits a solved report."""
     cfg_path = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
     cfg_path.write_text(SYM_CFG)
@@ -114,9 +115,22 @@ def test_cli_verify_detects_tampering(tmp_path, capsys):
                      "--outdir", str(out_dir)]) == 0
     report_path = out_dir / "report.json"
     report = json.loads(report_path.read_text())
-    report["final"]["alpha_scheme"] = 123.0
+    tamper(report)
     report_path.write_text(pipeline.to_json(report) + "\n")
-    assert cli.main(["verify", str(out_dir)]) == 4
+    return cli.main(["verify", str(out_dir)])
+
+
+def test_cli_verify_detects_tampering(tmp_path, capsys):
+    def tamper(report):
+        report["final"]["alpha_scheme"] = 123.0
+    assert _verify_tampered(tmp_path, tamper) == 4
+
+
+def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
+    def tamper(report):
+        report["relaxation"]["lower_bound"]["bound"] = 123.0
+    assert _verify_tampered(tmp_path, tamper) == 4
+    assert "lower_bound_residual" in capsys.readouterr().err
 
 
 def test_cli_oracle_json(capsys):
@@ -137,6 +151,19 @@ def test_trace_files_per_seed(tmp_path):
     assert "alpha_trace_L0_zero.csv" in written
     header = (tmp_path / "alpha_trace.csv").read_text().splitlines()[0]
     assert header == "level,step,alpha,gap,flips"
+
+
+def test_repeated_seed_specs_keep_every_trace(tmp_path):
+    cfg = configmod.parse_config_text(
+        "[mesh]\nresolution = 16\n[strategy]\nseeds = random random zero\n")
+    result = pipeline.run_experiment(cfg)
+    written = pipeline.emit_outputs(result, tmp_path)
+    traces = [n for n in written if n.startswith("alpha_trace_L")]
+    assert len(written) == len(set(written))
+    assert sorted(traces) == ["alpha_trace_L0_random-2.csv",
+                              "alpha_trace_L0_random.csv",
+                              "alpha_trace_L0_zero.csv"]
+    assert all((tmp_path / n).exists() for n in traces)
 
 
 def test_report_round_trip_alphas(tmp_path):

@@ -67,6 +67,17 @@ def test_laminate_period_must_divide():
         descent.laminate_seed(mesh, coeffs, 5)
 
 
+def test_bare_laminate_seed_has_period_two():
+    mesh = make_mesh_1d(16)
+    coeffs = make_coeffs(mesh, C=1.0, D=-1.0)
+    bare, two, four = (descent.build_seed(mesh, coeffs, spec,
+                                          np.random.default_rng(0))
+                       for spec in ("laminate", "laminate:2", "laminate:4"))
+    assert np.array_equal(bare["u"], two["u"])
+    assert np.array_equal(bare["chi"].chi_a, two["chi"].chi_a)
+    assert not np.array_equal(bare["chi"].chi_a, four["chi"].chi_a)
+
+
 def test_rank_one_decompose():
     M = np.array([[0.0, 0.5], [0.5, 0.0]])    # sym(e1 x e2)
     eta, nu = descent.rank_one_decompose(M)

@@ -1,11 +1,15 @@
 """Theta estimation, relaxation formulas, inequality chain, lower bound."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from doublewell import descent, limits as limitsmod, mesh as meshmod, \
-    relaxation
+from doublewell import descent, energy, limits as limitsmod, \
+    mesh as meshmod, oracles, relaxation
 
-from conftest import make_coeffs, make_mesh_1d
+from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
+
+moduli = st.floats(0.2, 5.0)
+wells = st.floats(-3.0, 3.0)
 
 
 def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
@@ -77,7 +81,6 @@ def test_eval_I_two_region_quadrature():
     # piecewise a != b off Omega_0 with zero fields: I reduces to the
     # constant term, integrable directly
     mesh = make_mesh_1d(64)
-    from doublewell import energy
     b = np.where(mesh.centers[:, 0] < 0.5, 1.0, 2.0)
     coeffs = energy.CoefficientSet(mesh, 1.0, b, [1.0], [1.0])
     chi = descent.PhaseField.from_a_indicator(np.ones(mesh.n_elem, bool))
@@ -115,6 +118,63 @@ def test_lower_bound_symmetric_and_convex():
     conv = make_coeffs(mesh, C=1.0, D=1.0)
     out = relaxation.dual_lower_bound(mesh, conv)
     assert abs(out["bound"] - 0.5) <= 1e-8     # bound is tight here
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=moduli, b=moduli, C=wells, D=wells)
+def test_lower_bound_is_exact_for_constant_1d(a, b, C, D):
+    mesh = make_mesh_1d(16)
+    coeffs = make_coeffs(mesh, a=a, b=b, C=C, D=D)
+    alpha = oracles.exact_alpha_1d(coeffs)
+    out = relaxation.dual_lower_bound(mesh, coeffs)
+    assert abs(out["bound"] - alpha) <= 1e-10 * (1.0 + abs(alpha))
+
+
+@st.composite
+def piecewise_coefficients(draw):
+    """2-3 coefficient tuples scattered over a 1D or 2D mesh; later
+    tuples may share some of a, b, C, D with the first one."""
+    mesh = draw(st.sampled_from([make_mesh_1d(16), make_mesh_2d(4)]))
+    n = mesh.n_comp
+    matrices = st.lists(wells, min_size=n, max_size=n)
+    first = draw(st.tuples(moduli, moduli, matrices, matrices))
+    tuples = [first] + [
+        tuple(draw(st.sampled_from([old, new])) for old, new in
+              zip(first, draw(st.tuples(moduli, moduli, matrices,
+                                        matrices))))
+        for _ in range(draw(st.integers(1, 2)))]
+    k = len(tuples)
+    pick = np.array(draw(st.lists(st.integers(0, k - 1),
+                                  min_size=mesh.n_elem,
+                                  max_size=mesh.n_elem)))
+    a, b, C, D = (np.array([t[j] for t in tuples])[pick] for j in range(4))
+    return mesh, energy.CoefficientSet(mesh, a, b, C, D)
+
+
+def per_element_bound(mesh, coeffs, q):
+    """The bound at q summed element by element, and the sum of |terms|."""
+    fw = mesh.frob_w
+    q = np.asarray(q)
+    q2 = ((q * q) * fw).sum()
+    qC = (q[None, :] * coeffs.C * fw).sum(axis=1)
+    qD = (q[None, :] * coeffs.D * fw).sum(axis=1)
+    dens = np.maximum(q2 / (2.0 * coeffs.a) - qC, q2 / (2.0 * coeffs.b) - qD)
+    return (-float((mesh.measures * dens).sum()),
+            float((mesh.measures * np.abs(dens)).sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=piecewise_coefficients())
+def test_lower_bound_piecewise_matches_per_element_sum(case):
+    mesh, coeffs = case
+    out = relaxation.dual_lower_bound(mesh, coeffs)
+    ref, size = per_element_bound(mesh, coeffs, out["q"])
+    assert abs(out["bound"] - ref) <= 1e-12 * (1.0 + size)
+    # u = 0 is admissible, so its energy bounds the infimum from above
+    zero_energy = float((mesh.measures * np.minimum(
+        coeffs.a / 2.0 * mesh.frob_norm2(coeffs.C),
+        coeffs.b / 2.0 * mesh.frob_norm2(coeffs.D))).sum())
+    assert out["bound"] <= zero_energy + 1e-12 * (1.0 + zero_energy)
 
 
 def test_relaxation_section_assembles():
