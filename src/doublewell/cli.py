@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from . import config as configmod, descent, limits as limitsmod, \
-    mesh as meshmod, oracles, pipeline, youngmeasure
+from . import config as configmod, oracles, pipeline, youngmeasure
 from .errors import (ConfigurationError, ContractViolation, SolverError,
                      VerificationError)
 
@@ -47,24 +46,11 @@ def _cmd_verify(args):
 
 def _cmd_ym(args):
     cfg, mesh, coeffs, u, chi, p = pipeline.load_run(args.run_dir)
-    eps = mesh.symmetrized_gradient(u)
-    windows = meshmod.build_windows(mesh, cfg.window)
-    bundle = limitsmod.estimate_limits(mesh, windows, u, eps, p, chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
-    measures = youngmeasure.estimate_ym(mesh, windows, eps, chi, coeffs)
+    bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, u, p, chi)
     report = pipeline.load_report(args.run_dir)
-    block = {
-        "energy": youngmeasure.ym_energy_check(
-            measures, windows, report["final"]["alpha_scheme"]),
-        "second_moment": youngmeasure.second_moment_check(
-            mesh, coeffs, bundle, masks),
-        "dirac": pipeline._dirac_block(
-            youngmeasure.dirac_check(measures, masks,
-                                     dirac_tol=cfg.dirac_tol)),
-        "two_point_variance": youngmeasure.two_point_variance_check(
-            mesh, coeffs, measures, windows, dist_tol=cfg.dist_tol),
-    }
-    print(pipeline.to_json(block))
+    print(pipeline.to_json(youngmeasure.young_measure_block(
+        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"],
+        dirac_tol=cfg.dirac_tol, dist_tol=cfg.dist_tol)))
     return EXIT_OK
 
 

@@ -62,21 +62,28 @@ class RunConfig:
     outdir: str = "runs/out"
     raw_lines: tuple = field(default_factory=tuple, repr=False)
 
-    def build_meshes(self):
-        """One mesh per refinement level, coarsest first."""
+    def _level_mesh(self, level):
+        """The mesh of one refinement level: each level doubles the cells
+        per axis, which is what `mesh.refine` does.  The finest level must
+        split into whole windows."""
         extents = self.extents if len(self.extents) == self.dim \
             else self.extents * self.dim
-        meshes = [meshmod.build_mesh(extents,
-                                     (self.resolution,) * self.dim,
-                                     dim=self.dim)]
-        for _ in range(self.levels - 1):
-            meshes.append(meshmod.refine(meshes[-1]))
-        finest = meshes[-1]
-        if np.any(finest.shape % self.window != 0):
+        mesh = meshmod.build_mesh(
+            extents, (self.resolution * 2 ** level,) * self.dim,
+            dim=self.dim)
+        if level == self.levels - 1 and np.any(mesh.shape % self.window):
             raise ConfigurationError(
                 f"window {self.window} does not divide the finest "
-                f"element counts {tuple(finest.shape)}")
-        return meshes
+                f"element counts {tuple(mesh.shape)}")
+        return mesh
+
+    def build_meshes(self):
+        """One mesh per refinement level, coarsest first."""
+        return [self._level_mesh(lvl) for lvl in range(self.levels)]
+
+    def build_finest_mesh(self):
+        """The finest level alone, without the coarser ones."""
+        return self._level_mesh(self.levels - 1)
 
     def build_coeffs(self, mesh):
         """Evaluate the coefficient expressions at element centers."""
@@ -208,23 +215,6 @@ _SCHEMA = {
     },
 }
 
-_FIELD_OF = {
-    ("mesh", "dim"): "dim", ("mesh", "extents"): "extents",
-    ("mesh", "resolution"): "resolution", ("mesh", "levels"): "levels",
-    ("coefficients", "a"): "a_expr", ("coefficients", "b"): "b_expr",
-    ("coefficients", "C"): "C_expr", ("coefficients", "D"): "D_expr",
-    ("strategy", "seeds"): "seeds", ("strategy", "budget"): "budget",
-    ("tolerances", "solver_tol"): "solver_tol",
-    ("tolerances", "guard_scale"): "guard_scale",
-    ("tolerances", "eta"): "eta",
-    ("tolerances", "dirac_tol"): "dirac_tol",
-    ("tolerances", "tol_den"): "tol_den",
-    ("tolerances", "dist_tol"): "dist_tol",
-    ("run", "window"): "window", ("run", "seed"): "seed",
-    ("run", "outdir"): "outdir",
-}
-
-
 def parse_config_text(text):
     """Parse and validate configuration text into a RunConfig."""
     values = {}
@@ -251,8 +241,8 @@ def parse_config_text(text):
         if key not in _SCHEMA[section]:
             raise ConfigurationError(
                 f"line {line_no}: unknown key {key!r} in [{section}]")
-        values[_FIELD_OF[(section, key)]] = \
-            _SCHEMA[section][key](val, line_no)
+        field_name = f"{key}_expr" if section == "coefficients" else key
+        values[field_name] = _SCHEMA[section][key](val, line_no)
 
     cfg = RunConfig(raw_lines=tuple(lines), **values)
     if len(cfg.extents) == 1 and cfg.dim > 1:

@@ -21,11 +21,13 @@ from .errors import ConfigurationError
 @dataclass
 class PhaseField:
     chi_a: np.ndarray      # (n_elem,) in {0, 1}
-    chi_b: np.ndarray
 
     def __post_init__(self):
         self.chi_a = np.asarray(self.chi_a, float)
-        self.chi_b = np.asarray(self.chi_b, float)
+
+    @property
+    def chi_b(self):
+        return 1.0 - self.chi_a
 
     @property
     def psi(self):
@@ -33,8 +35,7 @@ class PhaseField:
 
     @classmethod
     def from_a_indicator(cls, is_a):
-        is_a = np.asarray(is_a, bool)
-        return cls(is_a.astype(float), (~is_a).astype(float))
+        return cls(np.asarray(is_a, bool).astype(float))
 
     def flips(self, other):
         return int(np.sum(self.chi_a != other.chi_a))
@@ -229,7 +230,7 @@ def build_seed(mesh, coeffs, spec, rng):
         if frac > 0.0:
             flip = rng.random(mesh.n_elem) < frac
             chi_a = np.where(flip, 1.0 - chi.chi_a, chi.chi_a)
-            chi = PhaseField(chi_a, 1.0 - chi_a)
+            chi = PhaseField(chi_a)
             return {"chi": chi, "laminate_info": info}
         return {"u": u, "chi": chi, "laminate_info": info}
     raise ConfigurationError(f"unknown seed spec {spec!r}")
@@ -256,4 +257,4 @@ def refine_continue(coarse_mesh, fine_mesh, trace):
     """Initialization for the next level: phases prolonged to children."""
     chi_a = meshmod.prolong_element_field(coarse_mesh, fine_mesh,
                                           trace.chi.chi_a)
-    return {"chi": PhaseField(chi_a, 1.0 - chi_a)}
+    return {"chi": PhaseField(chi_a)}

@@ -7,7 +7,9 @@ energies
 
 with scalar moduli a, b >= delta > 0 and symmetric tilts C, D, all
 piecewise constant per element.  Matrices use the packed storage and
-Frobenius weights of the owning mesh.
+Frobenius weights of the owning mesh.  The guarded off-Omega_0 integral
+is shared by the algebraic representations of one solve and by the
+relaxation term I over window means.
 """
 
 from __future__ import annotations
@@ -138,3 +140,29 @@ def omega0_mask(coeffs, tol_eq=None):
     if tol_eq is None:
         tol_eq = 1e-12 * (coeffs.a.max() + coeffs.b.max())
     return np.abs(coeffs.a - coeffs.b) <= tol_eq
+
+
+def off_omega0_integral(coeffs, omega0, guard_scale, eps, p, psi):
+    """Integral off Omega_0 of the density that eliminates psi eps via p.
+
+    The division by b - a is guarded: elements off Omega_0 with
+    |b - a| < guard_scale (max a + max b) are excised.  Returns the
+    integral over the rest and the excised measure.
+    """
+    m = coeffs.mesh
+    a, b = coeffs.a, coeffs.b
+    off0 = ~omega0
+    guarded = off0 & (np.abs(a - b) >= guard_scale * (a.max() + b.max()))
+    excluded = float(m.measures[off0 & ~guarded].sum())
+    if not guarded.any():
+        return 0.0, excluded
+    ab_ = a * b
+    dba = np.where(guarded, b - a, 1.0)
+    CD = coeffs.C - coeffs.D
+    dens = (m.frob_dot((ab_ / dba)[:, None] * CD, eps)
+            + m.frob_dot((b[:, None] * coeffs.D
+                          - a[:, None] * coeffs.C) / dba[:, None], p)
+            + ab_ * (m.frob_norm2(coeffs.C)
+                     - m.frob_norm2(coeffs.D)) / (2.0 * dba)
+            - psi * ab_ * m.frob_norm2(CD) / (2.0 * dba))
+    return float((m.measures * dens * guarded).sum()), excluded

@@ -91,7 +91,7 @@ def pairing_diagnostic(levels, bundle, testset):
     """
     w = bundle.windows
     lim_dens = (bundle.windows.measures
-                * _fdot(levels[-1]["mesh"], bundle.p_avg, bundle.eps_avg))
+                * levels[-1]["mesh"].frob_dot(bundle.p_avg, bundle.eps_avg))
     phi_w = testset.values_at(w.centers)           # (n_test, n_w)
     lim_vals = phi_w @ lim_dens                    # (n_test,)
 
@@ -120,6 +120,3 @@ def pairing_diagnostic(levels, bundle, testset):
             flags.append(bool(rs[-1] > rs[-2] + slack))
     return {"rows": table, "non_decreasing_flags": flags}
 
-
-def _fdot(mesh, x, y):
-    return ((np.asarray(x) * np.asarray(y)) * mesh.frob_w).sum(axis=-1)

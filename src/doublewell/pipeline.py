@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (config as configmod, descent, limits as limitsmod,
                mesh as meshmod, relaxation, subproblem, youngmeasure)
-from .errors import ConfigurationError, VerificationError
+from .errors import VerificationError
 
 VERSION = "0.1.0"
 
@@ -36,7 +36,6 @@ class RunResult:
     windows: object
     bundle: object
     masks: object
-    measures: list             # WindowMeasure list
     timings: dict
 
 
@@ -55,21 +54,24 @@ def _trace_record(trace):
     }
 
 
+def window_analysis(cfg, mesh, coeffs, u, p, chi):
+    """Window means of a state and the partition they induce."""
+    windows = meshmod.build_windows(mesh, cfg.window)
+    bundle = limitsmod.estimate_limits(
+        mesh, windows, u, mesh.symmetrized_gradient(u), p, chi)
+    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
+    return bundle, masks
+
+
 def _theta_for_level(cfg, mesh, coeffs, trace):
     """Per-level theta estimate for the refinement plot."""
     if np.any(mesh.shape % cfg.window != 0):
         return None
-    windows = meshmod.build_windows(mesh, cfg.window)
-    eps = mesh.symmetrized_gradient(trace.u)
-    bundle = limitsmod.estimate_limits(mesh, windows, trace.u, eps,
-                                       trace.p, trace.chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
+    bundle, masks = window_analysis(cfg, mesh, coeffs, trace.u, trace.p,
+                                    trace.chi)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
-    tol_den = cfg.tol_den
-    if tol_den is None:
-        cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-        tol_den = 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
+    tol_den = relaxation.theta_tolerance(mesh, coeffs, cfg.tol_den)
     return relaxation.theta_estimate(d, den, tol_den).theta_coeff1
 
 
@@ -110,11 +112,9 @@ def run_experiment(cfg):
     mesh = meshes[-1]
     coeffs = coeffs_by_level[-1]
     best = best_by_level[-1]
-    eps = mesh.symmetrized_gradient(best.u)
-    windows = meshmod.build_windows(mesh, cfg.window)
-    bundle = limitsmod.estimate_limits(mesh, windows, best.u, eps,
-                                       best.p, best.chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
+    bundle, masks = window_analysis(cfg, mesh, coeffs, best.u, best.p,
+                                    best.chi)
+    windows = bundle.windows
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     alpha_scheme = float(best.alpha)
 
@@ -132,19 +132,9 @@ def run_experiment(cfg):
         tol_den=cfg.tol_den, guard_scale=cfg.guard_scale)
     relax["theta_by_level"] = theta_by_level
 
-    measures = youngmeasure.estimate_ym(mesh, windows, eps, best.chi,
-                                        coeffs)
-    ym = {
-        "energy": youngmeasure.ym_energy_check(measures, windows,
-                                               alpha_scheme),
-        "second_moment": youngmeasure.second_moment_check(mesh, coeffs,
-                                                          bundle, masks),
-        "dirac": _dirac_block(
-            youngmeasure.dirac_check(measures, masks,
-                                     dirac_tol=cfg.dirac_tol)),
-        "two_point_variance": youngmeasure.two_point_variance_check(
-            mesh, coeffs, measures, windows, dist_tol=cfg.dist_tol),
-    }
+    ym = youngmeasure.young_measure_block(
+        mesh, coeffs, bundle, masks, alpha_scheme,
+        dirac_tol=cfg.dirac_tol, dist_tol=cfg.dist_tol)
 
     testset = meshmod.default_test_functions(mesh)
     pairing = limitsmod.pairing_diagnostic(
@@ -190,17 +180,7 @@ def run_experiment(cfg):
                      coeffs_by_level=coeffs_by_level,
                      traces_by_level=traces_by_level,
                      best_by_level=best_by_level, windows=windows,
-                     bundle=bundle, masks=masks, measures=measures,
-                     timings=timings)
-
-
-def _dirac_block(rep):
-    return {
-        "windows": [int(w) for w in rep.windows],
-        "variances": [float(v) for v in rep.variances],
-        "threshold": float(rep.threshold),
-        "all_passed": rep.all_passed,
-    }
+                     bundle=bundle, masks=masks, timings=timings)
 
 
 # -- deterministic JSON ---------------------------------------------------
@@ -305,13 +285,15 @@ def emit_outputs(result, outdir):
             repr(float(result.bundle.chib_avg[w])),
             repr(float(result.bundle.psi_avg[w]))]
          for w in range(result.windows.n_windows)])
+    ew = result.windows.elem_window
+    order = np.argsort(ew, kind="stable")
+    weights = youngmeasure.atom_weights(mesh, result.windows)
     _write_csv(
         path("young_measure.csv"),
         ["window_id", "weight"] + [f"lambda_{k}"
                                    for k in range(mesh.n_comp)],
-        [[m.window, repr(float(wt))] + [repr(float(v)) for v in atom]
-         for m in result.measures
-         for wt, atom in zip(m.weights, m.atoms)])
+        [[ew[e], repr(float(weights[e]))] + [repr(float(v)) for v in eps[e]]
+         for e in order])
 
     alphas = [s["alpha"] for s in best_steps]
     _write_csv(path("plot_alpha_vs_step.csv"), ["x", "y"],
@@ -350,8 +332,7 @@ def load_report(run_dir):
 def load_run(run_dir):
     """Rebuild mesh, coefficients and finest fields from a run directory."""
     cfg = configmod.parse_config(os.path.join(run_dir, "config.txt"))
-    meshes = cfg.build_meshes()
-    mesh = meshes[-1]
+    mesh = cfg.build_finest_mesh()
     coeffs = cfg.build_coeffs(mesh)
     ucols = _read_csv(os.path.join(run_dir, "u_finest.csv"))
     u = np.stack([ucols[f"u_{k}"] for k in range(mesh.dim)], axis=1)
@@ -372,10 +353,7 @@ def verify_run(run_dir, tol=1e-10):
     alpha_re = float(subproblem.direct_energy(mesh, coeffs, chi, u))
     p_re = subproblem.dual_variable(mesh, coeffs, chi, u)
 
-    eps = mesh.symmetrized_gradient(u)
-    windows = meshmod.build_windows(mesh, cfg.window)
-    bundle = limitsmod.estimate_limits(mesh, windows, u, eps, p, chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
+    bundle, masks = window_analysis(cfg, mesh, coeffs, u, p, chi)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     relax = relaxation.relaxation_section(
         mesh, coeffs, bundle, masks, d, alpha_re,

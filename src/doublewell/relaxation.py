@@ -6,6 +6,8 @@ fractions, plus the scalar oscillation gap d.  Two conventions for the
 gap term are evaluated side by side: kappa = -theta/2 (coefficient-half)
 and kappa = -theta (coefficient-1, i.e. substitute theta -> 2 theta);
 the analytic 1D laminates satisfy the latter with theta in [0, 1].
+The integrals the formulas combine are evaluated once per report by
+`relaxation_pieces`; the formulas are pure functions of them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from . import energy
 from .mesh import window_expand
 
 
@@ -47,6 +50,15 @@ def theta_estimate(d, den, tol_den):
                          bool(-1e-10 <= tc <= 1.0 + 1e-10))
 
 
+def theta_tolerance(mesh, coeffs, tol_den=None):
+    """Denominator below which theta takes its zero branch: `tol_den`
+    when given, else 1e-12 int a |C - D|^2."""
+    if tol_den is not None:
+        return tol_den
+    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
+    return 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
+
+
 def gap_denominator(mesh, coeffs, bundle, masks):
     """int over Omega_0 of  chia chib a |C - D|^2  (window fractions)."""
     om0 = masks.omega0_elem
@@ -56,35 +68,14 @@ def gap_denominator(mesh, coeffs, bundle, masks):
     return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
 
 
-def _off_omega0_weights(mesh, coeffs, masks, guard_scale):
-    a, b = coeffs.a, coeffs.b
-    delta_guard = guard_scale * (a.max() + b.max())
-    off0 = ~masks.omega0_elem
-    guarded = off0 & (np.abs(a - b) >= delta_guard)
-    excluded = float(mesh.measures[off0 & ~guarded].sum())
-    return guarded, excluded
-
-
 def eval_I(mesh, coeffs, bundle, masks, guard_scale=1e-8):
     """The off-Omega_0 limit integral (guard zone excised and reported)."""
-    guarded, excluded = _off_omega0_weights(mesh, coeffs, masks, guard_scale)
-    if not guarded.any():
-        return {"value": 0.0, "excluded_measure": excluded}
-    a, b = coeffs.a, coeffs.b
-    dba = np.where(guarded, b - a, 1.0)
-    ab_ = a * b
-    CD = coeffs.C - coeffs.D
-    eps = window_expand(bundle.eps_avg, bundle.windows)
-    p = window_expand(bundle.p_avg, bundle.windows)
-    psi = window_expand(bundle.psi_avg, bundle.windows)
-    dens = (mesh.frob_dot((ab_ / dba)[:, None] * CD, eps)
-            + mesh.frob_dot((b[:, None] * coeffs.D
-                             - a[:, None] * coeffs.C) / dba[:, None], p)
-            + ab_ * (mesh.frob_norm2(coeffs.C)
-                     - mesh.frob_norm2(coeffs.D)) / (2.0 * dba)
-            - psi * ab_ * mesh.frob_norm2(CD) / (2.0 * dba))
-    return {"value": float((mesh.measures * dens * guarded).sum()),
-            "excluded_measure": excluded}
+    w = bundle.windows
+    value, excluded = energy.off_omega0_integral(
+        coeffs, masks.omega0_elem, guard_scale,
+        window_expand(bundle.eps_avg, w), window_expand(bundle.p_avg, w),
+        window_expand(bundle.psi_avg, w))
+    return {"value": value, "excluded_measure": excluded}
 
 
 def _gap_coefficients(theta, convention):
@@ -104,6 +95,7 @@ def _gap_coefficients(theta, convention):
 
 
 def _omega0_pieces(mesh, coeffs, bundle, masks):
+    """The integrals over Omega_0 that the formulas combine."""
     om0 = masks.omega0_elem
     w = mesh.measures
     a = coeffs.a
@@ -124,8 +116,29 @@ def _omega0_pieces(mesh, coeffs, bundle, masks):
     }
 
 
-def eval_limit_formula(mesh, coeffs, bundle, masks, theta, convention,
-              guard_scale=1e-8):
+def _tilt_sq_over_a(mesh, coeffs, bundle, masks):
+    om0 = masks.omega0_elem
+    a = coeffs.a
+    psi = window_expand(bundle.psi_avg, bundle.windows)
+    Ap = (a[:, None] * (coeffs.C + coeffs.D)) / 2.0
+    Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
+    dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
+            + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
+    return float((mesh.measures * dens * om0).sum())
+
+
+def relaxation_pieces(mesh, coeffs, bundle, masks, guard_scale=1e-8):
+    """Every integral the relaxation formulas combine, each evaluated once:
+    the Omega_0 integrals, the off-Omega_0 term I and the gap denominator.
+    """
+    pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
+    pieces["tilt_sq_over_a"] = _tilt_sq_over_a(mesh, coeffs, bundle, masks)
+    pieces["I"] = eval_I(mesh, coeffs, bundle, masks, guard_scale)
+    pieces["den"] = gap_denominator(mesh, coeffs, bundle, masks)
+    return pieces
+
+
+def eval_limit_formula(pieces, theta, convention):
     """The main relaxation formula for the infimum.
 
     Every term carries a global factor 1/2: the limit inequalities the
@@ -133,21 +146,15 @@ def eval_limit_formula(mesh, coeffs, bundle, masks, theta, convention,
     with the factor does the formula reproduce the analytic convex value
     (without it, it evaluates to twice the infimum).
     """
-    pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
-    off = eval_I(mesh, coeffs, bundle, masks, guard_scale)
-    den = gap_denominator(mesh, coeffs, bundle, masks)
     kappa, _, _ = _gap_coefficients(theta, convention)
-    return 0.5 * (pieces["tilt_eps"] + pieces["B0"] + off["value"]
-                  + kappa * den)
+    return 0.5 * (pieces["tilt_eps"] + pieces["B0"] + pieces["I"]["value"]
+                  + kappa * pieces["den"])
 
 
-def eval_representations(mesh, coeffs, bundle, masks, theta, convention,
-                         guard_scale=1e-8):
+def eval_representations(pieces, theta, convention):
     """The three equivalent re-expressions of the relaxation formula
     (same global 1/2 as eval_limit_formula)."""
-    pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
-    off = eval_I(mesh, coeffs, bundle, masks, guard_scale)["value"]
-    den = gap_denominator(mesh, coeffs, bundle, masks)
+    off, den = pieces["I"]["value"], pieces["den"]
     k1, k2, k3 = _gap_coefficients(theta, convention)
     rep_a = 0.5 * (-pieces["a_eps2"] + pieces["B0"] + pieces["p_eps"]
                    + off + k1 * den)
@@ -159,42 +166,28 @@ def eval_representations(mesh, coeffs, bundle, masks, theta, convention,
             "rep_c": float(rep_c)}
 
 
-def inequality_chain(mesh, coeffs, bundle, masks, alpha_scheme,
-                     guard_scale=1e-8):
+def inequality_chain(pieces, alpha_scheme):
     """Residuals of the three-member inequality chain under two
     coefficient readings: full and half (the full constants fail the
     analytic 1D oracles; both readings are reported, neither asserted).
     """
-    pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
-    off = eval_I(mesh, coeffs, bundle, masks, guard_scale)["value"]
+    off = pieces["I"]["value"]
     left = -0.5 * pieces["a_eps2"] + pieces["p_eps"]
     mid_full = (alpha_scheme + 0.5 * pieces["p_eps"] - off
-                   - pieces["B0"])
+                - pieces["B0"])
     mid_half = (alpha_scheme + 0.5 * pieces["p_eps"] - 0.5 * off
                 - 0.5 * pieces["B0"])
-    right = 0.5 * (pieces["p2_over_a"]
-                   - _tilt_sq_over_a(mesh, coeffs, bundle, masks))
+    right = 0.5 * (pieces["p2_over_a"] - pieces["tilt_sq_over_a"])
     return {
         "left": float(left),
         "middle_full": float(mid_full),
         "middle_half": float(mid_half),
         "right": float(right),
         "full_violation": float(max(mid_full - left,
-                                       right - mid_full, 0.0)),
+                                    right - mid_full, 0.0)),
         "half_violation": float(max(mid_half - left,
                                     right - mid_half, 0.0)),
     }
-
-
-def _tilt_sq_over_a(mesh, coeffs, bundle, masks):
-    om0 = masks.omega0_elem
-    a = coeffs.a
-    psi = window_expand(bundle.psi_avg, bundle.windows)
-    Ap = (a[:, None] * (coeffs.C + coeffs.D)) / 2.0
-    Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
-    dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
-            + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
-    return float((mesh.measures * dens * om0).sum())
 
 
 # Entries per (candidates x tuples) block of the lower-bound search: 1 MiB
@@ -268,11 +261,9 @@ def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
 def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme,
                        tol_den=None, guard_scale=1e-8):
     """Assemble the full relaxation block of the run report."""
-    den = gap_denominator(mesh, coeffs, bundle, masks)
-    if tol_den is None:
-        cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-        tol_den = 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
-    est = theta_estimate(d, den, tol_den)
+    pieces = relaxation_pieces(mesh, coeffs, bundle, masks, guard_scale)
+    den = pieces["den"]
+    est = theta_estimate(d, den, theta_tolerance(mesh, coeffs, tol_den))
     out = {
         "d": float(d),
         "denominator": float(den),
@@ -283,21 +274,18 @@ def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme,
         "theta_coeff1_in_range": est.coeff1_in_range,
         "convention_verdict": est.verdict(),
         "alpha_scheme": float(alpha_scheme),
-        "I_term": eval_I(mesh, coeffs, bundle, masks, guard_scale),
-        "inequality_chain": inequality_chain(mesh, coeffs, bundle, masks,
-                                             alpha_scheme, guard_scale),
+        "I_term": pieces["I"],
+        "inequality_chain": inequality_chain(pieces, alpha_scheme),
         "lower_bound": dual_lower_bound(mesh, coeffs),
     }
     for conv, theta in (("coefficient-half", est.theta_half),
                         ("coefficient-1", est.theta_coeff1)):
-        main = eval_limit_formula(mesh, coeffs, bundle, masks, theta, conv,
-                         guard_scale)
-        reps = eval_representations(mesh, coeffs, bundle, masks, theta,
-                                    conv, guard_scale)
+        main = eval_limit_formula(pieces, theta, conv)
         key = conv.replace("-", "_")
         out[f"alpha_formula_{key}"] = float(main)
         out[f"alpha_residual_{key}"] = float(abs(main - alpha_scheme))
-        out[f"representations_{key}"] = reps
+        out[f"representations_{key}"] = eval_representations(pieces, theta,
+                                                             conv)
     bnd = out["lower_bound"]["bound"]
     out["lower_bound_gap"] = float(alpha_scheme - bnd)
     out["stuck_suspected"] = bool(

@@ -223,26 +223,11 @@ def alpha_representations(mesh, coeffs, chi, u, p, omega0, guard_scale=1e-8):
     rhs = float((w * (mesh.frob_norm2(E) / m)).sum())
     ident_res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
-    a, b = coeffs.a, coeffs.b
-    delta_guard = guard_scale * (a.max() + b.max())
-    off0 = ~omega0
-    guarded = off0 & (np.abs(a - b) >= delta_guard)
-    guard_measure = float(w[off0 & ~guarded].sum())
-
+    a = coeffs.a
     pdot = mesh.frob_dot(p, eps)
-    # split integrands; the off-Omega_0 bracket eliminates psi eps via p
-    ab_ = a * b
-    dba = np.where(guarded, b - a, 1.0)
-    CD = coeffs.C - coeffs.D
-    termI = (mesh.frob_dot((ab_ / dba)[:, None] * CD, eps)
-             + mesh.frob_dot(
-                 (b[:, None] * coeffs.D - a[:, None] * coeffs.C) / dba[:, None],
-                 p)
-             + ab_ * (mesh.frob_norm2(coeffs.C)
-                      - mesh.frob_norm2(coeffs.D)) / (2.0 * dba)
-             - chi.psi * ab_ * mesh.frob_norm2(CD) / (2.0 * dba))
-    off_part = 0.5 * float((w * termI * guarded).sum())
-
+    off_I, guard_measure = energy.off_omega0_integral(
+        coeffs, omega0, guard_scale, eps, p, chi.psi)
+    off_part = 0.5 * off_I
     B0 = (a * (mesh.frob_norm2(coeffs.C) + mesh.frob_norm2(coeffs.D)) / 2.0
           + chi.psi * a * (mesh.frob_norm2(coeffs.D)
                            - mesh.frob_norm2(coeffs.C)) / 2.0)

@@ -2,9 +2,12 @@
 
 The strain statistics of the finest-level minimizing iterate are
 summarized per window as a weighted atomic measure on symmetric-matrix
-space.  Verified against it: the energy representation through the
-nonconvex density, the second-moment/gap relation, and the Dirac
-property on the pure-phase set.
+space: atoms at the element strains, weights |T| / |window|.  Its
+first moments and phase weights are the window means of the LimitBundle;
+its other moments are whole-array window means too.  Verified against it:
+the energy representation through the nonconvex density, the
+second-moment/gap relation, the Dirac property on the pure-phase set and
+the two-point variance on windows whose atoms sit at the wells.
 """
 
 from __future__ import annotations
@@ -14,65 +17,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy
-from .mesh import window_expand
+from .mesh import window_average, window_expand
 
 
 @dataclass
-class WindowMeasure:
-    window: int
-    weights: np.ndarray        # (n_atoms,) nonnegative, sum 1
-    atoms: np.ndarray          # (n_atoms, n_comp) strains
-    chia_weight: float         # phase-split mass from the indicators
-    chib_weight: float
-    first_moment: np.ndarray   # (n_comp,)
-    second_moment_a: float     # int a |lambda|^2 dnu
-    h_moment: float            # int h dnu
-    variance: float            # int |lambda - mean|^2 dnu (Frobenius)
+class WindowMoments:
+    """Per-window moments of the atomic measures beyond the window means
+    (first moments and phase weights) that the LimitBundle holds."""
+    second_a: np.ndarray       # (n_w,) int a |lambda|^2 dnu
+    h: np.ndarray              # int h dnu
+    variance: np.ndarray       # int |lambda - mean|^2 dnu (Frobenius)
 
 
-@dataclass
-class DiracReport:
-    windows: np.ndarray
-    variances: np.ndarray
-    threshold: float
-    passed: np.ndarray
-
-    @property
-    def all_passed(self):
-        return bool(self.passed.all()) if self.passed.size else True
+def atom_weights(mesh, windows):
+    """Weight |T| / |window| of each element's atom in its window."""
+    return mesh.measures / windows.measures[windows.elem_window]
 
 
-def estimate_ym(mesh, windows, strain, chi, coeffs):
-    """One atomic measure per window, atoms at the element strains with
-    measure-proportional weights."""
-    strain = mesh.check_element_field(strain)
-    h = energy.h_density(coeffs, strain)
-    a_l2 = coeffs.a * mesh.frob_norm2(strain)
-    measures = []
-    for widx in range(windows.n_windows):
-        sel = windows.elem_window == widx
-        wts = mesh.measures[sel] / windows.measures[widx]
-        atoms = strain[sel]
-        mean = (wts[:, None] * atoms).sum(axis=0)
-        var = float((wts * mesh.frob_norm2(atoms - mean)).sum())
-        measures.append(WindowMeasure(
-            window=widx,
-            weights=wts,
-            atoms=atoms,
-            chia_weight=float((wts * chi.chi_a[sel]).sum()),
-            chib_weight=float((wts * chi.chi_b[sel]).sum()),
-            first_moment=mean,
-            second_moment_a=float((wts * a_l2[sel]).sum()),
-            h_moment=float((wts * h[sel]).sum()),
-            variance=var,
-        ))
-    return measures
+def estimate_ym(mesh, coeffs, bundle):
+    """Moments of the per-window atomic measures of the bundle's strain."""
+    eps, windows = bundle.eps_raw, bundle.windows
+    dev = eps - window_expand(bundle.eps_avg, windows)
+    second_a, h, variance = window_average(np.column_stack([
+        coeffs.a * mesh.frob_norm2(eps),
+        energy.h_density(coeffs, eps),
+        mesh.frob_norm2(dev),
+    ]), mesh, windows).T
+    return WindowMoments(second_a=second_a, h=h, variance=variance)
 
 
-def ym_energy_check(measures, windows, alpha_scheme):
+def ym_energy_check(moments, windows, alpha_scheme):
     """Residual of  alpha = int int h(x, lambda) dnu_x dx."""
-    total = sum(windows.measures[m.window] * m.h_moment for m in measures)
-    return {"ym_energy": float(total),
+    total = float((windows.measures * moments.h).sum())
+    return {"ym_energy": total,
             "alpha_scheme": float(alpha_scheme),
             "residual": float(abs(total - alpha_scheme))}
 
@@ -94,45 +71,55 @@ def second_moment_check(mesh, coeffs, bundle, masks):
             "difference": sec - mean2}
 
 
-def dirac_check(measures, masks, dirac_tol=None):
+def dirac_check(moments, masks, dirac_tol=None):
     """Strain variance per pure-phase window must vanish (Dirac measure)."""
     sel = np.nonzero(masks.w0)[0]
-    variances = np.array([measures[w].variance for w in sel])
+    variances = moments.variance[sel]
     if dirac_tol is None:
-        max_sec = max((m.second_moment_a for m in measures), default=0.0)
-        dirac_tol = 1e-6 * (1.0 + max_sec)
-    return DiracReport(windows=sel, variances=variances,
-                       threshold=float(dirac_tol),
-                       passed=variances <= dirac_tol)
+        dirac_tol = 1e-6 * (1.0 + moments.second_a.max())
+    return {"windows": [int(w) for w in sel],
+            "variances": [float(v) for v in variances],
+            "threshold": float(dirac_tol),
+            "all_passed": bool(np.all(variances <= dirac_tol))}
 
 
-def two_point_variance_check(mesh, coeffs, measures, windows,
-                             dist_tol=None):
+def two_point_variance_check(mesh, coeffs, bundle, moments, dist_tol=None):
     """For windows whose atoms sit at the wells, the a-weighted gap must
     equal  a chia chib |C - D|^2  (variance of a two-point law).
 
     Returns per-window rows; windows with off-well atoms are skipped.
     """
-    rows = []
-    for m in measures:
-        sel = windows.elem_window == m.window
-        C = coeffs.C[sel]
-        D = coeffs.D[sel]
-        a = coeffs.a[sel]
-        cd2 = mesh.frob_norm2(C - D)
-        if dist_tol is None:
-            tol = 1e-3 * (1.0 + np.sqrt(cd2.max() if cd2.size else 0.0))
-        else:
-            tol = dist_tol
-        da = np.sqrt(mesh.frob_norm2(m.atoms + C))
-        db = np.sqrt(mesh.frob_norm2(m.atoms + D))
-        if not np.all(np.minimum(da, db) <= tol):
-            continue
-        gap = m.second_moment_a - float(
-            (m.weights * a).sum() / m.weights.sum()
-        ) * float(mesh.frob_norm2(m.first_moment))
-        predicted = float((m.weights * a * cd2).sum()) \
-            * m.chia_weight * m.chib_weight
-        rows.append({"window": m.window, "gap": float(gap),
-                     "predicted": predicted})
-    return rows
+    windows = bundle.windows
+    ew = windows.elem_window
+    eps = bundle.eps_raw
+    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
+    if dist_tol is None:
+        cd2_max = np.zeros(windows.n_windows)
+        np.maximum.at(cd2_max, ew, cd2)
+        tol = window_expand(1e-3 * (1.0 + np.sqrt(cd2_max)), windows)
+    else:
+        tol = dist_tol
+    dist = np.sqrt(np.minimum(mesh.frob_norm2(eps + coeffs.C),
+                              mesh.frob_norm2(eps + coeffs.D)))
+    at_wells = np.ones(windows.n_windows, dtype=bool)
+    np.minimum.at(at_wells, ew, dist <= tol)
+    a_avg, acd2_avg = window_average(
+        np.column_stack([coeffs.a, coeffs.a * cd2]), mesh, windows).T
+    gap = moments.second_a - a_avg * mesh.frob_norm2(bundle.eps_avg)
+    predicted = acd2_avg * bundle.chia_avg * bundle.chib_avg
+    return [{"window": int(w), "gap": float(gap[w]),
+             "predicted": float(predicted[w])}
+            for w in np.nonzero(at_wells)[0]]
+
+
+def young_measure_block(mesh, coeffs, bundle, masks, alpha_scheme,
+                        dirac_tol=None, dist_tol=None):
+    """The Young-measure block of the run report."""
+    moments = estimate_ym(mesh, coeffs, bundle)
+    return {
+        "energy": ym_energy_check(moments, bundle.windows, alpha_scheme),
+        "second_moment": second_moment_check(mesh, coeffs, bundle, masks),
+        "dirac": dirac_check(moments, masks, dirac_tol=dirac_tol),
+        "two_point_variance": two_point_variance_check(
+            mesh, coeffs, bundle, moments, dist_tol=dist_tol),
+    }

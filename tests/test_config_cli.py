@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from doublewell import cli, config as configmod, pipeline
+from doublewell import cli, config as configmod, mesh as meshmod, \
+    pipeline, youngmeasure
 from doublewell.errors import ConfigurationError
 
 SYM_CFG = """
@@ -72,6 +73,63 @@ def test_matrix_components_2d():
     assert np.allclose(coeffs.C, [0.0, 0.5, 0.0])
 
 
+# every key of the schema: (text in the config file, value in cfg.echo())
+ALL_KEYS = {
+    "mesh": {"dim": ("2", 2), "extents": ("2.0 3.0", [2.0, 3.0]),
+             "resolution": ("16", 16), "levels": ("3", 3)},
+    "coefficients": {"a": ("2.0", "2.0"), "b": ("1.0 + x", "1.0 + x"),
+                     "C": ("0.5", "0.5"), "D": ("-0.5", "-0.5")},
+    "strategy": {"seeds": ("random zero", ["random", "zero"]),
+                 "budget": ("7", 7)},
+    "tolerances": {"solver_tol": ("1e-9", 1e-9),
+                   "guard_scale": ("1e-7", 1e-7), "eta": ("0.1", 0.1),
+                   "dirac_tol": ("1e-5", 1e-5), "tol_den": ("1e-11", 1e-11),
+                   "dist_tol": ("1e-4", 1e-4)},
+    "run": {"window": ("4", 4), "seed": ("3", 3),
+            "outdir": ("elsewhere/out", "elsewhere/out")},
+}
+
+
+def test_every_schema_key_reaches_the_echo():
+    assert {s: set(keys) for s, keys in ALL_KEYS.items()} == \
+        {s: set(keys) for s, keys in configmod._SCHEMA.items()}
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {raw}\n"
+                                   for key, (raw, _) in keys.items())
+        for section, keys in ALL_KEYS.items())
+    echo = configmod.parse_config_text(text).echo()
+    default = configmod.RunConfig().echo()
+    for section, keys in ALL_KEYS.items():
+        for key, (_, value) in keys.items():
+            assert echo[section][key] == value, (section, key)
+            assert default[section][key] != value, (section, key)
+
+
+def test_load_run_builds_only_the_finest_mesh(tmp_path, monkeypatch):
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4\n[run]\nwindow = 4\n")
+    result = pipeline.run_experiment(cfg)
+    pipeline.emit_outputs(result, tmp_path)
+    calls = {"build_mesh": 0, "refine": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(meshmod, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(meshmod, name, counted)
+    _, mesh, *_ = pipeline.load_run(tmp_path)
+    finest = result.meshes[-1]
+    assert np.array_equal(mesh.nodes, finest.nodes)
+    assert np.array_equal(mesh.elements, finest.elements)
+    assert calls == {"build_mesh": 1, "refine": 0}
+    bad = configmod.parse_config_text(
+        "[mesh]\nresolution = 30\n[run]\nwindow = 8\n")
+    with pytest.raises(ConfigurationError, match="window"):
+        bad.build_finest_mesh()
+
+
 def test_window_mesh_mismatch_is_config_error():
     cfg = configmod.parse_config_text(
         "[mesh]\nresolution = 30\n[run]\nwindow = 8\n")
@@ -97,6 +155,25 @@ def test_cli_solve_verify_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "alpha_scheme" in out
     assert cli.main(["ym", str(out_dir)]) == 0
+
+
+def test_cli_ym_prints_the_report_block(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg_path.write_text(SYM_CFG)
+    assert cli.main(["solve", str(cfg_path),
+                     "--outdir", str(out_dir)]) == 0
+    capsys.readouterr()
+    calls = []
+    build = youngmeasure.young_measure_block
+    monkeypatch.setattr(youngmeasure, "young_measure_block",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    assert cli.main(["ym", str(out_dir)]) == 0
+    block = json.loads(capsys.readouterr().out)
+    report = json.loads((out_dir / "report.json").read_text())
+    assert block == report["young_measure"]
+    assert block["two_point_variance"]
+    assert calls == [1]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -55,12 +55,11 @@ def test_formula_matches_scheme_on_laminates():
         mesh, coeffs, trace, bundle, masks, d = analysis(C=C, D=D)
         den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
         theta = d / den
+        pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
         for conv, th in (("coefficient-1", theta), ("coefficient-half", 2 * theta)):
-            val = relaxation.eval_limit_formula(mesh, coeffs, bundle, masks, th,
-                                       conv)
+            val = relaxation.eval_limit_formula(pieces, th, conv)
             assert abs(val - trace.alpha) <= 1e-10
-            reps = relaxation.eval_representations(mesh, coeffs, bundle,
-                                                   masks, th, conv)
+            reps = relaxation.eval_representations(pieces, th, conv)
             for v in reps.values():
                 assert abs(v - trace.alpha) <= 1e-10
 
@@ -68,11 +67,10 @@ def test_formula_matches_scheme_on_laminates():
 def test_formula_matches_scheme_on_convex_case():
     mesh, coeffs, trace, bundle, masks, d = analysis(C=1.0, D=1.0,
                                                      seed_kind="zero")
-    val = relaxation.eval_limit_formula(mesh, coeffs, bundle, masks, 0.0,
-                               "coefficient-1")
+    pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
+    val = relaxation.eval_limit_formula(pieces, 0.0, "coefficient-1")
     assert abs(val - 0.5) <= 1e-10
-    reps = relaxation.eval_representations(mesh, coeffs, bundle, masks,
-                                           0.0, "coefficient-1")
+    reps = relaxation.eval_representations(pieces, 0.0, "coefficient-1")
     for v in reps.values():
         assert abs(v - 0.5) <= 1e-10
 
@@ -103,8 +101,9 @@ def test_eval_I_two_region_quadrature():
 
 def test_inequality_chain_half_variant_holds():
     mesh, coeffs, trace, bundle, masks, d = analysis()
-    chain = relaxation.inequality_chain(mesh, coeffs, bundle, masks,
-                                        trace.alpha)
+    chain = relaxation.inequality_chain(
+        relaxation.relaxation_pieces(mesh, coeffs, bundle, masks),
+        trace.alpha)
     assert chain["half_violation"] <= 1e-10
     # the full-coefficient constants fail on this oracle
     assert chain["full_violation"] > 0.4
@@ -185,3 +184,19 @@ def test_relaxation_section_assembles():
     assert out["alpha_residual_coefficient_1"] <= 1e-10
     assert not out["stuck_suspected"]
     assert out["lower_bound_gap"] <= 1e-10
+
+
+def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
+    mesh, coeffs, trace, bundle, masks, d = analysis()
+    names = ("_omega0_pieces", "_tilt_sq_over_a", "eval_I",
+             "gap_denominator")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _orig=getattr(relaxation, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(relaxation, name, counted)
+    relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
+                                  trace.alpha)
+    assert calls == dict.fromkeys(names, 1)
