@@ -5,7 +5,10 @@ a comment; blank lines ignored.  Unknown sections or keys are rejected
 with the offending line number.  Coefficient values are expressions in
 the element-center coordinates `x` (and `y` in 2D); matrix-valued
 coefficients list their packed components separated by `;`
-(1D: xx; 2D: xx; xy; yy).
+(1D: xx; 2D: xx; xy; yy).  An expression may hold numbers, + - * / **,
+unary minus, one comparison per term, x, y, pi and calls of where, abs,
+sign, sin, cos, exp, sqrt, minimum and maximum; anything else is
+rejected without being evaluated.
 
 Sections and keys (all optional, defaults in parentheses):
 
@@ -21,6 +24,8 @@ Sections and keys (all optional, defaults in parentheses):
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -87,8 +92,8 @@ class RunConfig:
 
     def build_coeffs(self, mesh):
         """Evaluate the coefficient expressions at element centers."""
-        a = _eval_scalar(self.a_expr, mesh, "a")
-        b = _eval_scalar(self.b_expr, mesh, "b")
+        a = _eval_expr(self.a_expr, mesh, "a")
+        b = _eval_expr(self.b_expr, mesh, "b")
         C = _eval_matrix(self.C_expr, mesh, "C")
         D = _eval_matrix(self.D_expr, mesh, "D")
         return energy.CoefficientSet(mesh, a, b, C, D)
@@ -111,23 +116,46 @@ class RunConfig:
         }
 
 
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+        ast.Mult: operator.mul, ast.Div: operator.truediv,
+        ast.Pow: operator.pow, ast.Lt: operator.lt, ast.LtE: operator.le,
+        ast.Gt: operator.gt, ast.GtE: operator.ge, ast.Eq: operator.eq,
+        ast.NotEq: operator.ne}
+
+
+def _eval_node(node, names):
+    """Evaluate an expression tree made only of what the module docstring
+    allows; raise ValueError on any other node."""
+    def ev(n):
+        return _eval_node(n, names)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](ev(node.left), ev(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -ev(node.operand)
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 \
+            and type(node.ops[0]) in _OPS:
+        return _OPS[type(node.ops[0])](ev(node.left), ev(node.comparators[0]))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
+        return _EXPR_NAMES[node.func.id](*map(ev, node.args))
+    raise ValueError(f"{type(node).__name__} is not allowed")
+
+
 def _eval_expr(expr, mesh, key):
-    if "__" in expr:
-        raise ConfigurationError(f"illegal expression for {key!r}")
     names = dict(_EXPR_NAMES)
     names["x"] = mesh.centers[:, 0]
     if mesh.dim > 1:
         names["y"] = mesh.centers[:, 1]
     try:
-        val = eval(expr, {"__builtins__": {}}, names)
+        val = _eval_node(ast.parse(expr, mode="eval").body, names)
     except Exception as exc:
         raise ConfigurationError(
             f"cannot evaluate expression for {key!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(val, float), (mesh.n_elem,)).copy()
-
-
-def _eval_scalar(expr, mesh, key):
-    return _eval_expr(expr, mesh, key)
 
 
 def _eval_matrix(expr, mesh, key):

@@ -12,8 +12,8 @@ per element.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class StructuredMesh:
     boundary_mask: np.ndarray      # (n_nodes,) bool
     grad: np.ndarray               # (n_elem, n_comp, (dim+1)*dim)
     frob_w: np.ndarray             # Frobenius weights per packed component
-    _basis_strain_norms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self):
@@ -105,25 +104,30 @@ class StructuredMesh:
         eps = self.symmetrized_gradient(v)
         return float((self.measures * self.frob_dot(p, eps)).sum())
 
+    @property
+    def elem_dof(self):
+        """Global dof (node * dim + component) of each element's local dofs,
+        shape (n_elem, (dim+1)*dim), node-major as in `grad`."""
+        return (self.elements[:, :, None] * self.dim
+                + np.arange(self.dim)).reshape(self.n_elem, -1)
+
+    def scatter_nodal(self, local):
+        """Sum per-element local dof values into a nodal (n_nodes, dim)
+        array, element by element in order."""
+        return np.bincount(self.elem_dof.ravel(), weights=local.ravel(),
+                           minlength=self.n_nodes * self.dim
+                           ).reshape(self.n_nodes, self.dim)
+
+    @cached_property
     def basis_strain_norms(self):
         """L2 norms of eps(phi_i) for every nodal basis function.
 
         Laid out as (n_nodes, dim); entries for boundary nodes included.
-        Cached: equals sqrt(diag K) for the unit-coefficient operator.
+        Equals sqrt(diag K) for the unit-coefficient operator.
         """
-        if self._basis_strain_norms is None:
-            nd = (self.dim + 1) * self.dim
-            gw = self.grad * self.frob_w[None, :, None]
-            local = np.einsum("eck,eck->ek", gw, self.grad)  # diag of G^T M G
-            local = local * self.measures[:, None]
-            acc = np.zeros((self.n_nodes, self.dim))
-            rows = np.repeat(self.elements, self.dim, axis=1).reshape(
-                self.n_elem, nd)
-            cols = np.tile(np.arange(self.dim), self.dim + 1)
-            np.add.at(acc, (rows.ravel(), np.tile(cols, self.n_elem)),
-                      local.ravel())
-            self._basis_strain_norms = np.sqrt(acc)
-        return self._basis_strain_norms
+        gw = self.grad * self.frob_w[None, :, None]
+        local = np.einsum("eck,eck->ek", gw, self.grad)  # diag of G^T M G
+        return np.sqrt(self.scatter_nodal(local * self.measures[:, None]))
 
     def locate_elements(self, points):
         """Element index containing each query point (structured lookup)."""
@@ -332,54 +336,59 @@ def default_test_functions(mesh, count=3):
 
 # -- CSV dumps ------------------------------------------------------------
 
-def dump_element_field(path, mesh, columns):
-    """Write per-element fields as CSV.
+def write_csv(path, header, columns):
+    """Write equal-length 1-D columns (arrays or sequences) as CSV under a
+    one-line header.
 
-    `columns` maps column name -> array of shape (n_elem,) or
-    (n_elem, n_comp); packed matrices are emitted upper-triangle row-major
-    as name_0, name_1, ...
+    Each value is written as the shortest text that reads back to the
+    same float (`repr`), integers as integers, and None (which makes a
+    sequence an object column) as an empty cell.  Lines end in CRLF.
     """
-    header = ["elem_index", "x_center"]
-    if mesh.dim == 2:
-        header.append("y_center")
-    flat = []
-    for name, arr in columns.items():
-        arr = np.asarray(arr)
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        text = map(repr, col.tolist())
+        if col.dtype == object:
+            text = ["" if t == "None" else t for t in text]
+        cells.append(text)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(*cells, strict=True))
+
+
+def read_csv(path):
+    """Columns of a numeric CSV written by `write_csv`, by header name."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return {name: data[:, k] for k, name in enumerate(header)}
+
+
+def field_columns(fields):
+    """Header names and float columns of named fields: an (n,) field is one
+    column, a packed (n, n_comp) field the columns name_0, name_1, ..."""
+    header, columns = [], []
+    for name, arr in fields.items():
+        arr = np.asarray(arr, dtype=float)
         if arr.ndim == 1:
             header.append(name)
-            flat.append(arr[:, None])
+            columns.append(arr)
         else:
             header.extend(f"{name}_{k}" for k in range(arr.shape[1]))
-            flat.append(arr)
-    data = np.hstack(flat) if flat else np.empty((mesh.n_elem, 0))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for e in range(mesh.n_elem):
-            row = [e] + [repr(float(v)) for v in mesh.centers[e]]
-            row += [repr(float(v)) for v in data[e]]
-            w.writerow(row)
+            columns.extend(arr.T)
+    return header, columns
+
+
+def dump_element_field(path, mesh, columns):
+    """Write per-element fields as CSV after the element centers."""
+    header, cols = field_columns(columns)
+    write_csv(path, ["elem_index", "x_center", "y_center"][:mesh.dim + 1]
+              + header, [np.arange(mesh.n_elem), *mesh.centers.T, *cols])
 
 
 def dump_node_field(path, mesh, columns):
-    """Write per-node fields as CSV (same conventions as elements)."""
-    header = ["node_index", "x"]
-    if mesh.dim == 2:
-        header.append("y")
-    flat = []
-    for name, arr in columns.items():
-        arr = np.asarray(arr)
-        if arr.ndim == 1:
-            header.append(name)
-            flat.append(arr[:, None])
-        else:
-            header.extend(f"{name}_{k}" for k in range(arr.shape[1]))
-            flat.append(arr)
-    data = np.hstack(flat) if flat else np.empty((mesh.n_nodes, 0))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(mesh.n_nodes):
-            row = [i] + [repr(float(v)) for v in mesh.nodes[i]]
-            row += [repr(float(v)) for v in data[i]]
-            w.writerow(row)
+    """Write per-node fields as CSV after the node coordinates."""
+    header, cols = field_columns(columns)
+    write_csv(path, ["node_index", "x", "y"][:mesh.dim + 1] + header,
+              [np.arange(mesh.n_nodes), *mesh.nodes.T, *cols])

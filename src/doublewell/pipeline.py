@@ -10,7 +10,6 @@ reproduce it byte for byte; they go to a separate timing file.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 import time
@@ -33,7 +32,6 @@ class RunResult:
     coeffs_by_level: list
     traces_by_level: list      # list of lists, all multistart traces
     best_by_level: list        # best trace per level
-    windows: object
     bundle: object
     masks: object
     timings: dict
@@ -99,7 +97,8 @@ def run_experiment(cfg):
         best = traces[0]
         traces_by_level.append(traces)
         best_by_level.append(best)
-        theta_by_level.append(_theta_for_level(cfg, mesh, coeffs, best))
+        if lvl < cfg.levels - 1:   # the finest level is analysed below
+            theta_by_level.append(_theta_for_level(cfg, mesh, coeffs, best))
         level_blocks.append({
             "level": lvl,
             "n_elem": int(mesh.n_elem),
@@ -114,7 +113,6 @@ def run_experiment(cfg):
     best = best_by_level[-1]
     bundle, masks = window_analysis(cfg, mesh, coeffs, best.u, best.p,
                                     best.chi)
-    windows = bundle.windows
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     alpha_scheme = float(best.alpha)
 
@@ -130,7 +128,7 @@ def run_experiment(cfg):
     relax = relaxation.relaxation_section(
         mesh, coeffs, bundle, masks, d, alpha_scheme,
         tol_den=cfg.tol_den, guard_scale=cfg.guard_scale)
-    relax["theta_by_level"] = theta_by_level
+    relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
 
     ym = youngmeasure.young_measure_block(
         mesh, coeffs, bundle, masks, alpha_scheme,
@@ -155,7 +153,7 @@ def run_experiment(cfg):
             "fixed_point": bool(best.fixed_point),
         },
         "limits": {
-            "n_windows": int(windows.n_windows),
+            "n_windows": int(bundle.windows.n_windows),
             "psi_range": [float(bundle.psi_avg.min()),
                           float(bundle.psi_avg.max())],
             "partition": {
@@ -179,8 +177,8 @@ def run_experiment(cfg):
     return RunResult(cfg=cfg, report=report, meshes=meshes,
                      coeffs_by_level=coeffs_by_level,
                      traces_by_level=traces_by_level,
-                     best_by_level=best_by_level, windows=windows,
-                     bundle=bundle, masks=masks, timings=timings)
+                     best_by_level=best_by_level, bundle=bundle,
+                     masks=masks, timings=timings)
 
 
 # -- deterministic JSON ---------------------------------------------------
@@ -231,7 +229,8 @@ def _slug(text):
 # -- persistence ----------------------------------------------------------
 
 def emit_outputs(result, outdir):
-    """Write report.json, traces, field/measure dumps and plot data."""
+    """Write config.txt, report.json, timing.txt, the alpha traces, the
+    finest-level field dumps, the window means and the plot data."""
     os.makedirs(outdir, exist_ok=True)
     cfg = result.cfg
     written = []
@@ -249,79 +248,45 @@ def emit_outputs(result, outdir):
             fh.write(f"{k} = {v:.6f}\n")
 
     best_steps = [s for t in result.best_by_level for s in t.steps]
-    _write_csv(path("alpha_trace.csv"),
-               ["level", "step", "alpha", "gap", "flips"],
-               [[s["level"], s["step"], repr(float(s["alpha"])),
-                 repr(float(s["gap"])), s["flips"]] for s in best_steps])
+    _write_trace(path("alpha_trace.csv"), best_steps)
     repeats = {}
     for traces in result.traces_by_level:
         for t in traces:
             stem = f"alpha_trace_L{t.level}_{_slug(t.seed_label)}"
             repeats[stem] = repeats.get(stem, 0) + 1
             suffix = f"-{repeats[stem]}" if repeats[stem] > 1 else ""
-            _write_csv(path(f"{stem}{suffix}.csv"),
-                       ["level", "step", "alpha", "gap", "flips"],
-                       [[s["level"], s["step"], repr(float(s["alpha"])),
-                         repr(float(s["gap"])), s["flips"]]
-                        for s in t.steps])
+            _write_trace(path(f"{stem}{suffix}.csv"), t.steps)
 
     mesh = result.meshes[-1]
     best = result.best_by_level[-1]
-    eps = mesh.symmetrized_gradient(best.u)
+    bundle, windows = result.bundle, result.bundle.windows
     meshmod.dump_node_field(path("u_finest.csv"), mesh, {"u": best.u})
     meshmod.dump_element_field(
         path("fields_finest.csv"), mesh,
-        {"chi_a": best.chi.chi_a, "eps": eps, "p": best.p})
-    _write_csv(
-        path("limits_windows.csv"),
-        (["window", "measure"]
-         + [f"eps_avg_{k}" for k in range(mesh.n_comp)]
-         + [f"p_avg_{k}" for k in range(mesh.n_comp)]
-         + ["chia_avg", "chib_avg", "psi_avg"]),
-        [[w, repr(float(result.windows.measures[w]))]
-         + [repr(float(v)) for v in result.bundle.eps_avg[w]]
-         + [repr(float(v)) for v in result.bundle.p_avg[w]]
-         + [repr(float(result.bundle.chia_avg[w])),
-            repr(float(result.bundle.chib_avg[w])),
-            repr(float(result.bundle.psi_avg[w]))]
-         for w in range(result.windows.n_windows)])
-    ew = result.windows.elem_window
-    order = np.argsort(ew, kind="stable")
-    weights = youngmeasure.atom_weights(mesh, result.windows)
-    _write_csv(
-        path("young_measure.csv"),
-        ["window_id", "weight"] + [f"lambda_{k}"
-                                   for k in range(mesh.n_comp)],
-        [[ew[e], repr(float(weights[e]))] + [repr(float(v)) for v in eps[e]]
-         for e in order])
+        {"chi_a": best.chi.chi_a, "eps": bundle.eps_raw, "p": best.p})
+    header, cols = meshmod.field_columns({
+        "measure": windows.measures, "eps_avg": bundle.eps_avg,
+        "p_avg": bundle.p_avg, "chia_avg": bundle.chia_avg,
+        "chib_avg": bundle.chib_avg, "psi_avg": bundle.psi_avg})
+    meshmod.write_csv(path("limits_windows.csv"), ["window"] + header,
+                      [np.arange(windows.n_windows)] + cols)
 
     alphas = [s["alpha"] for s in best_steps]
-    _write_csv(path("plot_alpha_vs_step.csv"), ["x", "y"],
-               [[k, repr(float(a))] for k, a in enumerate(alphas)])
+    meshmod.write_csv(path("plot_alpha_vs_step.csv"), ["x", "y"],
+                      [range(len(alphas)), alphas])
     thetas = result.report["relaxation"]["theta_by_level"]
-    _write_csv(path("plot_theta_vs_level.csv"), ["x", "y"],
-               [[lvl, "" if th is None else repr(float(th))]
-                for lvl, th in enumerate(thetas)])
+    meshmod.write_csv(path("plot_theta_vs_level.csv"), ["x", "y"],
+                      [range(len(thetas)), thetas])
     return written
 
 
-def _write_csv(fname, header, rows):
-    with open(fname, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _write_trace(fname, steps):
+    """One row per descent step: level, step, alpha, gap, flips."""
+    keys = ["level", "step", "alpha", "gap", "flips"]
+    meshmod.write_csv(fname, keys, [[s[k] for s in steps] for k in keys])
 
 
 # -- verification of persisted runs ---------------------------------------
-
-def _read_csv(fname):
-    with open(fname, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    cols = {name: np.array([r[i] for r in body], dtype=float)
-            for i, name in enumerate(header)}
-    return cols
-
 
 def load_report(run_dir):
     import json
@@ -334,9 +299,9 @@ def load_run(run_dir):
     cfg = configmod.parse_config(os.path.join(run_dir, "config.txt"))
     mesh = cfg.build_finest_mesh()
     coeffs = cfg.build_coeffs(mesh)
-    ucols = _read_csv(os.path.join(run_dir, "u_finest.csv"))
+    ucols = meshmod.read_csv(os.path.join(run_dir, "u_finest.csv"))
     u = np.stack([ucols[f"u_{k}"] for k in range(mesh.dim)], axis=1)
-    fcols = _read_csv(os.path.join(run_dir, "fields_finest.csv"))
+    fcols = meshmod.read_csv(os.path.join(run_dir, "fields_finest.csv"))
     chi = descent.PhaseField.from_a_indicator(fcols["chi_a"] > 0.5)
     p = np.stack([fcols[f"p_{k}"] for k in range(mesh.n_comp)], axis=1)
     return cfg, mesh, coeffs, u, chi, p

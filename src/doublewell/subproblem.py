@@ -88,14 +88,12 @@ def assemble(mesh, coeffs, chi):
     local_f = np.einsum("eck,ec->ek", gw, E) * mesh.measures[:, None]
 
     # global dof id = node * dim + comp, then restrict to interior
-    elem_dof = (mesh.elements[:, :, None] * mesh.dim
-                + np.arange(mesh.dim)[None, None, :]).reshape(mesh.n_elem, nd)
+    elem_dof = mesh.elem_dof
     rows = np.repeat(elem_dof, nd, axis=1).ravel()
     cols = np.tile(elem_dof, (1, nd)).ravel()
     K_full = sp.coo_matrix((local_K.ravel(), (rows, cols)),
                            shape=(mesh.n_nodes * mesh.dim,) * 2).tocsr()
-    f_full = np.zeros(mesh.n_nodes * mesh.dim)
-    np.add.at(f_full, elem_dof.ravel(), local_f.ravel())
+    f_full = mesh.scatter_nodal(local_f).ravel()
 
     free = mesh.free_nodes
     free_dof = (free[:, None] * mesh.dim
@@ -152,16 +150,12 @@ def ker_residual(mesh, coeffs, chi, p):
     inhomogeneity E that defines p.
     """
     p = mesh.check_element_field(p)
-    r = np.zeros((mesh.n_nodes, mesh.dim))
     gw = mesh.grad * mesh.frob_w[None, :, None]
-    local = np.einsum("eck,ec->ek", gw, p) * mesh.measures[:, None]
-    nd = (mesh.dim + 1) * mesh.dim
-    rows = np.repeat(mesh.elements, mesh.dim, axis=1).reshape(mesh.n_elem, nd)
-    cols = np.tile(np.arange(mesh.dim), mesh.dim + 1)
-    np.add.at(r, (rows.ravel(), np.tile(cols, mesh.n_elem)), local.ravel())
+    r = mesh.scatter_nodal(np.einsum("eck,ec->ek", gw, p)
+                           * mesh.measures[:, None])
 
     free = mesh.free_nodes
-    norms = mesh.basis_strain_norms()[free]
+    norms = mesh.basis_strain_norms[free]
     p_scale = max(mesh.l2_norm(p),
                   mesh.l2_norm(energy.tilt_field(coeffs, chi)), 1e-300)
     ratios = np.abs(r[free]) / np.maximum(norms * p_scale, 1e-300)

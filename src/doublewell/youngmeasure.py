@@ -29,11 +29,6 @@ class WindowMoments:
     variance: np.ndarray       # int |lambda - mean|^2 dnu (Frobenius)
 
 
-def atom_weights(mesh, windows):
-    """Weight |T| / |window| of each element's atom in its window."""
-    return mesh.measures / windows.measures[windows.elem_window]
-
-
 def estimate_ym(mesh, coeffs, bundle):
     """Moments of the per-window atomic measures of the bundle's strain."""
     eps, windows = bundle.eps_raw, bundle.windows

@@ -2,12 +2,14 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from doublewell import cli, config as configmod, mesh as meshmod, \
-    pipeline, youngmeasure
+    pipeline, relaxation, youngmeasure
 from doublewell.errors import ConfigurationError
 
 SYM_CFG = """
@@ -73,6 +75,51 @@ def test_matrix_components_2d():
     assert np.allclose(coeffs.C, [0.0, 0.5, 0.0])
 
 
+def test_expression_cannot_reach_attributes():
+    # fullwidth underscores normalise to "__" in identifiers, so a filter on
+    # the text "__" lets this dunder walk through to the interpreter
+    cfg = configmod.parse_config_text(
+        "[coefficients]\na = ()._\uff3fclass_\uff3f._\uff3fmro_\uff3f"
+        "._\uff3flen_\uff3f() + 0*x\n")
+    mesh = cfg.build_meshes()[0]
+    with pytest.raises(ConfigurationError, match="not allowed"):
+        cfg.build_coeffs(mesh)
+    for expr in ("__import__('os')", "x.real", "[x][0]", "lambda: x",
+                 "abs(x, out=x)", "0 < x < 1", "pi()", "'1.0'"):
+        cfg = configmod.parse_config_text(f"[coefficients]\na = {expr}\n")
+        with pytest.raises(ConfigurationError):
+            cfg.build_coeffs(mesh)
+
+
+def test_expression_whitelist_evaluates_like_numpy():
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 8\n[coefficients]\n"
+        "a = 2*x**2 + sqrt(abs(sin(pi*x))) + exp(-y)/3\n"
+        "b = where(x < 0.5, 1.0, maximum(minimum(y, 0.3), 0.1) + 1)\n"
+        "C = cos(x); 1e-3*x*y - 1; -y\n")
+    mesh = cfg.build_meshes()[0]
+    coeffs = cfg.build_coeffs(mesh)
+    x, y = mesh.centers.T
+    assert np.array_equal(coeffs.a, 2 * x ** 2 + np.sqrt(np.abs(np.sin(
+        np.pi * x))) + np.exp(-y) / 3)
+    assert np.array_equal(coeffs.b, np.where(
+        x < 0.5, 1.0, np.maximum(np.minimum(y, 0.3), 0.1) + 1))
+    assert np.array_equal(coeffs.C, np.column_stack(
+        [np.cos(x), 1e-3 * x * y - 1, -y]))
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    cfg = configmod.parse_config_text(block)
+    echo = cfg.echo()
+    assert echo["tolerances"]["solver_tol"] == 1e-10
+    assert echo["tolerances"]["eta"] == 0.05
+    assert echo["strategy"]["budget"] == 50
+    coeffs = cfg.build_coeffs(meshmod.build_mesh((1.0, 1.0), (4, 4), 2))
+    assert np.allclose(coeffs.C, [0.0, 0.5, 0.0])
+
+
 # every key of the schema: (text in the config file, value in cfg.echo())
 ALL_KEYS = {
     "mesh": {"dim": ("2", 2), "extents": ("2.0 3.0", [2.0, 3.0]),
@@ -128,6 +175,37 @@ def test_load_run_builds_only_the_finest_mesh(tmp_path, monkeypatch):
         "[mesh]\nresolution = 30\n[run]\nwindow = 8\n")
     with pytest.raises(ConfigurationError, match="window"):
         bad.build_finest_mesh()
+
+
+def test_each_level_is_analysed_once(tmp_path, monkeypatch):
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4\n[run]\nwindow = 4\n")
+    calls = {"window_analysis": 0, "gap_denominator": 0}
+    for module, name in ((pipeline, "window_analysis"),
+                         (relaxation, "gap_denominator")):
+        def counted(*args, _orig=getattr(module, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    result = pipeline.run_experiment(cfg)
+    assert calls == {"window_analysis": 3, "gap_denominator": 3}
+    relax = result.report["relaxation"]
+    assert len(relax["theta_by_level"]) == 3
+    assert relax["theta_by_level"][-1] == relax["theta_coeff1"]
+
+    strains = []
+    gradient = meshmod.StructuredMesh.symmetrized_gradient
+    monkeypatch.setattr(meshmod.StructuredMesh, "symmetrized_gradient",
+                        lambda *a: strains.append(1) or gradient(*a))
+    pipeline.emit_outputs(result, tmp_path)
+    assert strains == []
+    fields = meshmod.read_csv(tmp_path / "fields_finest.csv")
+    eps = gradient(result.meshes[-1], result.best_by_level[-1].u)
+    assert np.column_stack([fields[f"eps_{k}"] for k in range(3)]).tobytes() \
+        == eps.tobytes()
 
 
 def test_window_mesh_mismatch_is_config_error():

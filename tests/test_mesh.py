@@ -1,7 +1,11 @@
 """Mesh geometry, strain operator, windows, test bumps, CSV dumps."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublewell import mesh as meshmod
 from doublewell.errors import ConfigurationError
@@ -117,12 +121,83 @@ def test_test_functions_interior_and_smooth():
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
+# values whose text must round-trip exactly: signed zero, subnormals,
+# the extremes of the float range
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1e300, 1e-300, 0.1, -1.0 / 3.0]
+
+
 def test_dump_and_reload_element_field(tmp_path):
-    mesh = make_mesh_1d(8)
+    mesh = make_mesh_1d(len(EDGE_FLOATS))
     path = tmp_path / "f.csv"
-    vals = np.linspace(0, 1, mesh.n_elem)
-    meshmod.dump_element_field(path, mesh, {"f": vals})
+    vals = np.array(EDGE_FLOATS)
+    packed = np.column_stack([vals[::-1], vals])
+    meshmod.dump_element_field(path, mesh, {"f": vals, "g": packed})
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "elem_index,x_center,f"
-    back = np.array([float(line.split(",")[2]) for line in lines[1:]])
-    assert np.array_equal(back, vals)
+    assert lines[0] == "elem_index,x_center,f,g_0,g_1"
+    back = meshmod.read_csv(path)
+    assert back["f"].tobytes() == vals.tobytes()
+    assert back["g_0"].tobytes() == vals[::-1].tobytes()
+    assert back["elem_index"].tobytes() == \
+        np.arange(mesh.n_elem, dtype=float).tobytes()
+
+
+def reference_csv(header, columns):
+    """The bytes csv.writer gives for the same table, values formatted as
+    repr(float(v)), integers as they are and None as an empty cell."""
+    def cell(v):
+        if v is None:
+            return ""
+        return v if isinstance(v, int) else repr(float(v))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in zip(*columns))
+    return buf.getvalue().encode()
+
+
+FLOATS = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_FLOATS))
+COLUMN = st.sampled_from(["int", "float", "float_or_none"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(COLUMN, max_size=4), n_rows=st.integers(1, 12),
+       data=st.data())
+def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory, kinds,
+                                                     n_rows, data):
+    # every table in a run directory starts with an integer column, so no
+    # row is one empty cell (which csv.writer would write as "")
+    kinds = ["int"] + kinds
+    values = {
+        "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+        "float": FLOATS,
+        "float_or_none": st.one_of(st.none(), FLOATS),
+    }
+    columns = [data.draw(st.lists(values[k], min_size=n_rows,
+                                  max_size=n_rows)) for k in kinds]
+    arrays = [np.array(col, dtype={"int": np.int64, "float": float,
+                                   "float_or_none": object}[k])
+              for k, col in zip(kinds, columns)]
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    meshmod.write_csv(path, header, arrays)
+    assert path.read_bytes() == reference_csv(header, columns)
+    if all(v is not None for col in columns for v in col):
+        back = meshmod.read_csv(path)
+        assert list(back) == header
+        for name, col in zip(header, columns):
+            assert back[name].tobytes() == \
+                np.array(col, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 4)])
+def test_scatter_nodal_sums_element_by_element(dim, n):
+    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    rng = np.random.default_rng(1)
+    local = rng.standard_normal((mesh.n_elem, (dim + 1) * dim)) \
+        * 10.0 ** rng.integers(-8, 8, (mesh.n_elem, 1))
+    expect = np.zeros((mesh.n_nodes, dim))
+    for e in range(mesh.n_elem):
+        for k, node in enumerate(mesh.elements[e]):
+            expect[node] += local[e, k * dim:(k + 1) * dim]
+    assert mesh.scatter_nodal(local).tobytes() == expect.tobytes()

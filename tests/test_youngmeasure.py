@@ -26,7 +26,7 @@ def laminate_analysis(period=4, C=1.0, D=-1.0, n=64, window=8):
 def test_atoms_and_weights_structure():
     mesh, coeffs, trace, windows, bundle, masks, moments = \
         laminate_analysis()
-    weights = youngmeasure.atom_weights(mesh, windows)
+    weights = mesh.measures / windows.measures[windows.elem_window]
     assert np.allclose(np.bincount(windows.elem_window, weights=weights),
                        1.0)
     assert np.all(weights >= 0.0)
