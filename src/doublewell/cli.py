@@ -45,8 +45,8 @@ def _cmd_verify(args):
 
 
 def _cmd_ym(args):
-    cfg, mesh, coeffs, u, chi, p = pipeline.load_run(args.run_dir)
-    bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, u, p, chi)
+    cfg, mesh, coeffs, eps, chi, p = pipeline.load_run(args.run_dir)
+    bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, eps, p, chi)
     report = pipeline.load_report(args.run_dir)
     print(pipeline.to_json(youngmeasure.young_measure_block(
         mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"],

@@ -49,6 +49,7 @@ class RunTrace:
     fixed_point: bool = False
     budget_exhausted: bool = False
     u: np.ndarray | None = None
+    eps: np.ndarray | None = None    # strain of u, per element
     chi: PhaseField | None = None
     p: np.ndarray | None = None
 
@@ -81,10 +82,10 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
     for step in range(budget):
         problem = subproblem.assemble(mesh, coeffs, chi)
         u, srep = subproblem.solve(problem, tol=tol)
-        p = subproblem.dual_variable(mesh, coeffs, chi, u)
-        drep = subproblem.duality_report(mesh, coeffs, chi, u, p,
-                                         alpha=srep.alpha)
-        new_chi = assign_phases(coeffs, mesh.symmetrized_gradient(u))
+        eps = mesh.symmetrized_gradient(u)
+        p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+        drep = subproblem.duality_report(mesh, coeffs, chi, p, srep.alpha)
+        new_chi = assign_phases(coeffs, eps)
         flips = chi.flips(new_chi)
         trace.steps.append({
             "level": level,
@@ -96,7 +97,7 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
             "cg_iterations": srep.iterations,
             "cg_residual": srep.residual,
         })
-        trace.u, trace.chi, trace.p = u, chi, p
+        trace.u, trace.eps, trace.chi, trace.p = u, eps, chi, p
         if flips == 0:
             trace.fixed_point = True
             break

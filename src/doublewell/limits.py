@@ -24,10 +24,7 @@ class LimitBundle:
     chia_avg: np.ndarray      # (n_w,)
     chib_avg: np.ndarray
     psi_avg: np.ndarray
-    u_lim: np.ndarray         # finest-level nodal displacement
     eps_raw: np.ndarray       # finest-level per-element strain
-    p_raw: np.ndarray
-    chi_raw: object
 
 
 @dataclass
@@ -40,9 +37,9 @@ class PartitionMasks:
     eta: float
 
 
-def estimate_limits(mesh, windows, u, strain, p, chi):
-    """Window means of the oscillating fields; u itself converges
-    strongly, so the nodal field is kept as-is."""
+def estimate_limits(mesh, windows, strain, p, chi):
+    """Window means of the oscillating fields of one state: its strain,
+    dual field and phases."""
     return LimitBundle(
         windows=windows,
         eps_avg=window_average(strain, mesh, windows),
@@ -50,10 +47,7 @@ def estimate_limits(mesh, windows, u, strain, p, chi):
         chia_avg=window_average(chi.chi_a, mesh, windows),
         chib_avg=window_average(chi.chi_b, mesh, windows),
         psi_avg=window_average(chi.psi, mesh, windows),
-        u_lim=u,
         eps_raw=strain,
-        p_raw=p,
-        chi_raw=chi,
     )
 
 
@@ -86,7 +80,8 @@ def pairing_diagnostic(levels, bundle, testset):
     """Residuals of  int phi p.eps(u)  against the windowed limit
     surrogate, per test bump and refinement level.
 
-    `levels` is a list of dicts with keys mesh, u, p (coarsest first);
+    `levels` is a list of dicts with keys mesh, eps (the strain eps(u))
+    and p, coarsest first;
     the limit side comes from the finest-level window averages.
     """
     w = bundle.windows
@@ -98,8 +93,7 @@ def pairing_diagnostic(levels, bundle, testset):
     table = []
     for lvl, data in enumerate(levels):
         mesh = data["mesh"]
-        eps = mesh.symmetrized_gradient(data["u"])
-        dens = mesh.measures * mesh.frob_dot(data["p"], eps)
+        dens = mesh.measures * mesh.frob_dot(data["p"], data["eps"])
         phi_e = testset.values_at(mesh.centers)
         vals = phi_e @ dens
         for tix in range(testset.n_test):

@@ -98,11 +98,12 @@ class StructuredMesh:
         elem_dofs = u[self.elements].reshape(self.n_elem, -1)
         return np.einsum("eck,ek->ec", self.grad, elem_dofs)
 
-    def pairing(self, p, v):
-        """Duality pairing  integral of p : eps(v)  over Omega."""
-        p = self.check_element_field(p)
-        eps = self.symmetrized_gradient(v)
-        return float((self.measures * self.frob_dot(p, eps)).sum())
+    def strain_adjoint(self, X):
+        """Discrete adjoint of the strain: integral of X : eps(phi_i) for
+        every nodal basis function phi_i, as a nodal (n_nodes, dim) array."""
+        gw = self.grad * self.frob_w[None, :, None]
+        return self.scatter_nodal(np.einsum("eck,ec->ek", gw, X)
+                                  * self.measures[:, None])
 
     @property
     def elem_dof(self):

@@ -13,7 +13,6 @@ value: zero duality gap.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +53,17 @@ class SolveReport:
     iterations: int
     residual: float
     alpha: float
-    wall_time: float
 
 
 @dataclass
 class DualityReport:
-    alpha: float
-    beta: float
     gap: float
     ker_residual: float
 
 
-def direct_energy(mesh, coeffs, chi, u):
-    """J(u) by direct elementwise quadrature (assembly-free oracle path)."""
-    eps = mesh.symmetrized_gradient(u)
+def direct_energy(mesh, coeffs, chi, eps):
+    """J(u) by direct elementwise quadrature (assembly-free oracle path),
+    from the strain eps = eps(u)."""
     m = energy.m_field(coeffs, chi)
     E = energy.tilt_field(coeffs, chi)
     B = energy.B_field(coeffs, chi.psi)
@@ -82,10 +78,10 @@ def assemble(mesh, coeffs, chi):
     B = energy.B_field(coeffs, chi.psi)
     nd = (mesh.dim + 1) * mesh.dim
 
+    f_full = mesh.strain_adjoint(E).ravel()
     gw = mesh.grad * mesh.frob_w[None, :, None]
     local_K = np.einsum("eck,ecl->ekl", gw, mesh.grad)
     local_K *= (mesh.measures * m)[:, None, None]
-    local_f = np.einsum("eck,ec->ek", gw, E) * mesh.measures[:, None]
 
     # global dof id = node * dim + comp, then restrict to interior
     elem_dof = mesh.elem_dof
@@ -93,7 +89,6 @@ def assemble(mesh, coeffs, chi):
     cols = np.tile(elem_dof, (1, nd)).ravel()
     K_full = sp.coo_matrix((local_K.ravel(), (rows, cols)),
                            shape=(mesh.n_nodes * mesh.dim,) * 2).tocsr()
-    f_full = mesh.scatter_nodal(local_f).ravel()
 
     free = mesh.free_nodes
     free_dof = (free[:, None] * mesh.dim
@@ -106,11 +101,9 @@ def assemble(mesh, coeffs, chi):
 
 def solve(problem, tol=1e-10, max_iter=None):
     """Minimize the quadratic by Jacobi-preconditioned conjugate gradients."""
-    t0 = time.perf_counter()
     if problem.n_dof == 0 or np.linalg.norm(problem.f) == 0.0:
         u = problem.to_full(np.zeros(problem.n_dof))
-        return u, SolveReport(0, 0.0, problem.energy(u),
-                              time.perf_counter() - t0)
+        return u, SolveReport(0, 0.0, problem.energy(u))
     if max_iter is None:
         max_iter = 20 * problem.n_dof
     diag = problem.K.diagonal()
@@ -130,13 +123,12 @@ def solve(problem, tol=1e-10, max_iter=None):
             f"(residual {res:.3e} after {count[0]} iterations)",
             residual=res, iterations=count[0])
     u = problem.to_full(x)
-    return u, SolveReport(count[0], float(res), problem.energy(u),
-                          time.perf_counter() - t0)
+    return u, SolveReport(count[0], float(res), problem.energy(u))
 
 
-def dual_variable(mesh, coeffs, chi, u):
-    """Optimal dual field p = m eps(u) + E, per element."""
-    eps = mesh.symmetrized_gradient(u)
+def dual_variable(mesh, coeffs, chi, eps):
+    """Optimal dual field p = m eps(u) + E, per element, from the strain
+    eps = eps(u)."""
     m = energy.m_field(coeffs, chi)
     return m[:, None] * eps + energy.tilt_field(coeffs, chi)
 
@@ -150,9 +142,7 @@ def ker_residual(mesh, coeffs, chi, p):
     inhomogeneity E that defines p.
     """
     p = mesh.check_element_field(p)
-    gw = mesh.grad * mesh.frob_w[None, :, None]
-    r = mesh.scatter_nodal(np.einsum("eck,ec->ek", gw, p)
-                           * mesh.measures[:, None])
+    r = mesh.strain_adjoint(p)
 
     free = mesh.free_nodes
     norms = mesh.basis_strain_norms[free]
@@ -172,43 +162,44 @@ def dual_objective(mesh, coeffs, chi, q):
     return mesh.integrate(dens)
 
 
-def duality_report(mesh, coeffs, chi, u, p, alpha=None):
-    if alpha is None:
-        alpha = direct_energy(mesh, coeffs, chi, u)
+def duality_report(mesh, coeffs, chi, p, alpha):
+    """Duality gap alpha + I(p) of the primal value alpha, and the kernel
+    residual of p."""
     beta = dual_objective(mesh, coeffs, chi, p)
-    return DualityReport(alpha=float(alpha), beta=float(beta),
-                         gap=float(alpha + beta),
+    return DualityReport(gap=float(alpha + beta),
                          ker_residual=ker_residual(mesh, coeffs, chi, p))
 
 
-def orthogonality_residual(mesh, coeffs, chi, u, p):
-    """Normalized primal-dual orthogonality |<p, eps(u)>|.
+def orthogonality_residual(mesh, coeffs, chi, eps, p):
+    """Normalized primal-dual orthogonality |<p, eps(u)>|, from the strain
+    eps = eps(u).
 
     Floored the same way as ker_residual for the degenerate p -> 0 case.
     """
-    val = abs(mesh.pairing(p, u))
-    eps_norm = mesh.l2_norm(mesh.symmetrized_gradient(u))
+    val = abs(mesh.integrate(mesh.frob_dot(p, eps)))
+    eps_norm = mesh.l2_norm(eps)
     p_scale = max(mesh.l2_norm(p),
                   mesh.l2_norm(energy.tilt_field(coeffs, chi)))
     denom = p_scale * eps_norm
     return val / denom if denom > 0 else 0.0
 
 
-def alpha_representations(mesh, coeffs, chi, u, p, omega0, guard_scale=1e-8):
-    """Algebraic re-expressions of the optimal value from one solve.
+def alpha_representations(mesh, coeffs, chi, eps, p, omega0,
+                          guard_scale=1e-8):
+    """Algebraic re-expressions of the optimal value from one solve, read
+    from its strain eps = eps(u) and dual field p.
 
     Returns the direct quadrature value, the two global representations
     obtained from primal-dual orthogonality, the quadratic energy identity
     residual, and the two Omega_0-split representations (with guarded
     division by b - a off Omega_0).
     """
-    eps = mesh.symmetrized_gradient(u)
     m = energy.m_field(coeffs, chi)
     E = energy.tilt_field(coeffs, chi)
     B = energy.B_field(coeffs, chi.psi)
     w = mesh.measures
 
-    alpha_direct = direct_energy(mesh, coeffs, chi, u)
+    alpha_direct = direct_energy(mesh, coeffs, chi, eps)
     eps2 = mesh.frob_norm2(eps)
     alpha_a = 0.5 * float((w * (-m * eps2 + B)).sum())
     alpha_b = 0.5 * float((w * (mesh.frob_dot(E, eps) + B)).sum())

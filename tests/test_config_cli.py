@@ -1,6 +1,7 @@
 """Configuration parsing, persistence, CLI subcommands and exit codes."""
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublewell import cli, config as configmod, mesh as meshmod, \
-    pipeline, relaxation, youngmeasure
+from doublewell import cli, config as configmod, descent, \
+    mesh as meshmod, pipeline, relaxation, youngmeasure
 from doublewell.errors import ConfigurationError
 
 SYM_CFG = """
@@ -206,6 +207,46 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
     eps = gradient(result.meshes[-1], result.best_by_level[-1].u)
     assert np.column_stack([fields[f"eps_{k}"] for k in range(3)]).tobytes() \
         == eps.tobytes()
+
+
+def test_one_strain_per_solve(tmp_path, monkeypatch):
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4 random\n[run]\nwindow = 4\n")
+    strains, traces = [], []
+    gradient = meshmod.StructuredMesh.symmetrized_gradient
+    monkeypatch.setattr(meshmod.StructuredMesh, "symmetrized_gradient",
+                        lambda *a: strains.append(1) or gradient(*a))
+    alternate = descent.alternate
+
+    def counted(*args, **kwargs):
+        before = len(strains)
+        trace = alternate(*args, **kwargs)
+        traces.append((len(strains) - before, len(trace.steps),
+                       len(strains)))
+        return trace
+    monkeypatch.setattr(descent, "alternate", counted)
+    result = pipeline.run_experiment(cfg)
+    # every seed here carries its phases, so each strain is a step's
+    assert len(traces) == 8
+    assert all(n_strains == n_steps for n_strains, n_steps, _ in traces)
+    assert len(strains) == traces[-1][2]    # none after the last step
+    pipeline.emit_outputs(result, tmp_path)
+    del strains[:]
+    pipeline.verify_run(tmp_path)
+    assert len(strains) == 1
+
+
+def test_verify_reports_an_unsigned_zero_excess(tmp_path):
+    result = pipeline.run_and_emit(configmod.parse_config_text(SYM_CFG),
+                                   tmp_path)
+    checks = pipeline.verify_run(tmp_path)
+    # on this laminate the lower bound equals the recomputed alpha
+    assert checks["alpha_recomputed"] \
+        == result.report["relaxation"]["lower_bound"]["bound"]
+    excess = checks["lower_bound_excess"]
+    assert excess == 0.0 and math.copysign(1.0, excess) == 1.0
 
 
 def test_window_mesh_mismatch_is_config_error():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublewell import descent, energy, mesh as meshmod, oracles
 from doublewell.errors import ConfigurationError
@@ -36,6 +37,25 @@ def test_descent_monotone_from_random_seed():
     assert all(alphas[k + 1] <= alphas[k] + 1e-10
                for k in range(len(alphas) - 1))
     assert trace.fixed_point
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0),
+       C=st.floats(-2.0, 2.0), D=st.floats(-2.0, 2.0),
+       is_a=st.integers(8, 32).flatmap(
+           lambda n: st.lists(st.booleans(), min_size=n, max_size=n)))
+def test_descent_properties_on_random_1d_problems(a, b, C, D, is_a):
+    mesh = make_mesh_1d(len(is_a))
+    coeffs = make_coeffs(mesh, a=a, b=b, C=C, D=D)
+    trace = descent.alternate(
+        mesh, coeffs, {"chi": descent.PhaseField.from_a_indicator(is_a)})
+    alphas = trace.alphas
+    assert all(alphas[k + 1] <= alphas[k] + 1e-10
+               for k in range(len(alphas) - 1))
+    assert all(abs(s["gap"]) <= 1e-8 * (1.0 + abs(s["alpha"]))
+               for s in trace.steps)
+    assert trace.eps.tobytes() \
+        == mesh.symmetrized_gradient(trace.u).tobytes()
 
 
 def test_laminate_seed_symmetric_exact_zero_every_resolution():

@@ -12,10 +12,9 @@ def laminate_run(n=64, period=4, C=1.0, D=-1.0, window=8):
     coeffs = make_coeffs(mesh, C=C, D=D)
     u, chi, _ = descent.laminate_seed(mesh, coeffs, period)
     trace = descent.alternate(mesh, coeffs, {"u": u, "chi": chi})
-    eps = mesh.symmetrized_gradient(trace.u)
     windows = meshmod.build_windows(mesh, window)
-    bundle = limitsmod.estimate_limits(mesh, windows, trace.u, eps,
-                                       trace.p, trace.chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
+                                       trace.chi)
     return mesh, coeffs, trace, windows, bundle
 
 
@@ -45,8 +44,7 @@ def test_partition_masks_two_region():
     chi = descent.PhaseField.from_a_indicator(np.ones(mesh.n_elem, bool))
     eps = np.zeros((mesh.n_elem, 1))
     windows = meshmod.build_windows(mesh, 8)
-    bundle = limitsmod.estimate_limits(
-        mesh, windows, mesh.zero_displacement(), eps, eps.copy(), chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, eps, eps.copy(), chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     assert np.array_equal(masks.omega0_elem, mesh.centers[:, 0] < 0.5)
     assert masks.omega0_window.sum() == 4
@@ -69,10 +67,9 @@ def test_gap_d_zero_without_oscillation():
     coeffs = make_coeffs(mesh, C=1.0, D=1.0)
     trace = descent.alternate(mesh, coeffs,
                               {"u": mesh.zero_displacement()})
-    eps = mesh.symmetrized_gradient(trace.u)
     windows = meshmod.build_windows(mesh, 8)
-    bundle = limitsmod.estimate_limits(mesh, windows, trace.u, eps,
-                                       trace.p, trace.chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
+                                       trace.chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     # convex problem: the solution strain is constant per window
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
@@ -87,8 +84,8 @@ def test_pairing_diagnostic_levels_shrink():
     t0 = descent.alternate(coarse, ccoeffs, {"u": u0, "chi": chi0})
     testset = meshmod.default_test_functions(mesh)
     out = limitsmod.pairing_diagnostic(
-        [{"mesh": coarse, "u": t0.u, "p": t0.p},
-         {"mesh": mesh, "u": trace.u, "p": trace.p}],
+        [{"mesh": coarse, "eps": t0.eps, "p": t0.p},
+         {"mesh": mesh, "eps": trace.eps, "p": trace.p}],
         bundle, testset)
     assert len(out["rows"]) == 2 * testset.n_test
     assert not any(out["non_decreasing_flags"])

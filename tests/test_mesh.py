@@ -56,13 +56,16 @@ def test_frobenius_weights_match_full_matrices():
     assert np.isclose(mesh.frob_norm2(packed)[0], np.sum(M * M))
 
 
-def test_pairing_vanishes_for_constant_dual_field():
+def test_strain_adjoint_vanishes_for_constant_dual_field():
     mesh = make_mesh_2d(4)
+    p = np.tile([1.5, -0.25, 2.0], (mesh.n_elem, 1))
+    assert np.abs(mesh.strain_adjoint(p)[mesh.free_nodes]).max() < 1e-12
+    # the adjoint of the strain: <L* q, u> = integral of q : eps(u)
     rng = np.random.default_rng(0)
     u = rng.standard_normal((mesh.n_nodes, 2))
-    u[mesh.boundary_mask] = 0.0
-    p = np.tile([1.5, -0.25, 2.0], (mesh.n_elem, 1))
-    assert abs(mesh.pairing(p, u)) < 1e-12
+    q = rng.standard_normal((mesh.n_elem, 3))
+    assert np.isclose((mesh.strain_adjoint(q) * u).sum(), mesh.integrate(
+        mesh.frob_dot(q, mesh.symmetrized_gradient(u))), rtol=1e-12)
 
 
 def test_window_average_preserves_integral():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublewell import oracles, subproblem, descent
 from doublewell.errors import ContractViolation
@@ -31,16 +32,16 @@ def test_envelope_wells_minus1_plus3():
     assert np.allclose(env(np.linspace(-1, 3, 17)), 0.0)
 
 
-def test_envelope_convex_and_below_min_on_grid():
-    cases = [(1.0, 1.0, 1.0, -1.0), (1.0, 0.7, 2.0, -0.3),
-             (3.0, -0.5, 0.5, 1.5), (2.0, 1.0, 2.0, 1.0)]
+@settings(max_examples=50, deadline=None)
+@given(a=st.floats(0.2, 5.0), c=st.floats(-3.0, 3.0),
+       b=st.floats(0.2, 5.0), d=st.floats(-3.0, 3.0))
+def test_envelope_convex_and_below_min_on_grid(a, c, b, d):
     xi = np.linspace(-5, 5, 10_000)
-    for a, c, b, d in cases:
-        env = oracles.envelope_1d(a, c, b, d)
-        f = env(xi)
-        assert np.all(f <= env.raw(xi) + 1e-12)
-        mid = 0.5 * (f[:-2] + f[2:])
-        assert np.all(f[1:-1] <= mid + 1e-12)   # midpoint convexity
+    env = oracles.envelope_1d(a, c, b, d)
+    f = env(xi)
+    assert np.all(f <= env.raw(xi) + 1e-12)
+    mid = 0.5 * (f[:-2] + f[2:])
+    assert np.all(f[1:-1] <= mid + 1e-12)   # midpoint convexity
 
 
 def test_envelope_rejects_bad_moduli():

@@ -21,10 +21,9 @@ def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
     else:
         init = {"u": mesh.zero_displacement()}
     trace = descent.alternate(mesh, coeffs, init)
-    eps = mesh.symmetrized_gradient(trace.u)
     windows = meshmod.build_windows(mesh, 8)
-    bundle = limitsmod.estimate_limits(mesh, windows, trace.u, eps,
-                                       trace.p, trace.chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
+                                       trace.chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     return mesh, coeffs, trace, bundle, masks, d
@@ -85,8 +84,7 @@ def test_eval_I_two_region_quadrature():
     eps = np.zeros((mesh.n_elem, 1))
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(
-        mesh, windows, mesh.zero_displacement(), eps,
-        np.zeros((mesh.n_elem, 1)), chi)
+        mesh, windows, eps, np.zeros((mesh.n_elem, 1)), chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     out = relaxation.eval_I(mesh, coeffs, bundle, masks)
     # psi = -1, C = D = 1:  density = ab(|C|^2-|D|^2)/(2(b-a))

@@ -52,9 +52,9 @@ def test_duality_gap_zero_at_optimum():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
-    p = subproblem.dual_variable(mesh, coeffs, chi, u)
-    drep = subproblem.duality_report(mesh, coeffs, chi, u, p,
-                                     alpha=rep.alpha)
+    p = subproblem.dual_variable(mesh, coeffs, chi,
+                                 mesh.symmetrized_gradient(u))
+    drep = subproblem.duality_report(mesh, coeffs, chi, p, rep.alpha)
     assert abs(drep.gap) <= 1e-8 * (1.0 + abs(rep.alpha))
     assert drep.ker_residual <= 1e-9
 
@@ -82,8 +82,9 @@ def test_orthogonality_of_primal_dual_pair():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, _ = subproblem.solve(problem)
-    p = subproblem.dual_variable(mesh, coeffs, chi, u)
-    assert subproblem.orthogonality_residual(mesh, coeffs, chi, u, p) \
+    eps = mesh.symmetrized_gradient(u)
+    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+    assert subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p) \
         <= 1e-8
 
 
@@ -94,9 +95,10 @@ def test_energy_identity_and_representations():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
-    p = subproblem.dual_variable(mesh, coeffs, chi, u)
+    eps = mesh.symmetrized_gradient(u)
+    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
     omega0 = energy.omega0_mask(coeffs)
-    out = subproblem.alpha_representations(mesh, coeffs, chi, u, p, omega0)
+    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p, omega0)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_rep_bulk"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_rep_tilt"] - out["alpha_direct"]) <= 1e-8 * scale
@@ -114,10 +116,11 @@ def test_split_representations_with_equal_moduli_region():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
-    p = subproblem.dual_variable(mesh, coeffs, chi, u)
+    eps = mesh.symmetrized_gradient(u)
+    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
     omega0 = energy.omega0_mask(coeffs)
     assert 0 < omega0.sum() < mesh.n_elem
-    out = subproblem.alpha_representations(mesh, coeffs, chi, u, p, omega0)
+    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p, omega0)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_split_dual"] - out["alpha_direct"]) <= 1e-8 * scale

@@ -14,10 +14,9 @@ def laminate_analysis(period=4, C=1.0, D=-1.0, n=64, window=8):
     coeffs = make_coeffs(mesh, C=C, D=D)
     u, chi, _ = descent.laminate_seed(mesh, coeffs, period)
     trace = descent.alternate(mesh, coeffs, {"u": u, "chi": chi})
-    eps = mesh.symmetrized_gradient(trace.u)
     windows = meshmod.build_windows(mesh, window)
-    bundle = limitsmod.estimate_limits(mesh, windows, trace.u, eps,
-                                       trace.p, trace.chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
+                                       trace.chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     moments = youngmeasure.estimate_ym(mesh, coeffs, bundle)
     return mesh, coeffs, trace, windows, bundle, masks, moments
@@ -92,10 +91,10 @@ def test_two_point_variance_identity():
 
 # -- the array block against a per-window loop ----------------------------
 
-def reference_block(mesh, coeffs, bundle, masks, alpha, dirac_tol,
+def reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
                     dist_tol):
     """The Young-measure block window by window: one mask per window."""
-    windows, eps, chi = bundle.windows, bundle.eps_raw, bundle.chi_raw
+    windows, eps = bundle.windows, bundle.eps_raw
     h = energy.h_density(coeffs, eps)
     a_l2 = coeffs.a * mesh.frob_norm2(eps)
     total, variances, second, rows = 0.0, [], [], []
@@ -168,24 +167,23 @@ def ym_states(draw):
                    well + jitter)
     chi = descent.PhaseField.from_a_indicator(rng.random(ne) < 0.5)
     p = rng.standard_normal((ne, nc))
-    bundle = limitsmod.estimate_limits(mesh, windows,
-                                       mesh.zero_displacement(), eps, p, chi)
+    bundle = limitsmod.estimate_limits(mesh, windows, eps, p, chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle,
                                       eta=draw(st.sampled_from([0.05, 0.6])))
     dirac_tol = draw(st.sampled_from([None, 1e-3, 0.5]))
     dist_tol = draw(st.sampled_from([None, None, 1e-3, 1.0]))
     alpha = float(rng.uniform(0.0, 2.0))
-    return mesh, coeffs, bundle, masks, alpha, dirac_tol, dist_tol
+    return mesh, coeffs, bundle, chi, masks, alpha, dirac_tol, dist_tol
 
 
 @settings(max_examples=200, deadline=None)
 @given(state=ym_states())
 def test_block_matches_per_window_loop(state):
-    mesh, coeffs, bundle, masks, alpha, dirac_tol, dist_tol = state
+    mesh, coeffs, bundle, chi, masks, alpha, dirac_tol, dist_tol = state
     block = youngmeasure.young_measure_block(
         mesh, coeffs, bundle, masks, alpha, dirac_tol=dirac_tol,
         dist_tol=dist_tol)
-    ref = reference_block(mesh, coeffs, bundle, masks, alpha, dirac_tol,
+    ref = reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
                           dist_tol)
 
     energy_out = block["energy"]
