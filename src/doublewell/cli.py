@@ -49,8 +49,7 @@ def _cmd_ym(args):
     bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, eps, p, chi)
     report = pipeline.load_report(args.run_dir)
     print(pipeline.to_json(youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"],
-        dirac_tol=cfg.dirac_tol, dist_tol=cfg.dist_tol)))
+        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"])))
     return EXIT_OK
 
 

@@ -16,9 +16,7 @@ Sections and keys (all optional, defaults in parentheses):
                    resolution (64), levels (1)
     [coefficients] a ("1.0"), b ("1.0"), C ("0.0"), D ("0.0")
     [strategy]     seeds ("laminate zero"), budget (50)
-    [tolerances]   solver_tol (1e-10), guard_scale (1e-8), eta (0.05),
-                   dirac_tol (derived), tol_den (derived),
-                   dist_tol (derived)
+    [tolerances]   solver_tol (1e-10), eta (0.05)
     [run]          window (8), seed (0), outdir ("runs/out")
 """
 
@@ -57,11 +55,7 @@ class RunConfig:
     seeds: tuple = ("laminate", "zero")
     budget: int = 50
     solver_tol: float = 1e-10
-    guard_scale: float = 1e-8
     eta: float = 0.05
-    dirac_tol: float | None = None
-    tol_den: float | None = None
-    dist_tol: float | None = None
     window: int = 8
     seed: int = 0
     outdir: str = "runs/out"
@@ -106,11 +100,7 @@ class RunConfig:
             "coefficients": {"a": self.a_expr, "b": self.b_expr,
                              "C": self.C_expr, "D": self.D_expr},
             "strategy": {"seeds": list(self.seeds), "budget": self.budget},
-            "tolerances": {"solver_tol": self.solver_tol,
-                           "guard_scale": self.guard_scale,
-                           "eta": self.eta, "dirac_tol": self.dirac_tol,
-                           "tol_den": self.tol_den,
-                           "dist_tol": self.dist_tol},
+            "tolerances": {"solver_tol": self.solver_tol, "eta": self.eta},
             "run": {"window": self.window, "seed": self.seed,
                     "outdir": self.outdir},
         }
@@ -182,13 +172,13 @@ def _parse_int(text, key, line_no, minimum=None):
     return val
 
 
-def _parse_float(text, key, line_no, positive=False):
+def _parse_positive(text, key, line_no):
     try:
         val = float(text)
     except ValueError:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be a number, got {text!r}")
-    if positive and val <= 0:
+    if val <= 0:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be positive, got {val}")
     return val
@@ -231,10 +221,8 @@ _SCHEMA = {
         "budget": lambda t, ln: _parse_int(t, "budget", ln, 1),
     },
     "tolerances": {
-        k: (lambda key: (lambda t, ln: _parse_float(t, key, ln,
-                                                    positive=True)))(k)
-        for k in ("solver_tol", "guard_scale", "eta", "dirac_tol",
-                  "tol_den", "dist_tol")
+        "solver_tol": lambda t, ln: _parse_positive(t, "solver_tol", ln),
+        "eta": lambda t, ln: _parse_positive(t, "eta", ln),
     },
     "run": {
         "window": lambda t, ln: _parse_int(t, "window", ln, 1),

@@ -135,24 +135,23 @@ def conjugate_density(mesh, p, m, E):
     return mesh.frob_norm2(p - E) / (2.0 * m)
 
 
-def omega0_mask(coeffs, tol_eq=None):
-    """Elements where a = b (up to tol_eq)."""
-    if tol_eq is None:
-        tol_eq = 1e-12 * (coeffs.a.max() + coeffs.b.max())
-    return np.abs(coeffs.a - coeffs.b) <= tol_eq
+def omega0_mask(coeffs):
+    """Elements where a = b, up to 1e-12 (max a + max b)."""
+    return (np.abs(coeffs.a - coeffs.b)
+            <= 1e-12 * (coeffs.a.max() + coeffs.b.max()))
 
 
-def off_omega0_integral(coeffs, omega0, guard_scale, eps, p, psi):
+def off_omega0_integral(coeffs, omega0, eps, p, psi):
     """Integral off Omega_0 of the density that eliminates psi eps via p.
 
     The division by b - a is guarded: elements off Omega_0 with
-    |b - a| < guard_scale (max a + max b) are excised.  Returns the
+    |b - a| < 1e-8 (max a + max b) are excised.  Returns the
     integral over the rest and the excised measure.
     """
     m = coeffs.mesh
     a, b = coeffs.a, coeffs.b
     off0 = ~omega0
-    guarded = off0 & (np.abs(a - b) >= guard_scale * (a.max() + b.max()))
+    guarded = off0 & (np.abs(a - b) >= 1e-8 * (a.max() + b.max()))
     excluded = float(m.measures[off0 & ~guarded].sum())
     if not guarded.any():
         return 0.0, excluded

@@ -51,10 +51,10 @@ def estimate_limits(mesh, windows, strain, p, chi):
     )
 
 
-def partition_masks(mesh, coeffs, bundle, eta=0.05, tol_eq=None):
+def partition_masks(mesh, coeffs, bundle, eta=0.05):
     """Omega_0 (equal moduli, per element) and the purity sets (per
     window, threshold eta on the limiting phase fractions)."""
-    omega0 = energy.omega0_mask(coeffs, tol_eq)
+    omega0 = energy.omega0_mask(coeffs)
     w = bundle.windows
     om0_w = np.ones(w.n_windows, dtype=bool)
     np.minimum.at(om0_w, w.elem_window, omega0)

@@ -69,8 +69,8 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
                                     trace.chi)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
-    tol_den = relaxation.theta_tolerance(mesh, coeffs, cfg.tol_den)
-    return relaxation.theta_estimate(d, den, tol_den).theta_coeff1
+    return relaxation.theta_estimate(
+        d, den, relaxation.theta_tolerance(mesh, coeffs)).theta_coeff1
 
 
 def run_experiment(cfg):
@@ -118,19 +118,16 @@ def run_experiment(cfg):
 
     omega0 = masks.omega0_elem
     alg = subproblem.alpha_representations(mesh, coeffs, best.chi,
-                                           best.eps, best.p, omega0,
-                                           guard_scale=cfg.guard_scale)
+                                           best.eps, best.p, omega0)
     ortho = subproblem.orthogonality_residual(mesh, coeffs, best.chi,
                                               best.eps, best.p)
 
-    relax = relaxation.relaxation_section(
-        mesh, coeffs, bundle, masks, d, alpha_scheme,
-        tol_den=cfg.tol_den, guard_scale=cfg.guard_scale)
+    relax = relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
+                                          alpha_scheme)
     relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
 
-    ym = youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, alpha_scheme,
-        dirac_tol=cfg.dirac_tol, dist_tol=cfg.dist_tol)
+    ym = youngmeasure.young_measure_block(mesh, coeffs, bundle, masks,
+                                         alpha_scheme)
 
     testset = meshmod.default_test_functions(mesh)
     pairing = limitsmod.pairing_diagnostic(
@@ -320,9 +317,8 @@ def verify_run(run_dir, tol=1e-10):
 
     bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
-    relax = relaxation.relaxation_section(
-        mesh, coeffs, bundle, masks, d, alpha_re,
-        tol_den=cfg.tol_den, guard_scale=cfg.guard_scale)
+    relax = relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
+                                          alpha_re)
 
     scale = 1.0 + abs(alpha_rep)
     checks = {

@@ -39,8 +39,8 @@ class ThetaEstimate:
         return "none"
 
 
-def theta_estimate(d, den, tol_den):
-    if den <= tol_den:
+def theta_estimate(d, den, tol):
+    if den <= tol:
         return ThetaEstimate(float(d), float(den), 0.0, 0.0, True,
                              True, True)
     tp = 2.0 * d / den
@@ -50,11 +50,9 @@ def theta_estimate(d, den, tol_den):
                          bool(-1e-10 <= tc <= 1.0 + 1e-10))
 
 
-def theta_tolerance(mesh, coeffs, tol_den=None):
-    """Denominator below which theta takes its zero branch: `tol_den`
-    when given, else 1e-12 int a |C - D|^2."""
-    if tol_den is not None:
-        return tol_den
+def theta_tolerance(mesh, coeffs):
+    """Denominator below which theta takes its zero branch:
+    1e-12 int a |C - D|^2."""
     cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
     return 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
 
@@ -68,13 +66,12 @@ def gap_denominator(mesh, coeffs, bundle, masks):
     return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
 
 
-def eval_I(mesh, coeffs, bundle, masks, guard_scale=1e-8):
+def eval_I(mesh, coeffs, bundle, masks):
     """The off-Omega_0 limit integral (guard zone excised and reported)."""
     w = bundle.windows
     value, excluded = energy.off_omega0_integral(
-        coeffs, masks.omega0_elem, guard_scale,
-        window_expand(bundle.eps_avg, w), window_expand(bundle.p_avg, w),
-        window_expand(bundle.psi_avg, w))
+        coeffs, masks.omega0_elem, window_expand(bundle.eps_avg, w),
+        window_expand(bundle.p_avg, w), window_expand(bundle.psi_avg, w))
     return {"value": value, "excluded_measure": excluded}
 
 
@@ -127,13 +124,13 @@ def _tilt_sq_over_a(mesh, coeffs, bundle, masks):
     return float((mesh.measures * dens * om0).sum())
 
 
-def relaxation_pieces(mesh, coeffs, bundle, masks, guard_scale=1e-8):
+def relaxation_pieces(mesh, coeffs, bundle, masks):
     """Every integral the relaxation formulas combine, each evaluated once:
     the Omega_0 integrals, the off-Omega_0 term I and the gap denominator.
     """
     pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
     pieces["tilt_sq_over_a"] = _tilt_sq_over_a(mesh, coeffs, bundle, masks)
-    pieces["I"] = eval_I(mesh, coeffs, bundle, masks, guard_scale)
+    pieces["I"] = eval_I(mesh, coeffs, bundle, masks)
     pieces["den"] = gap_denominator(mesh, coeffs, bundle, masks)
     return pieces
 
@@ -235,7 +232,7 @@ def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
             q2 = ((q * q) @ fw)[:, None]
             dens = np.maximum(q2 / (2.0 * a) - q @ Cw,
                               q2 / (2.0 * b) - q @ Dw)
-            out[s:s + step] = -(dens @ W)
+            out[s:s + step] = 0.0 - dens @ W   # +0.0, not -0.0, at q = 0
         return out
 
     scale = max(
@@ -258,12 +255,11 @@ def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
     return {"bound": float(val_best), "q": [float(v) for v in q_best]}
 
 
-def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme,
-                       tol_den=None, guard_scale=1e-8):
+def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
     """Assemble the full relaxation block of the run report."""
-    pieces = relaxation_pieces(mesh, coeffs, bundle, masks, guard_scale)
+    pieces = relaxation_pieces(mesh, coeffs, bundle, masks)
     den = pieces["den"]
-    est = theta_estimate(d, den, theta_tolerance(mesh, coeffs, tol_den))
+    est = theta_estimate(d, den, theta_tolerance(mesh, coeffs))
     out = {
         "d": float(d),
         "denominator": float(den),

@@ -100,10 +100,18 @@ def assemble(mesh, coeffs, chi):
 
 
 def solve(problem, tol=1e-10, max_iter=None):
-    """Minimize the quadratic by Jacobi-preconditioned conjugate gradients."""
-    if problem.n_dof == 0 or np.linalg.norm(problem.f) == 0.0:
+    """Minimize the quadratic by Jacobi-preconditioned conjugate gradients.
+
+    CG runs on the load scaled by 2^s to a largest entry in [0.5, 1), so
+    that its inner products cannot underflow on a tiny load.  A power of
+    two scales exactly: wherever CG on the unscaled load stays clear of
+    underflow and overflow, the result is bit for bit the same.
+    """
+    if problem.n_dof == 0 or not problem.f.any():
         u = problem.to_full(np.zeros(problem.n_dof))
         return u, SolveReport(0, 0.0, problem.energy(u))
+    s = -np.frexp(np.abs(problem.f).max())[1]
+    f = np.ldexp(problem.f, s)
     if max_iter is None:
         max_iter = 20 * problem.n_dof
     diag = problem.K.diagonal()
@@ -114,15 +122,15 @@ def solve(problem, tol=1e-10, max_iter=None):
     def cb(_):
         count[0] += 1
 
-    x, info = spla.cg(problem.K, -problem.f, rtol=tol, atol=0.0,
+    x, info = spla.cg(problem.K, -f, rtol=tol, atol=0.0,
                       maxiter=max_iter, M=precond, callback=cb)
-    res = np.linalg.norm(problem.K @ x + problem.f) / np.linalg.norm(problem.f)
+    res = np.linalg.norm(problem.K @ x + f) / np.linalg.norm(f)
     if info != 0 or res > tol:
         raise SolverError(
             f"conjugate gradients did not reach tol={tol:g} "
             f"(residual {res:.3e} after {count[0]} iterations)",
             residual=res, iterations=count[0])
-    u = problem.to_full(x)
+    u = problem.to_full(np.ldexp(x, -s))
     return u, SolveReport(count[0], float(res), problem.energy(u))
 
 
@@ -184,8 +192,7 @@ def orthogonality_residual(mesh, coeffs, chi, eps, p):
     return val / denom if denom > 0 else 0.0
 
 
-def alpha_representations(mesh, coeffs, chi, eps, p, omega0,
-                          guard_scale=1e-8):
+def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
     """Algebraic re-expressions of the optimal value from one solve, read
     from its strain eps = eps(u) and dual field p.
 
@@ -211,7 +218,7 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0,
     a = coeffs.a
     pdot = mesh.frob_dot(p, eps)
     off_I, guard_measure = energy.off_omega0_integral(
-        coeffs, omega0, guard_scale, eps, p, chi.psi)
+        coeffs, omega0, eps, p, chi.psi)
     off_part = 0.5 * off_I
     B0 = (a * (mesh.frob_norm2(coeffs.C) + mesh.frob_norm2(coeffs.D)) / 2.0
           + chi.psi * a * (mesh.frob_norm2(coeffs.D)

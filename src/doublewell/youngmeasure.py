@@ -66,34 +66,33 @@ def second_moment_check(mesh, coeffs, bundle, masks):
             "difference": sec - mean2}
 
 
-def dirac_check(moments, masks, dirac_tol=None):
-    """Strain variance per pure-phase window must vanish (Dirac measure)."""
+def dirac_check(moments, masks):
+    """Strain variance per pure-phase window must vanish (Dirac measure):
+    at most 1e-6 (1 + max second moment)."""
     sel = np.nonzero(masks.w0)[0]
     variances = moments.variance[sel]
-    if dirac_tol is None:
-        dirac_tol = 1e-6 * (1.0 + moments.second_a.max())
+    tol = 1e-6 * (1.0 + moments.second_a.max())
     return {"windows": [int(w) for w in sel],
             "variances": [float(v) for v in variances],
-            "threshold": float(dirac_tol),
-            "all_passed": bool(np.all(variances <= dirac_tol))}
+            "threshold": float(tol),
+            "all_passed": bool(np.all(variances <= tol))}
 
 
-def two_point_variance_check(mesh, coeffs, bundle, moments, dist_tol=None):
+def two_point_variance_check(mesh, coeffs, bundle, moments):
     """For windows whose atoms sit at the wells, the a-weighted gap must
     equal  a chia chib |C - D|^2  (variance of a two-point law).
 
+    An atom sits at a well when it lies within 1e-3 (1 + max |C - D| over
+    its window) of it.
     Returns per-window rows; windows with off-well atoms are skipped.
     """
     windows = bundle.windows
     ew = windows.elem_window
     eps = bundle.eps_raw
     cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-    if dist_tol is None:
-        cd2_max = np.zeros(windows.n_windows)
-        np.maximum.at(cd2_max, ew, cd2)
-        tol = window_expand(1e-3 * (1.0 + np.sqrt(cd2_max)), windows)
-    else:
-        tol = dist_tol
+    cd2_max = np.zeros(windows.n_windows)
+    np.maximum.at(cd2_max, ew, cd2)
+    tol = window_expand(1e-3 * (1.0 + np.sqrt(cd2_max)), windows)
     dist = np.sqrt(np.minimum(mesh.frob_norm2(eps + coeffs.C),
                               mesh.frob_norm2(eps + coeffs.D)))
     at_wells = np.ones(windows.n_windows, dtype=bool)
@@ -107,14 +106,13 @@ def two_point_variance_check(mesh, coeffs, bundle, moments, dist_tol=None):
             for w in np.nonzero(at_wells)[0]]
 
 
-def young_measure_block(mesh, coeffs, bundle, masks, alpha_scheme,
-                        dirac_tol=None, dist_tol=None):
+def young_measure_block(mesh, coeffs, bundle, masks, alpha_scheme):
     """The Young-measure block of the run report."""
     moments = estimate_ym(mesh, coeffs, bundle)
     return {
         "energy": ym_energy_check(moments, bundle.windows, alpha_scheme),
         "second_moment": second_moment_check(mesh, coeffs, bundle, masks),
-        "dirac": dirac_check(moments, masks, dirac_tol=dirac_tol),
+        "dirac": dirac_check(moments, masks),
         "two_point_variance": two_point_variance_check(
-            mesh, coeffs, bundle, moments, dist_tol=dist_tol),
+            mesh, coeffs, bundle, moments),
     }

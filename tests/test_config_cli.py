@@ -129,10 +129,7 @@ ALL_KEYS = {
                      "C": ("0.5", "0.5"), "D": ("-0.5", "-0.5")},
     "strategy": {"seeds": ("random zero", ["random", "zero"]),
                  "budget": ("7", 7)},
-    "tolerances": {"solver_tol": ("1e-9", 1e-9),
-                   "guard_scale": ("1e-7", 1e-7), "eta": ("0.1", 0.1),
-                   "dirac_tol": ("1e-5", 1e-5), "tol_den": ("1e-11", 1e-11),
-                   "dist_tol": ("1e-4", 1e-4)},
+    "tolerances": {"solver_tol": ("1e-9", 1e-9), "eta": ("0.1", 0.1)},
     "run": {"window": ("4", 4), "seed": ("3", 3),
             "outdir": ("elsewhere/out", "elsewhere/out")},
 }
@@ -151,6 +148,20 @@ def test_every_schema_key_reaches_the_echo():
         for key, (_, value) in keys.items():
             assert echo[section][key] == value, (section, key)
             assert default[section][key] != value, (section, key)
+
+
+@pytest.mark.parametrize("key", ["guard_scale", "dirac_tol", "tol_den",
+                                 "dist_tol"])
+def test_derived_thresholds_are_not_config_keys(key, tmp_path, capsys):
+    text = f"[tolerances]\n{key} = 1e-5\n"
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        configmod.parse_config_text(text)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["solve", str(cfg_path), "--outdir",
+                     str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_run_builds_only_the_finest_mesh(tmp_path, monkeypatch):
@@ -247,6 +258,11 @@ def test_verify_reports_an_unsigned_zero_excess(tmp_path):
         == result.report["relaxation"]["lower_bound"]["bound"]
     excess = checks["lower_bound_excess"]
     assert excess == 0.0 and math.copysign(1.0, excess) == 1.0
+    # the bound itself is +0.0, so report.json holds no "-0"
+    bound = result.report["relaxation"]["lower_bound"]["bound"]
+    assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
+    assert not re.search(r"(^|[ :\[])-0,?$",
+                         (tmp_path / "report.json").read_text(), re.M)
 
 
 def test_window_mesh_mismatch_is_config_error():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doublewell import descent, energy, mesh as meshmod, oracles
 from doublewell.errors import ConfigurationError
@@ -44,6 +44,9 @@ def test_descent_monotone_from_random_seed():
        C=st.floats(-2.0, 2.0), D=st.floats(-2.0, 2.0),
        is_a=st.integers(8, 32).flatmap(
            lambda n: st.lists(st.booleans(), min_size=n, max_size=n)))
+# a load near 1e-161: unscaled CG inner products underflow to nan
+@example(a=1.0, b=1.0, C=0.0, D=2.857516223264295e-161,
+         is_a=[False] * 7 + [True])
 def test_descent_properties_on_random_1d_problems(a, b, C, D, is_a):
     mesh = make_mesh_1d(len(is_a))
     coeffs = make_coeffs(mesh, a=a, b=b, C=C, D=D)

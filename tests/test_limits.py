@@ -1,10 +1,12 @@
 """Weak-limit estimation, partitions, gap scalar, pairing diagnostic."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from doublewell import descent, limits as limitsmod, mesh as meshmod
+from doublewell import descent, energy, limits as limitsmod, \
+    mesh as meshmod, youngmeasure
 
-from conftest import make_coeffs, make_mesh_1d
+from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 
 
 def laminate_run(n=64, period=4, C=1.0, D=-1.0, window=8):
@@ -74,6 +76,42 @@ def test_gap_d_zero_without_oscillation():
     # convex problem: the solution strain is constant per window
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     assert abs(d) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), window=st.integers(1, 8),
+       blocks=st.integers(1, 4), spread=st.sampled_from([0.0, 1e-8, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gap_d_is_the_omega0_window_variance(dim, window, blocks, spread,
+                                             seed):
+    # a and b constant on each window, so Omega_0 is made of whole
+    # windows and d = sum over them of |w| a_w Var_w(eps) >= 0 (Jensen);
+    # spread 0 gives strains constant per window, where d is round-off
+    rng = np.random.default_rng(seed)
+    n = window * blocks
+    mesh = make_mesh_1d(n) if dim == 1 else make_mesh_2d(n)
+    windows = meshmod.build_windows(mesh, window)
+    ew, nw, nc = windows.elem_window, windows.n_windows, mesh.n_comp
+    a_w = rng.uniform(0.2, 5.0, nw)
+    b_w = np.where(rng.random(nw) < 0.5, a_w, rng.uniform(0.2, 5.0, nw))
+    coeffs = energy.CoefficientSet(
+        mesh, a_w[ew], b_w[ew], rng.uniform(-3.0, 3.0, (mesh.n_elem, nc)),
+        rng.uniform(-3.0, 3.0, (mesh.n_elem, nc)))
+    eps = (rng.uniform(-3.0, 3.0, (nw, nc))[ew]
+           + spread * rng.standard_normal((mesh.n_elem, nc)))
+    chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
+    bundle = limitsmod.estimate_limits(
+        mesh, windows, eps, rng.standard_normal((mesh.n_elem, nc)), chi)
+    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
+    assert np.array_equal(masks.omega0_window, a_w == b_w)
+
+    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
+    scale = 1.0 + float((mesh.measures * coeffs.a
+                         * mesh.frob_norm2(eps)).sum())
+    assert d >= -1e-12 * scale
+    variance = youngmeasure.estimate_ym(mesh, coeffs, bundle).variance
+    expected = float((windows.measures * a_w * variance)[a_w == b_w].sum())
+    assert abs(d - expected) <= 1e-12 * scale
 
 
 def test_pairing_diagnostic_levels_shrink():

@@ -1,5 +1,7 @@
 """Convex subproblem: assembly, CG solve, duality, algebraic identities."""
 
+import dataclasses
+
 import numpy as np
 
 from doublewell import descent, energy, oracles, subproblem
@@ -135,3 +137,22 @@ def test_zero_load_short_circuit():
     u, rep = subproblem.solve(problem)
     assert np.array_equal(u, np.zeros_like(u))
     assert rep.alpha == 0.0
+
+
+def test_tiny_loads_solve_like_the_unit_load():
+    # CG runs on the load scaled by a power of two, so a load 2^-k times
+    # as large gives a u 2^-k times as large, bit for bit, in as many
+    # iterations: no underflow to nan, no zero-load shortcut
+    for mesh in (make_mesh_1d(16), make_mesh_2d(4)):
+        coeffs = make_coeffs(mesh, a=1.0, b=3.0,
+                             C=[1.0] * mesh.n_comp, D=[-1.0] * mesh.n_comp)
+        chi = descent.PhaseField.from_a_indicator(
+            np.arange(mesh.n_elem) % 3 == 0)
+        problem = subproblem.assemble(mesh, coeffs, chi)
+        u, rep = subproblem.solve(problem)
+        assert rep.iterations > 0 and np.abs(u).max() > 0.0
+        for k in (520, 600):
+            tiny = dataclasses.replace(problem, f=np.ldexp(problem.f, -k))
+            u_k, rep_k = subproblem.solve(tiny)
+            assert u_k.tobytes() == np.ldexp(u, -k).tobytes()
+            assert rep_k.iterations == rep.iterations

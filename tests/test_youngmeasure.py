@@ -91,8 +91,7 @@ def test_two_point_variance_identity():
 
 # -- the array block against a per-window loop ----------------------------
 
-def reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
-                    dist_tol):
+def reference_block(mesh, coeffs, bundle, chi, masks, alpha):
     """The Young-measure block window by window: one mask per window."""
     windows, eps = bundle.windows, bundle.eps_raw
     h = energy.h_density(coeffs, eps)
@@ -108,8 +107,7 @@ def reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
         total += windows.measures[widx] * float((wts * h[sel]).sum())
         C, D, a = coeffs.C[sel], coeffs.D[sel], coeffs.a[sel]
         cd2 = mesh.frob_norm2(C - D)
-        tol = 1e-3 * (1.0 + np.sqrt(cd2.max())) if dist_tol is None \
-            else dist_tol
+        tol = 1e-3 * (1.0 + np.sqrt(cd2.max()))
         dist = np.minimum(np.sqrt(mesh.frob_norm2(atoms + C)),
                           np.sqrt(mesh.frob_norm2(atoms + D)))
         if np.all(dist <= tol):
@@ -120,11 +118,9 @@ def reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
             rows.append((widx, gap, float((wts * a * cd2).sum())
                          * chia * chib, second[-1]))
     w0 = [int(w) for w in np.nonzero(masks.w0)[0]]
-    if dirac_tol is None:
-        dirac_tol = 1e-6 * (1.0 + max(second))
     return {"ym_energy": total, "dirac_windows": w0,
             "variances": [variances[w] for w in w0],
-            "threshold": dirac_tol, "rows": rows}
+            "threshold": 1e-6 * (1.0 + max(second)), "rows": rows}
 
 
 @st.composite
@@ -170,21 +166,17 @@ def ym_states(draw):
     bundle = limitsmod.estimate_limits(mesh, windows, eps, p, chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle,
                                       eta=draw(st.sampled_from([0.05, 0.6])))
-    dirac_tol = draw(st.sampled_from([None, 1e-3, 0.5]))
-    dist_tol = draw(st.sampled_from([None, None, 1e-3, 1.0]))
     alpha = float(rng.uniform(0.0, 2.0))
-    return mesh, coeffs, bundle, chi, masks, alpha, dirac_tol, dist_tol
+    return mesh, coeffs, bundle, chi, masks, alpha
 
 
 @settings(max_examples=200, deadline=None)
 @given(state=ym_states())
 def test_block_matches_per_window_loop(state):
-    mesh, coeffs, bundle, chi, masks, alpha, dirac_tol, dist_tol = state
-    block = youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, alpha, dirac_tol=dirac_tol,
-        dist_tol=dist_tol)
-    ref = reference_block(mesh, coeffs, bundle, chi, masks, alpha, dirac_tol,
-                          dist_tol)
+    mesh, coeffs, bundle, chi, masks, alpha = state
+    block = youngmeasure.young_measure_block(mesh, coeffs, bundle, masks,
+                                             alpha)
+    ref = reference_block(mesh, coeffs, bundle, chi, masks, alpha)
 
     energy_out = block["energy"]
     assert np.isclose(energy_out["ym_energy"], ref["ym_energy"],
