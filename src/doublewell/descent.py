@@ -10,12 +10,13 @@ a refined mesh so that the oscillation scale can shrink level by level.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import energy, mesh as meshmod, subproblem
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 
 
 @dataclass
@@ -73,7 +74,9 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
     """Alternating minimization from a phase field or displacement seed.
 
     `init` is a dict with 'chi' (PhaseField) and/or 'u' (displacement);
-    a displacement-only seed gets its phases from its own strain.
+    a displacement-only seed gets its phases from its own strain.  A
+    failed linear solve is re-raised as a SolverError that names the
+    level, the seed and the step.
     """
     chi = init.get("chi")
     if chi is None:
@@ -81,7 +84,12 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
     trace = RunTrace(level=level, seed_label=seed_label)
     for step in range(budget):
         problem = subproblem.assemble(mesh, coeffs, chi)
-        u, srep = subproblem.solve(problem, tol=tol)
+        try:
+            u, srep = subproblem.solve(problem, tol=tol)
+        except SolverError as exc:
+            raise SolverError(
+                f"level {level}, seed {seed_label!r}, step {step}: {exc}",
+                residual=exc.residual, iterations=exc.iterations) from exc
         eps = mesh.symmetrized_gradient(u)
         p = subproblem.dual_variable(mesh, coeffs, chi, eps)
         drep = subproblem.duality_report(mesh, coeffs, chi, p, srep.alpha)
@@ -136,8 +144,10 @@ def laminate_seed(mesh, coeffs, period_elements, direction=None):
 
     Needs constant coefficients with rank-one-compatible wells; the
     volume fraction t is chosen so the mean strain vanishes (projected to
-    [0, 1] best-effort otherwise).  Returns (u, chi, info) or
-    (None, None, info) when the wells are incompatible.
+    [0, 1] best-effort otherwise).  The laminate is built from element 0's
+    wells; when the wells vary over the domain, info['wells_vary'] is set
+    and a warning says so.  Returns (u, chi, info) or (None, None, info)
+    when the wells are incompatible.
     """
     if period_elements < 1:
         raise ConfigurationError("laminate period must be >= 1 element")
@@ -146,9 +156,14 @@ def laminate_seed(mesh, coeffs, period_elements, direction=None):
             f"laminate period {period_elements} does not divide the "
             f"element counts {tuple(mesh.shape)}")
     C, D = coeffs.C[0], coeffs.D[0]
+    wells_vary = bool(np.any(coeffs.C != C) or np.any(coeffs.D != D))
+    if wells_vary:
+        warnings.warn("the wells vary over the domain; the laminate seed "
+                      "is built from element 0's wells", stacklevel=2)
     delta = C - D
     dn2 = float(mesh.frob_dot(delta, delta))
-    info = {"compatible": True, "t": None, "direction": None}
+    info = {"compatible": True, "t": None, "direction": None,
+            "wells_vary": wells_vary}
     if dn2 == 0.0:
         info["compatible"] = False
         info["reason"] = "coinciding wells"

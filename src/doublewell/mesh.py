@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation
 
@@ -130,6 +131,25 @@ class StructuredMesh:
         local = np.einsum("eck,eck->ek", gw, self.grad)  # diag of G^T M G
         return np.sqrt(self.scatter_nodal(local * self.measures[:, None]))
 
+    @cached_property
+    def prolongations(self):
+        """The multigrid hierarchy below this mesh, finest first: one
+        (P, P^T) pair of CSR matrices per coarser mesh, where P carries the
+        interior dofs (node * dim + comp) of `coarsen(fine)` to those of
+        `fine` by P1 interpolation.  The chain stops at a mesh with at most
+        COARSEST_DOF interior dofs or an odd cell count on some axis; a
+        mesh that small has no coarser level.  It depends on the geometry
+        alone, so it is built once per mesh."""
+        chain, fine = [], self
+        while fine.n_free_dof > COARSEST_DOF and not np.any(fine.shape % 2):
+            coarse = coarsen(fine)
+            P_node = interpolation(coarse.shape)[fine.free_nodes]
+            P = sp.kron(P_node[:, coarse.free_nodes], sp.identity(self.dim),
+                        format="csr")
+            chain.append((P, P.T.tocsr()))
+            fine = coarse
+        return chain
+
     def locate_elements(self, points):
         """Element index containing each query point (structured lookup)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -221,6 +241,42 @@ def build_mesh(extents, resolution, dim):
 def refine(mesh):
     """Uniform refinement by factor 2 per axis."""
     return build_mesh(mesh.extents, mesh.shape * 2, mesh.dim)
+
+
+# Interior systems of at most this many dofs are the coarsest level of the
+# multigrid hierarchy, which is solved by LU.
+COARSEST_DOF = 200
+
+
+def coarsen(mesh):
+    """The mesh that `refine` maps onto `mesh`: half the cells per axis."""
+    return build_mesh(mesh.extents, mesh.shape // 2, mesh.dim)
+
+
+def interpolation(coarse_shape):
+    """P1 interpolation of nodal values from the mesh of `coarse_shape`
+    cells per axis to its refinement: a sparse (fine nodes, coarse nodes)
+    matrix in the node numbering of `build_mesh`.
+
+    Along an axis, a fine node at an even index sits on a coarse node and
+    one at an odd index halfway between two.  So every fine node is the
+    mean of two coarse nodes: the one at half its indices, rounded down,
+    and the one offset from it by 1 along each odd axis (the same node
+    when no axis is odd).  A 2D node odd in both indices is the midpoint of
+    the n00-n11 diagonal along which both meshes split their quads: the
+    meshes are nested and the interpolation is exact.
+    """
+    coarse_shape = np.asarray(coarse_shape)
+    dim = coarse_shape.size
+    # per-axis indices of the fine nodes, axis 0 running fastest
+    idx = np.indices(tuple(2 * coarse_shape[::-1] + 1)).reshape(dim, -1)[::-1]
+    stride = np.cumprod(np.r_[1, coarse_shape[:-1] + 1])
+    lo = idx // 2
+    cols = np.concatenate([stride @ lo, stride @ (lo + idx % 2)])
+    n_fine = idx.shape[1]
+    return sp.csr_matrix(
+        (np.full(2 * n_fine, 0.5), (np.tile(np.arange(n_fine), 2), cols)),
+        shape=(n_fine, int(np.prod(coarse_shape + 1))))
 
 
 def prolong_element_field(coarse, fine, values):

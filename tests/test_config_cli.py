@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from doublewell import cli, config as configmod, descent, \
-    mesh as meshmod, pipeline, relaxation, youngmeasure
-from doublewell.errors import ConfigurationError
+    mesh as meshmod, pipeline, relaxation, subproblem, youngmeasure
+from doublewell.errors import ConfigurationError, SolverError
 
 SYM_CFG = """
 [mesh]
@@ -316,6 +316,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("[mesh]\nvim = 2\n")
     assert cli.main(["solve", str(bad)]) == 2
     assert cli.main(["solve", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,
+                                                     monkeypatch):
+    # the first solve on level 1 fails: exit code 3, and the message says
+    # where, after the solver's own words
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SYM_CFG.replace("resolution = 32",
+                                        "resolution = 32\nlevels = 2"))
+    solve = subproblem.solve
+
+    def failing(problem, **kw):
+        if problem.mesh.n_elem == 64:
+            raise SolverError("conjugate gradients did not reach tol=1e-10",
+                              residual=1.0, iterations=7)
+        return solve(problem, **kw)
+
+    monkeypatch.setattr(subproblem, "solve", failing)
+    assert cli.main(["solve", str(cfg_path), "--outdir",
+                     str(tmp_path / "out")]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert ("solver failure: level 1, seed 'laminate:4', step 0: "
+            "conjugate gradients did not reach tol=1e-10") in err
 
 
 def _verify_tampered(tmp_path, tamper):

@@ -128,6 +128,24 @@ def test_2d_incompatible_wells_reported():
     assert not info["compatible"]
 
 
+def test_laminate_seed_warns_when_the_wells_vary():
+    # xy-wells 0.5 + 0.25 x and -0.5 + 0.1 y: the laminate is built from
+    # element 0's wells, the same u as with those wells everywhere
+    mesh = make_mesh_2d(8)
+    x, y = mesh.centers.T
+    zero = np.zeros(mesh.n_elem)
+    C = np.stack([zero, 0.5 + 0.25 * x, zero], axis=1)
+    D = np.stack([zero, -0.5 + 0.1 * y, zero], axis=1)
+    varying = energy.CoefficientSet(mesh, 1.0, 1.0, C, D)
+    with pytest.warns(UserWarning, match="wells vary"):
+        u, chi, info = descent.laminate_seed(mesh, varying, 4)
+    assert info["wells_vary"] is True
+    first = make_coeffs(mesh, C=C[0], D=D[0])
+    u0, _, info0 = descent.laminate_seed(mesh, first, 4)
+    assert info0["wells_vary"] is False
+    assert np.array_equal(u, u0) and info["t"] == info0["t"]
+
+
 def test_multistart_laminate_beats_zero_seed():
     mesh = make_mesh_1d(64)
     coeffs = make_coeffs(mesh, C=1.0, D=-1.0)

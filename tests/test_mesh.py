@@ -102,6 +102,56 @@ def test_window_must_divide():
         meshmod.build_windows(mesh, 3)
 
 
+@pytest.mark.parametrize("extents, shape", [((2.0,), (5,)),
+                                            ((1.0, 1.0), (4, 4)),
+                                            ((2.0, 0.5), (3, 5))])
+def test_interpolation_is_exact_for_affine_fields(extents, shape):
+    coarse = meshmod.build_mesh(extents, shape, len(shape))
+    fine = meshmod.refine(coarse)
+    rng = np.random.default_rng(len(shape))
+    c0, c = rng.standard_normal(), rng.standard_normal(len(shape))
+    P = meshmod.interpolation(coarse.shape)
+    assert P.shape == (fine.n_nodes, coarse.n_nodes)
+    assert np.allclose(P @ (c0 + coarse.nodes @ c), c0 + fine.nodes @ c,
+                       rtol=0.0, atol=1e-14)
+
+
+def _evaluate_p1(mesh, u, points):
+    """A nodal P1 field of `mesh` at `points`, from barycentric
+    coordinates in the element that contains each point."""
+    elems = mesh.elements[mesh.locate_elements(points)]
+    corners = mesh.nodes[elems]                        # (n, dim+1, dim)
+    lhs = np.concatenate([np.ones(corners.shape[:2])[:, None, :],
+                          corners.transpose(0, 2, 1)], axis=1)
+    rhs = np.concatenate([np.ones((len(points), 1)), points], axis=1)
+    lam = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    return np.einsum("nk,nkc->nc", lam, u[elems])
+
+
+@pytest.mark.parametrize("dim, n, levels", [(1, 512, 2), (2, 32, 2),
+                                            (2, 36, 2), (2, 64, 3)])
+def test_prolongations_interpolate_interior_fields(dim, n, levels):
+    # each P carries a coarse interior field (zero on the boundary) to its
+    # values at the fine interior nodes; the chain halves the cells until
+    # COARSEST_DOF interior dofs or an odd cell count
+    fine = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    chain = fine.prolongations
+    assert len(chain) == levels
+    rng = np.random.default_rng(n)
+    for P, R in chain:
+        coarse = meshmod.coarsen(fine)
+        assert np.array_equal(coarse.shape, fine.shape // 2)
+        assert (R != P.T).nnz == 0
+        x = rng.standard_normal(coarse.n_free_dof)
+        u = coarse.zero_displacement()
+        u[coarse.free_nodes] = x.reshape(-1, dim)
+        expected = _evaluate_p1(coarse, u, fine.nodes[fine.free_nodes])
+        assert np.allclose((P @ x).reshape(-1, dim), expected, rtol=0.0,
+                           atol=1e-13)
+        fine = coarse
+    assert fine.n_free_dof <= meshmod.COARSEST_DOF or np.any(fine.shape % 2)
+
+
 def test_prolongation_constant_per_child():
     coarse = make_mesh_2d(2)
     fine = meshmod.refine(coarse)

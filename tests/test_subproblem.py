@@ -3,8 +3,11 @@
 import dataclasses
 
 import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings, strategies as st
 
-from doublewell import descent, energy, oracles, subproblem
+from doublewell import descent, energy, mesh as meshmod, oracles, subproblem
 
 from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 
@@ -156,3 +159,71 @@ def test_tiny_loads_solve_like_the_unit_load():
             u_k, rep_k = subproblem.solve(tiny)
             assert u_k.tobytes() == np.ldexp(u, -k).tobytes()
             assert rep_k.iterations == rep.iterations
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 8)])
+def test_galerkin_operator_is_the_coarse_operator(dim, n):
+    # moduli, wells and phases constant on each coarse element (a != b):
+    # P^T K P and P^T f are the coarse mesh's own K and f, to round-off
+    coarse = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    fine = meshmod.refine(coarse)
+    rng = np.random.default_rng(dim)
+    a = 1.0 + rng.random(coarse.n_elem)
+    b = a * (1.0 + 99.0 * rng.random(coarse.n_elem))
+    C = rng.standard_normal((coarse.n_elem, coarse.n_comp))
+    D = rng.standard_normal((coarse.n_elem, coarse.n_comp))
+    is_a = rng.random(coarse.n_elem) < 0.5
+
+    def problem(mesh, per_elem):
+        coeffs = energy.CoefficientSet(mesh, *map(per_elem, (a, b, C, D)))
+        chi = descent.PhaseField.from_a_indicator(per_elem(is_a))
+        return subproblem.assemble(mesh, coeffs, chi)
+
+    pc = problem(coarse, lambda v: v)
+    pf = problem(fine, lambda v: meshmod.prolong_element_field(coarse, fine,
+                                                                v))
+    P, R = fine.prolongations[0]
+    assert P.shape == (pf.n_dof, pc.n_dof)
+    assert abs(R @ pf.K @ P - pc.K).max() <= 1e-13 * abs(pc.K).max()
+    assert np.abs(R @ pf.f - pc.f).max() <= 1e-13 * np.abs(pc.f).max()
+
+
+@settings(max_examples=6, deadline=None)
+@given(contrast=st.floats(1.0, 100.0), seed=st.integers(0, 2 ** 16))
+@example(contrast=100.0, seed=0)
+def test_multigrid_iterations_stay_flat(contrast, seed):
+    # random phases with moduli 1 and b/a = contrast: at most 25 CG
+    # iterations on 16^2, 32^2 and 64^2 cells, and the sparse direct
+    # solution to within the CG tolerance (the K-norm error of CG is at
+    # most sqrt(cond K) times its residual; measured below 3 tol)
+    tol = 1e-10
+    for n in (16, 32, 64):
+        mesh = make_mesh_2d(n)
+        coeffs = make_coeffs(mesh, a=1.0, b=contrast, C=[0.3, 0.5, -0.2],
+                             D=[-0.1, -0.5, 0.4])
+        rng = np.random.default_rng(seed)
+        chi = descent.PhaseField.from_a_indicator(
+            rng.random(mesh.n_elem) < 0.5)
+        problem = subproblem.assemble(mesh, coeffs, chi)
+        u, rep = subproblem.solve(problem, tol=tol)
+        assert rep.iterations <= 25, (n, rep.iterations)
+        x = problem.to_interior(u)
+        x_ref = spla.spsolve(problem.K.tocsc(), -problem.f)
+        K = problem.K
+        assert np.linalg.norm(K @ x + problem.f) \
+            <= tol * np.linalg.norm(problem.f)
+        err = x - x_ref
+        assert np.sqrt(err @ (K @ err)) \
+            <= 100 * tol * np.sqrt(x_ref @ (K @ x_ref))
+
+
+def test_system_at_most_the_coarsest_size_is_solved_directly():
+    mesh = make_mesh_2d(8)
+    assert 0 < mesh.n_free_dof <= meshmod.COARSEST_DOF
+    assert mesh.prolongations == []
+    coeffs = make_coeffs(mesh, a=1.0, b=50.0, C=[1.0, 0.2, -0.5],
+                         D=[-1.0, 0.0, 0.5])
+    chi = descent.PhaseField.from_a_indicator(
+        np.arange(mesh.n_elem) % 3 == 0)
+    u, rep = subproblem.solve(subproblem.assemble(mesh, coeffs, chi))
+    assert rep.iterations == 1
