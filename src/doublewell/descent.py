@@ -139,15 +139,17 @@ def _sawtooth(xi, period, t, sigma1, sigma2):
         + sigma2 * np.maximum(xm - t * period, 0.0)
 
 
-def laminate_seed(mesh, coeffs, period_elements, direction=None):
+def laminate_seed(mesh, coeffs, period_elements):
     """Sawtooth displacement whose strains alternate at the two wells.
 
     Needs constant coefficients with rank-one-compatible wells; the
     volume fraction t is chosen so the mean strain vanishes (projected to
-    [0, 1] best-effort otherwise).  The laminate is built from element 0's
-    wells; when the wells vary over the domain, info['wells_vary'] is set
-    and a warning says so.  Returns (u, chi, info) or (None, None, info)
-    when the wells are incompatible.
+    [0, 1] best-effort otherwise).  In 2D the layer normal is whichever
+    rank-one factor of C - D lies closest to a grid axis (x first on a
+    tie), and info['direction'] names that axis.  The laminate is built
+    from element 0's wells; when the wells vary over the domain,
+    info['wells_vary'] is set and a warning says so.  Returns
+    (u, chi, info) or (None, None, info) when the wells are incompatible.
     """
     if period_elements < 1:
         raise ConfigurationError("laminate period must be >= 1 element")
@@ -191,15 +193,14 @@ def laminate_seed(mesh, coeffs, period_elements, direction=None):
         eta, nu = dec
         axes = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}
         # eta and nu are interchangeable as layer normal; prefer the one
-        # closest to the requested (or any) grid axis
+        # closest to a grid axis
         best = None
         for name, ax in axes.items():
             for cand_nu, cand_eta in ((nu, eta), (eta, nu)):
                 nhat = cand_nu / np.linalg.norm(cand_nu)
                 score = abs(nhat @ ax)
-                if direction in (None, name):
-                    if best is None or score > best[0]:
-                        best = (score, name, cand_nu, cand_eta)
+                if best is None or score > best[0]:
+                    best = (score, name, cand_nu, cand_eta)
         _, axis_name, nu, eta = best
         nu_norm = np.linalg.norm(nu)
         nhat = nu / nu_norm

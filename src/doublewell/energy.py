@@ -5,8 +5,8 @@ energies
 
     0.5 * a |xi + C|^2   and   0.5 * b |xi + D|^2
 
-with scalar moduli a, b >= delta > 0 and symmetric tilts C, D, all
-piecewise constant per element.  Matrices use the packed storage and
+with scalar moduli a, b >= MODULUS_FLOOR > 0 and symmetric tilts C, D,
+all piecewise constant per element.  Matrices use the packed storage and
 Frobenius weights of the owning mesh.  The guarded off-Omega_0 integral
 is shared by the algebraic representations of one solve and by the
 relaxation term I over window means.
@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
+MODULUS_FLOOR = 1e-12
+
 
 @dataclass
 class CoefficientSet:
@@ -28,7 +30,6 @@ class CoefficientSet:
     b: np.ndarray          # (n_elem,)
     C: np.ndarray          # (n_elem, n_comp)
     D: np.ndarray          # (n_elem, n_comp)
-    delta: float = 1e-12
 
     def __post_init__(self):
         m = self.mesh
@@ -40,9 +41,9 @@ class CoefficientSet:
                                  (m.n_elem, m.n_comp)).copy()
         self.D = np.broadcast_to(np.atleast_2d(np.asarray(self.D, float)),
                                  (m.n_elem, m.n_comp)).copy()
-        if np.any(self.a < self.delta) or np.any(self.b < self.delta):
+        if np.any(self.a < MODULUS_FLOOR) or np.any(self.b < MODULUS_FLOOR):
             raise ContractViolation(
-                "phase moduli must satisfy a, b >= delta > 0")
+                f"phase moduli must satisfy a, b >= {MODULUS_FLOOR:g}")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.D))):
             raise ContractViolation("tilt matrices must be finite")
 
@@ -56,29 +57,6 @@ class CoefficientSet:
                 raise ContractViolation("coefficients are not constant")
         return float(self.a[0]), float(self.b[0]), self.C[0].copy(), \
             self.D[0].copy()
-
-
-@dataclass
-class PhaseConstants:
-    """Derived per-element combinations used throughout the algebra."""
-    A_plus: np.ndarray       # (aC + bD)/2
-    A_minus: np.ndarray      # (bD - aC)/2
-    m_bar: np.ndarray        # (a + b)/2
-    m_under: np.ndarray      # (b - a)/2
-    m_bar_rec: np.ndarray    # (1/a + 1/b)/2
-    m_under_rec: np.ndarray  # (1/b - 1/a)/2
-
-
-def phase_constants(coeffs):
-    a, b = coeffs.a[:, None], coeffs.b[:, None]
-    return PhaseConstants(
-        A_plus=(a * coeffs.C + b * coeffs.D) / 2.0,
-        A_minus=(b * coeffs.D - a * coeffs.C) / 2.0,
-        m_bar=(coeffs.a + coeffs.b) / 2.0,
-        m_under=(coeffs.b - coeffs.a) / 2.0,
-        m_bar_rec=(1.0 / coeffs.a + 1.0 / coeffs.b) / 2.0,
-        m_under_rec=(1.0 / coeffs.b - 1.0 / coeffs.a) / 2.0,
-    )
 
 
 def well_energies(coeffs, strain):
@@ -97,15 +75,8 @@ def h_density(coeffs, strain):
 
 
 def m_field(coeffs, chi):
-    """Effective modulus chi_a a + chi_b b (= m_bar + psi m_under)."""
+    """Effective modulus chi_a a + chi_b b = ((a + b) + psi (b - a)) / 2."""
     return chi.chi_a * coeffs.a + chi.chi_b * coeffs.b
-
-
-def reciprocal_identity(coeffs, chi):
-    """Per-element residual of  1/m = m_bar_rec + m_under_rec * psi."""
-    pc = phase_constants(coeffs)
-    m = m_field(coeffs, chi)
-    return np.abs(1.0 / m - (pc.m_bar_rec + pc.m_under_rec * chi.psi))
 
 
 def B_field(coeffs, psi):
@@ -120,19 +91,9 @@ def B_field(coeffs, psi):
 
 
 def tilt_field(coeffs, chi):
-    """Loading term chi_a aC + chi_b bD  (= A_plus + psi A_minus)."""
+    """Loading term chi_a aC + chi_b bD = ((aC + bD) + psi (bD - aC)) / 2."""
     ab = (chi.chi_a * coeffs.a)[:, None] * coeffs.C
     return ab + (chi.chi_b * coeffs.b)[:, None] * coeffs.D
-
-
-def conjugate_density(mesh, p, m, E):
-    """Fenchel conjugate of a single quadratic phase:  |p - E|^2 / (2m)."""
-    p = np.atleast_2d(np.asarray(p, float))
-    E = np.atleast_2d(np.asarray(E, float))
-    m = np.asarray(m, float)
-    if np.any(m <= 0):
-        raise ContractViolation("conjugate requires a positive modulus")
-    return mesh.frob_norm2(p - E) / (2.0 * m)
 
 
 def omega0_mask(coeffs):

@@ -290,8 +290,6 @@ def prolong_element_field(coarse, fine, values):
 
 @dataclass
 class Windows:
-    size: int                  # element cells per axis per window
-    shape: np.ndarray          # windows per axis
     elem_window: np.ndarray    # (n_elem,) window index per element
     measures: np.ndarray       # (n_windows,)
     centers: np.ndarray        # (n_windows, dim)
@@ -325,7 +323,7 @@ def build_windows(mesh, window_size):
         centers[:, d] = np.bincount(
             widx, weights=mesh.measures * mesh.centers[:, d],
             minlength=n_w) / measures
-    return Windows(window_size, wshape, widx, measures, centers)
+    return Windows(widx, measures, centers)
 
 
 def window_average(values, mesh, windows):
@@ -376,18 +374,12 @@ class TestFunctionSet:
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out
 
-    def check_interior(self, mesh):
-        """True when every bump support stays off the boundary."""
-        lo = self.centers - self.radii[:, None]
-        hi = self.centers + self.radii[:, None]
-        return bool(np.all(lo > 0.0) and np.all(hi < mesh.extents[None, :]))
 
-
-def default_test_functions(mesh, count=3):
-    """A small spread of interior bumps scaled to the domain."""
-    fractions = np.linspace(0.3, 0.7, count)
+def default_test_functions(mesh):
+    """Three interior bumps scaled to the domain."""
+    fractions = np.linspace(0.3, 0.7, 3)
     centers = fractions[:, None] * mesh.extents[None, :]
-    radii = np.full(count, 0.25 * mesh.extents.min())
+    radii = np.full(3, 0.25 * mesh.extents.min())
     return TestFunctionSet(centers, radii)
 
 

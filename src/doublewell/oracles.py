@@ -114,16 +114,15 @@ def envelope_1d(a, c, b, d):
     return EnvelopeDescription(a=a, c=c, b=b, d=d, pieces=pieces)
 
 
-def exact_alpha_1d(coeffs, volume=None):
-    """Exact infimum |Omega| * f**(0) for constant 1D coefficients."""
+def exact_alpha_1d(coeffs):
+    """Exact infimum |Omega| * f**(0) for constant 1D coefficients, with
+    |Omega| the summed element measure of the mesh."""
     mesh = coeffs.mesh
     if mesh.dim != 1:
         raise ContractViolation("exact_alpha_1d is one-dimensional only")
     a, b, C, D = coeffs.constant_values()
     env = envelope_1d(a, C[0], b, D[0])
-    if volume is None:
-        volume = float(np.sum(mesh.measures))
-    return volume * env(0.0)
+    return float(np.sum(mesh.measures)) * env(0.0)
 
 
 def dense_solve_oracle(problem):
@@ -143,15 +142,14 @@ def dense_solve_oracle(problem):
     return problem.to_full(x)
 
 
-def laminate_oracle(mesh, coeffs, period_elements, direction=None):
+def laminate_oracle(mesh, coeffs, period_elements):
     """Exact sawtooth construction with its double-well energy.
 
     Returns (u, chi, J) where J is the quadrature of the nonconvex
     density at the constructed displacement; J = 0 exactly whenever both
     sawtooth slopes sit at the wells (mean-zero volume fraction).
     """
-    u, chi, info = descent.laminate_seed(mesh, coeffs, period_elements,
-                                         direction=direction)
+    u, chi, info = descent.laminate_seed(mesh, coeffs, period_elements)
     if u is None:
         raise ContractViolation(
             "laminate oracle needs compatible wells: "

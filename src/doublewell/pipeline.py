@@ -33,7 +33,6 @@ class RunResult:
     traces_by_level: list      # list of lists, all multistart traces
     best_by_level: list        # best trace per level
     bundle: object
-    masks: object
     timings: dict
 
 
@@ -173,7 +172,7 @@ def run_experiment(cfg):
                      coeffs_by_level=coeffs_by_level,
                      traces_by_level=traces_by_level,
                      best_by_level=best_by_level, bundle=bundle,
-                     masks=masks, timings=timings)
+                     timings=timings)
 
 
 # -- deterministic JSON ---------------------------------------------------

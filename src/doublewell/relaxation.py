@@ -23,8 +23,6 @@ from .mesh import window_expand
 
 @dataclass
 class ThetaEstimate:
-    d: float
-    denominator: float
     theta_half: float        # 2 d / den  (kappa = -theta/2 convention)
     theta_coeff1: float       # d / den
     zero_branch: bool
@@ -41,11 +39,10 @@ class ThetaEstimate:
 
 def theta_estimate(d, den, tol):
     if den <= tol:
-        return ThetaEstimate(float(d), float(den), 0.0, 0.0, True,
-                             True, True)
+        return ThetaEstimate(0.0, 0.0, True, True, True)
     tp = 2.0 * d / den
     tc = d / den
-    return ThetaEstimate(float(d), float(den), float(tp), float(tc), False,
+    return ThetaEstimate(float(tp), float(tc), False,
                          bool(-1e-10 <= tp <= 1.0 + 1e-10),
                          bool(-1e-10 <= tc <= 1.0 + 1e-10))
 
@@ -209,15 +206,17 @@ def _coefficient_tuples(mesh, coeffs):
     return rows[:, 0], rows[:, 1], rows[:, 2:2 + n], rows[:, 2 + n:], W
 
 
-def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
+def dual_lower_bound(mesh, coeffs):
     """Certified lower bound from constant dual fields.
 
     For any constant q,  alpha >= -int max over the two phases of the
-    conjugate densities; the bound is concave in q, maximized by a coarse
-    grid plus a local simplex polish.  The integrand depends on x only
-    through the coefficients, so the mesh is first reduced to its
-    distinct (a, b, C, D) tuples weighted by their measure: the cost
-    scales with the number of distinct tuples, not of elements.
+    conjugate densities; the bound is concave in q, maximized over a grid
+    of 9 points per component on [-2 s, 2 s] (s the largest of |aC|, |bD|
+    and 1), then polished from the best grid point by Nelder-Mead.  The
+    integrand depends on x only through the coefficients, so the mesh is
+    first reduced to its distinct (a, b, C, D) tuples weighted by their
+    measure: the cost scales with the number of distinct tuples, not of
+    elements.
     """
     fw = mesh.frob_w
     a, b, C, D, W = _coefficient_tuples(mesh, coeffs)
@@ -238,20 +237,18 @@ def dual_lower_bound(mesh, coeffs, grid_points=9, polish=True):
     scale = max(
         float(np.max(a * np.sqrt(mesh.frob_norm2(C)))),
         float(np.max(b * np.sqrt(mesh.frob_norm2(D)))), 1.0)
-    axes = [np.linspace(-2.0 * scale, 2.0 * scale, grid_points)] \
-        * mesh.n_comp
+    axes = [np.linspace(-2.0 * scale, 2.0 * scale, 9)] * mesh.n_comp
     grids = np.meshgrid(*axes, indexing="ij")
     cands = np.stack([g.ravel() for g in grids], axis=1)
     vals = bounds(cands)
     best_idx = int(np.argmax(vals))
     q_best, val_best = cands[best_idx], vals[best_idx]
-    if polish:
-        res = optimize.minimize(lambda q: -bounds(q[None, :])[0], q_best,
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14,
-                                         "maxiter": 4000})
-        if -res.fun > val_best:
-            q_best, val_best = res.x, -res.fun
+    res = optimize.minimize(lambda q: -bounds(q[None, :])[0], q_best,
+                            method="Nelder-Mead",
+                            options={"xatol": 1e-12, "fatol": 1e-14,
+                                     "maxiter": 4000})
+    if -res.fun > val_best:
+        q_best, val_best = res.x, -res.fun
     return {"bound": float(val_best), "q": [float(v) for v in q_best]}
 
 

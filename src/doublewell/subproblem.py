@@ -30,7 +30,6 @@ class QuadraticProblem:
     K: sp.csr_matrix          # interior-dof operator
     f: np.ndarray             # interior-dof load
     c: float                  # constant term 0.5 * int B
-    free_nodes: np.ndarray
 
     @property
     def n_dof(self):
@@ -38,11 +37,11 @@ class QuadraticProblem:
 
     def to_full(self, x):
         u = self.mesh.zero_displacement()
-        u[self.free_nodes] = x.reshape(-1, self.mesh.dim)
+        u[self.mesh.free_nodes] = x.reshape(-1, self.mesh.dim)
         return u
 
     def to_interior(self, u):
-        return u[self.free_nodes].ravel()
+        return u[self.mesh.free_nodes].ravel()
 
     def energy(self, u):
         x = self.to_interior(self.mesh.check_displacement(u))
@@ -97,7 +96,7 @@ def assemble(mesh, coeffs, chi):
     K = K_full[np.ix_(free_dof, free_dof)].tocsr()
     f = f_full[free_dof]
     c = 0.5 * mesh.integrate(B)
-    return QuadraticProblem(mesh, K, f, c, free)
+    return QuadraticProblem(mesh, K, f, c)
 
 
 # Multigrid smoother: a Chebyshev polynomial of this degree in D^-1 A,
@@ -160,7 +159,7 @@ def _v_cycle(levels, lu, r, k=0):
     return _smooth(A, dinv, rho, r, x)
 
 
-def solve(problem, tol=1e-10, max_iter=None):
+def solve(problem, tol=1e-10):
     """Minimize the quadratic by conjugate gradients preconditioned with a
     geometric-multigrid V-cycle on the mesh's coarsening chain
     (`StructuredMesh.prolongations`), LU on its coarsest level.  A system
@@ -177,8 +176,6 @@ def solve(problem, tol=1e-10, max_iter=None):
         return u, SolveReport(0, 0.0, problem.energy(u))
     s = -np.frexp(np.abs(problem.f).max())[1]
     f = np.ldexp(problem.f, s)
-    if max_iter is None:
-        max_iter = 20 * problem.n_dof
     levels, lu = _galerkin_levels(problem.K, problem.mesh.prolongations)
     precond = spla.LinearOperator(problem.K.shape, dtype=float,
                                   matvec=partial(_v_cycle, levels, lu))
@@ -188,7 +185,7 @@ def solve(problem, tol=1e-10, max_iter=None):
         count[0] += 1
 
     x, info = spla.cg(problem.K, -f, rtol=tol, atol=0.0,
-                      maxiter=max_iter, M=precond, callback=cb)
+                      maxiter=20 * problem.n_dof, M=precond, callback=cb)
     res = np.linalg.norm(problem.K @ x + f) / np.linalg.norm(f)
     if info != 0 or res > tol:
         raise SolverError(

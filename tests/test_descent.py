@@ -178,3 +178,53 @@ def test_refinement_continuation_prolongs_phases():
     kids = init["chi"].chi_a.reshape(-1, 2)
     assert np.array_equal(kids[:, 0], kids[:, 1])
     assert np.array_equal(kids[:, 0], trace.chi.chi_a)
+
+
+def _laminate_alpha(coeffs, period):
+    """Best final alpha of the seeds laminate:<period> and zero."""
+    return descent.multistart(coeffs.mesh, coeffs,
+                              [f"laminate:{period}", "zero"],
+                              np.random.default_rng(0))[0].alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0),
+       C=st.floats(-2.0, 2.0), D=st.floats(-2.0, 2.0),
+       period=st.sampled_from([2, 4, 8]))
+def test_laminate_descent_respects_the_jensen_bound(a, b, C, D, period):
+    # alpha is the energy of an admissible state, so it cannot fall below
+    # the relaxed infimum |Omega| f**(0); it need not reach it when t P is
+    # not a whole number of elements
+    coeffs = make_coeffs(make_mesh_1d(32), a=a, b=b, C=C, D=D)
+    exact = oracles.exact_alpha_1d(coeffs)
+    assert _laminate_alpha(coeffs, period) \
+        >= exact - 1e-12 * (1.0 + abs(exact))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0),
+       C=st.floats(-2.0, 2.0),
+       tk=st.sampled_from([2, 4, 8]).flatmap(
+           lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+def test_laminate_descent_is_exact_on_whole_element_fractions(a, b, C, tk):
+    # t = k/P puts the mean-zero volume fraction on whole elements: the
+    # laminate sits at the wells and both alpha and f**(0) vanish
+    period, k = tk
+    t = k / period
+    coeffs = make_coeffs(make_mesh_1d(32), a=a, b=b, C=C,
+                         D=-t * C / (1.0 - t))
+    assert _laminate_alpha(coeffs, period) <= 1e-10
+    assert oracles.exact_alpha_1d(coeffs) == 0.0
+
+
+@pytest.mark.parametrize("C, D, direction", [
+    ((0.0, 0.5, 0.0), (0.0, -0.5, 0.0), "x"),
+    ((0.0, 0.0, 0.5), (0.0, 0.0, -0.5), "y"),
+    ((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), "x"),
+    ((0.3, 0.2, 0.0), (-0.1, -0.2, 0.0), "x"),
+])
+def test_laminate_layer_normal_prefers_the_closest_axis(C, D, direction):
+    mesh = make_mesh_2d(8)
+    coeffs = make_coeffs(mesh, C=C, D=D)
+    _, _, info = descent.laminate_seed(mesh, coeffs, 4)
+    assert info["direction"] == direction
