@@ -24,16 +24,12 @@ from __future__ import annotations
 
 import ast
 import operator
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy, mesh as meshmod
+from . import descent, energy, mesh as meshmod
 from .errors import ConfigurationError
-
-_SEED_RE = re.compile(
-    r"^(zero|random|laminate(:\d+)?|laminate-perturbed(:[0-9.eE+-]+(:\d+)?)?)$")
 
 _EXPR_NAMES = {
     "where": np.where, "abs": np.abs, "sign": np.sign,
@@ -202,9 +198,10 @@ def _parse_seeds(text, key, line_no):
         raise ConfigurationError(f"line {line_no}: {key!r} must list at "
                                  "least one seed")
     for s in specs:
-        if not _SEED_RE.match(s):
-            raise ConfigurationError(
-                f"line {line_no}: unknown seed spec {s!r}")
+        try:
+            descent.parse_seed_spec(s)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {line_no}: {exc}") from None
     return specs
 
 

@@ -220,37 +220,52 @@ def random_phase(mesh, rng):
     return PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
 
 
-def build_seed(mesh, coeffs, spec, rng):
-    """Turn a seed spec string into an init dict for `alternate`.
+def parse_seed_spec(spec):
+    """Name, flip fraction and laminate period of a seed spec:
+    'zero' and 'random' (fraction and period None), 'laminate[:<period>]'
+    (fraction 0) and 'laminate-perturbed[:<fraction>[:<period>]]'.  The
+    period is an integer >= 1 and defaults to 2; the fraction is a float
+    in [0, 1] and defaults to 0.05.  Anything else raises
+    ConfigurationError."""
+    name, *args = spec.split(":")
+    if name in ("zero", "random") and not args:
+        return name, None, None
+    if name == "laminate" and len(args) <= 1:
+        frac_s, per_s = "0", (args or ["2"])[0]
+    elif name == "laminate-perturbed" and len(args) <= 2:
+        frac_s, per_s = args + ["0.05", "2"][len(args):]
+    else:
+        raise ConfigurationError(f"unknown seed spec {spec!r}")
+    bad = ConfigurationError(f"seed spec {spec!r} needs a fraction in "
+                             "[0, 1] and an integer period >= 1")
+    try:
+        frac, period = float(frac_s), int(per_s)
+    except ValueError:
+        raise bad from None
+    if not 0.0 <= frac <= 1.0 or period < 1:
+        raise bad
+    return name, frac, period
 
-    Recognized: 'zero', 'random', 'laminate', 'laminate:<period>',
-    'laminate-perturbed:<fraction>' (optionally ':<period>').
-    """
-    name, _, arg = spec.partition(":")
+
+def build_seed(mesh, coeffs, spec, rng):
+    """Turn a seed spec string (see `parse_seed_spec`) into an init dict
+    for `alternate`."""
+    name, frac, period = parse_seed_spec(spec)
     if name == "zero":
         u = mesh.zero_displacement()
         return {"u": u,
                 "chi": assign_phases(coeffs, mesh.symmetrized_gradient(u))}
     if name == "random":
         return {"chi": random_phase(mesh, rng)}
-    if name in ("laminate", "laminate-perturbed"):
-        if name == "laminate-perturbed":
-            frac_s, _, per_s = arg.partition(":")
-            frac = float(frac_s) if frac_s else 0.05
-            period = int(per_s) if per_s else 2
-        else:
-            frac = 0.0
-            period = int(arg) if arg else 2
-        u, chi, info = laminate_seed(mesh, coeffs, period)
-        if u is None:
-            return {"chi": random_phase(mesh, rng), "fallback": info}
-        if frac > 0.0:
-            flip = rng.random(mesh.n_elem) < frac
-            chi_a = np.where(flip, 1.0 - chi.chi_a, chi.chi_a)
-            chi = PhaseField(chi_a)
-            return {"chi": chi, "laminate_info": info}
-        return {"u": u, "chi": chi, "laminate_info": info}
-    raise ConfigurationError(f"unknown seed spec {spec!r}")
+    u, chi, info = laminate_seed(mesh, coeffs, period)
+    if u is None:
+        return {"chi": random_phase(mesh, rng), "fallback": info}
+    if frac > 0.0:
+        flip = rng.random(mesh.n_elem) < frac
+        chi_a = np.where(flip, 1.0 - chi.chi_a, chi.chi_a)
+        chi = PhaseField(chi_a)
+        return {"chi": chi, "laminate_info": info}
+    return {"u": u, "chi": chi, "laminate_info": info}
 
 
 def multistart(mesh, coeffs, seed_specs, rng, budget=50, tol=1e-10,

@@ -99,37 +99,42 @@ class StructuredMesh:
         elem_dofs = u[self.elements].reshape(self.n_elem, -1)
         return np.einsum("eck,ek->ec", self.grad, elem_dofs)
 
+    @cached_property
+    def strain_matrix(self):
+        """The strain on the interior dofs as a sparse CSR matrix G of shape
+        (n_elem * n_comp, n_free_dof): row e * n_comp + c holds grad[e, c]
+        at the element's interior dofs, numbered node * dim + comp in the
+        order of `free_nodes`.  So G x is eps(u) packed and raveled, for u
+        the displacement with interior values x and zero on the boundary.
+        It depends on the geometry alone, so it is built once per mesh."""
+        free_index = np.full(self.n_nodes, -1)
+        free_index[self.free_nodes] = np.arange(self.free_nodes.size)
+        # interior dof of each local dof, node-major as in `grad`; negative
+        # on boundary nodes
+        dof = (np.repeat(free_index[self.elements], self.dim, axis=1)
+               * self.dim + np.tile(np.arange(self.dim), self.dim + 1))
+        rows, _, cols = np.broadcast_arrays(
+            np.arange(self.n_elem * self.n_comp).reshape(self.n_elem, -1, 1),
+            self.grad, dof[:, None, :])
+        keep = (cols >= 0) & (self.grad != 0)
+        return sp.csr_matrix((self.grad[keep], (rows[keep], cols[keep])),
+                             shape=(self.n_elem * self.n_comp,
+                                    self.n_free_dof))
+
     def strain_adjoint(self, X):
-        """Discrete adjoint of the strain: integral of X : eps(phi_i) for
-        every nodal basis function phi_i, as a nodal (n_nodes, dim) array."""
-        gw = self.grad * self.frob_w[None, :, None]
-        return self.scatter_nodal(np.einsum("eck,ec->ek", gw, X)
-                                  * self.measures[:, None])
-
-    @property
-    def elem_dof(self):
-        """Global dof (node * dim + component) of each element's local dofs,
-        shape (n_elem, (dim+1)*dim), node-major as in `grad`."""
-        return (self.elements[:, :, None] * self.dim
-                + np.arange(self.dim)).reshape(self.n_elem, -1)
-
-    def scatter_nodal(self, local):
-        """Sum per-element local dof values into a nodal (n_nodes, dim)
-        array, element by element in order."""
-        return np.bincount(self.elem_dof.ravel(), weights=local.ravel(),
-                           minlength=self.n_nodes * self.dim
-                           ).reshape(self.n_nodes, self.dim)
+        """Discrete adjoint of the strain, G^T (|T| frob_w X): the integral
+        of X : eps(phi_i) for every interior basis function phi_i, as an
+        (n_free_dof,) vector in the dof order of `strain_matrix`."""
+        return self.strain_matrix.T @ (self.measures[:, None] * self.frob_w
+                                       * X).ravel()
 
     @cached_property
     def basis_strain_norms(self):
-        """L2 norms of eps(phi_i) for every nodal basis function.
-
-        Laid out as (n_nodes, dim); entries for boundary nodes included.
-        Equals sqrt(diag K) for the unit-coefficient operator.
-        """
-        gw = self.grad * self.frob_w[None, :, None]
-        local = np.einsum("eck,eck->ek", gw, self.grad)  # diag of G^T M G
-        return np.sqrt(self.scatter_nodal(local * self.measures[:, None]))
+        """L2 norms of eps(phi_i) for every interior basis function, as an
+        (n_free_dof,) vector in the dof order of `strain_matrix`.  Equals
+        sqrt(diag K) for the unit-coefficient operator."""
+        return np.sqrt(self.strain_matrix.power(2).T
+                       @ (self.measures[:, None] * self.frob_w).ravel())
 
     @cached_property
     def prolongations(self):

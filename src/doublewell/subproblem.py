@@ -72,30 +72,15 @@ def direct_energy(mesh, coeffs, chi, eps):
 
 
 def assemble(mesh, coeffs, chi):
-    """Build the interior-dof quadratic form for fixed phases."""
+    """Build the interior-dof quadratic form for fixed phases: K = G^T W G
+    from the mesh's strain matrix G (`StructuredMesh.strain_matrix`), with
+    W = |T| m times the Frobenius weights, and f = G^T (|T| frob_w E)."""
     m = energy.m_field(coeffs, chi)
-    E = energy.tilt_field(coeffs, chi)
-    B = energy.B_field(coeffs, chi.psi)
-    nd = (mesh.dim + 1) * mesh.dim
-
-    f_full = mesh.strain_adjoint(E).ravel()
-    gw = mesh.grad * mesh.frob_w[None, :, None]
-    local_K = np.einsum("eck,ecl->ekl", gw, mesh.grad)
-    local_K *= (mesh.measures * m)[:, None, None]
-
-    # global dof id = node * dim + comp, then restrict to interior
-    elem_dof = mesh.elem_dof
-    rows = np.repeat(elem_dof, nd, axis=1).ravel()
-    cols = np.tile(elem_dof, (1, nd)).ravel()
-    K_full = sp.coo_matrix((local_K.ravel(), (rows, cols)),
-                           shape=(mesh.n_nodes * mesh.dim,) * 2).tocsr()
-
-    free = mesh.free_nodes
-    free_dof = (free[:, None] * mesh.dim
-                + np.arange(mesh.dim)[None, :]).ravel()
-    K = K_full[np.ix_(free_dof, free_dof)].tocsr()
-    f = f_full[free_dof]
-    c = 0.5 * mesh.integrate(B)
+    G = mesh.strain_matrix
+    w = ((mesh.measures * m)[:, None] * mesh.frob_w).ravel()
+    K = (G.T @ (sp.diags(w) @ G)).tocsr()
+    f = mesh.strain_adjoint(energy.tilt_field(coeffs, chi))
+    c = 0.5 * mesh.integrate(energy.B_field(coeffs, chi.psi))
     return QuadraticProblem(mesh, K, f, c)
 
 
@@ -213,12 +198,9 @@ def ker_residual(mesh, coeffs, chi, p):
     """
     p = mesh.check_element_field(p)
     r = mesh.strain_adjoint(p)
-
-    free = mesh.free_nodes
-    norms = mesh.basis_strain_norms[free]
     p_scale = max(mesh.l2_norm(p),
                   mesh.l2_norm(energy.tilt_field(coeffs, chi)), 1e-300)
-    ratios = np.abs(r[free]) / np.maximum(norms * p_scale, 1e-300)
+    ratios = np.abs(r) / np.maximum(mesh.basis_strain_norms * p_scale, 1e-300)
     return float(ratios.max()) if ratios.size else 0.0
 
 

@@ -273,8 +273,23 @@ def test_window_mesh_mismatch_is_config_error():
 
 
 def test_bad_seed_spec():
-    with pytest.raises(ConfigurationError, match="seed spec"):
-        configmod.parse_config_text("[strategy]\nseeds = newton\n")
+    # every spec is checked by the parser `build_seed` uses, so a spec the
+    # config accepts cannot fail (or be read otherwise) later in the run
+    for seeds in ("newton", "laminate-perturbed:1.2.3 zero",
+                  "laminate-perturbed:e", "laminate-perturbed:-0.5",
+                  "laminate-perturbed:0.1:2:3", "laminate:0", "laminate:2.5",
+                  "zero:1"):
+        with pytest.raises(ConfigurationError, match="line 2: .*seed spec"):
+            configmod.parse_config_text(f"[strategy]\nseeds = {seeds}\n")
+
+
+def test_seed_spec_defaults():
+    assert [descent.parse_seed_spec(s) for s in (
+        "zero", "laminate", "laminate:4", "laminate-perturbed",
+        "laminate-perturbed:0.1", "laminate-perturbed:1:4")] == [
+        ("zero", None, None), ("laminate", 0.0, 2), ("laminate", 0.0, 4),
+        ("laminate-perturbed", 0.05, 2), ("laminate-perturbed", 0.1, 2),
+        ("laminate-perturbed", 1.0, 4)]
 
 
 def test_cli_solve_verify_report(tmp_path, capsys):
@@ -316,6 +331,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("[mesh]\nvim = 2\n")
     assert cli.main(["solve", str(bad)]) == 2
     assert cli.main(["solve", str(tmp_path / "missing.cfg")]) == 2
+    bad.write_text("[strategy]\nseeds = laminate-perturbed:1.2.3\n")
+    assert cli.main(["solve", str(bad)]) == 2
 
 
 def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,

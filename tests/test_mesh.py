@@ -56,15 +56,36 @@ def test_frobenius_weights_match_full_matrices():
     assert np.isclose(mesh.frob_norm2(packed)[0], np.sum(M * M))
 
 
+def _interior_field(mesh, rng):
+    """A random interior dof vector x and the displacement it stands for,
+    zero on the boundary."""
+    x = rng.standard_normal(mesh.n_free_dof)
+    u = mesh.zero_displacement()
+    u[mesh.free_nodes] = x.reshape(-1, mesh.dim)
+    return x, u
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 4)])
+def test_strain_matrix_is_the_strain_on_interior_dofs(dim, n):
+    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    G = mesh.strain_matrix
+    assert G.shape == (mesh.n_elem * mesh.n_comp, mesh.n_free_dof)
+    x, u = _interior_field(mesh, np.random.default_rng(dim))
+    assert np.allclose(G @ x, mesh.symmetrized_gradient(u).ravel(),
+                       rtol=0.0, atol=1e-12 * np.abs(G @ x).max())
+
+
 def test_strain_adjoint_vanishes_for_constant_dual_field():
     mesh = make_mesh_2d(4)
     p = np.tile([1.5, -0.25, 2.0], (mesh.n_elem, 1))
-    assert np.abs(mesh.strain_adjoint(p)[mesh.free_nodes]).max() < 1e-12
-    # the adjoint of the strain: <L* q, u> = integral of q : eps(u)
+    assert mesh.strain_adjoint(p).shape == (mesh.n_free_dof,)
+    assert np.abs(mesh.strain_adjoint(p)).max() < 1e-12
+    # the adjoint of the strain: <L* q, x> = integral of q : eps(u) for the
+    # displacement u with interior values x
     rng = np.random.default_rng(0)
-    u = rng.standard_normal((mesh.n_nodes, 2))
+    x, u = _interior_field(mesh, rng)
     q = rng.standard_normal((mesh.n_elem, 3))
-    assert np.isclose((mesh.strain_adjoint(q) * u).sum(), mesh.integrate(
+    assert np.isclose(mesh.strain_adjoint(q) @ x, mesh.integrate(
         mesh.frob_dot(q, mesh.symmetrized_gradient(u))), rtol=1e-12)
 
 
@@ -142,9 +163,7 @@ def test_prolongations_interpolate_interior_fields(dim, n, levels):
         coarse = meshmod.coarsen(fine)
         assert np.array_equal(coarse.shape, fine.shape // 2)
         assert (R != P.T).nnz == 0
-        x = rng.standard_normal(coarse.n_free_dof)
-        u = coarse.zero_displacement()
-        u[coarse.free_nodes] = x.reshape(-1, dim)
+        x, u = _interior_field(coarse, rng)
         expected = _evaluate_p1(coarse, u, fine.nodes[fine.free_nodes])
         assert np.allclose((P @ x).reshape(-1, dim), expected, rtol=0.0,
                            atol=1e-13)
@@ -243,16 +262,3 @@ def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory, kinds,
         for name, col in zip(header, columns):
             assert back[name].tobytes() == \
                 np.array(col, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("dim, n", [(1, 16), (2, 4)])
-def test_scatter_nodal_sums_element_by_element(dim, n):
-    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
-    rng = np.random.default_rng(1)
-    local = rng.standard_normal((mesh.n_elem, (dim + 1) * dim)) \
-        * 10.0 ** rng.integers(-8, 8, (mesh.n_elem, 1))
-    expect = np.zeros((mesh.n_nodes, dim))
-    for e in range(mesh.n_elem):
-        for k, node in enumerate(mesh.elements[e]):
-            expect[node] += local[e, k * dim:(k + 1) * dim]
-    assert mesh.scatter_nodal(local).tobytes() == expect.tobytes()

@@ -27,6 +27,38 @@ def test_convex_solve_matches_analytic_value():
     assert np.isclose(rep.alpha, 0.5)
 
 
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 16))
+@example(dim=2, n=1, seed=0)
+def test_quadratic_form_is_the_direct_energy(dim, n, seed):
+    # 0.5 x.Kx + f.x + c at a random interior x is J of the displacement
+    # with interior values x, by elementwise quadrature of its strain: the
+    # same energy reached without the strain matrix
+    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    rng = np.random.default_rng(seed)
+    a = 0.5 + rng.random(mesh.n_elem)
+    b = a * (1.0 + 99.0 * rng.random(mesh.n_elem))
+    C, D = rng.standard_normal((2, mesh.n_elem, mesh.n_comp))
+    coeffs = energy.CoefficientSet(mesh, a, b, C, D)
+    chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
+    problem = subproblem.assemble(mesh, coeffs, chi)
+    x = rng.standard_normal(problem.n_dof)
+    terms = (0.5 * x @ (problem.K @ x), problem.f @ x, problem.c)
+    direct = subproblem.direct_energy(
+        mesh, coeffs, chi, mesh.symmetrized_gradient(problem.to_full(x)))
+    assert abs(sum(terms) - direct) <= 1e-12 * sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("mesh", [make_mesh_1d(16), make_mesh_2d(4)],
+                         ids=["1d", "2d"])
+def test_basis_strain_norms_are_the_unit_diagonal(mesh):
+    coeffs = make_coeffs(mesh, C=[1.0] * mesh.n_comp, D=[-1.0] * mesh.n_comp)
+    problem = subproblem.assemble(mesh, coeffs, phase_all_a(mesh))
+    assert np.allclose(mesh.basis_strain_norms ** 2, problem.K.diagonal(),
+                       rtol=1e-14, atol=0.0)
+
+
 def test_cg_matches_dense_oracle_1d():
     mesh = make_mesh_1d(4)
     C = np.where(np.arange(mesh.n_elem) // 2 % 2 == 0, 1.0, -1.0)[:, None]
