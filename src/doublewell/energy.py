@@ -7,9 +7,10 @@ energies
 
 with scalar moduli a, b >= MODULUS_FLOOR > 0 and symmetric tilts C, D,
 all piecewise constant per element.  Matrices use the packed storage and
-Frobenius weights of the owning mesh.  The guarded off-Omega_0 integral
-is shared by the algebraic representations of one solve and by the
-relaxation term I over window means.
+Frobenius weights of the owning mesh.  The Omega_0-split integrals
+(`omega0_pieces`, with the guarded off-Omega_0 integral I) are written
+once: the split representations of one solve evaluate them on its own
+fields, the relaxation formulas on the window means.
 """
 
 from __future__ import annotations
@@ -126,3 +127,30 @@ def off_omega0_integral(coeffs, omega0, eps, p, psi):
                      - m.frob_norm2(coeffs.D)) / (2.0 * dba)
             - psi * ab_ * m.frob_norm2(CD) / (2.0 * dba))
     return float((m.measures * dens * guarded).sum()), excluded
+
+
+def omega0_pieces(coeffs, omega0, eps, p, psi):
+    """The integrals the Omega_0-split representations combine, from the
+    per-element strain eps, dual field p and phase field psi (binary, or
+    window means in [-1, 1]).
+
+    Over Omega_0 (where a = b): the tilt pairing with eps, the offset B0,
+    a |eps|^2, p : eps and |p|^2 / a.  Off it: the guarded integral I of
+    `off_omega0_integral`, as {value, excluded_measure}.
+    """
+    m = coeffs.mesh
+    w, a = m.measures, coeffs.a
+    C2 = m.frob_norm2(coeffs.C)
+    D2 = m.frob_norm2(coeffs.D)
+    Aps = ((a[:, None] * (coeffs.C + coeffs.D) / 2.0)
+           + psi[:, None] * (a[:, None] * (coeffs.D - coeffs.C) / 2.0))
+    B0 = a * (C2 + D2) / 2.0 + psi * a * (D2 - C2) / 2.0
+    value, excluded = off_omega0_integral(coeffs, omega0, eps, p, psi)
+    return {
+        "tilt_eps": float((w * m.frob_dot(Aps, eps) * omega0).sum()),
+        "B0": float((w * B0 * omega0).sum()),
+        "a_eps2": float((w * a * m.frob_norm2(eps) * omega0).sum()),
+        "p_eps": float((w * m.frob_dot(p, eps) * omega0).sum()),
+        "p2_over_a": float((w * m.frob_norm2(p) / a * omega0).sum()),
+        "I": {"value": value, "excluded_measure": excluded},
+    }

@@ -143,7 +143,9 @@ class StructuredMesh:
         interior dofs (node * dim + comp) of `coarsen(fine)` to those of
         `fine` by P1 interpolation.  The chain stops at a mesh with at most
         COARSEST_DOF interior dofs or an odd cell count on some axis; a
-        mesh that small has no coarser level.  It depends on the geometry
+        mesh that small has no coarser level.  A chain that stops at more
+        than MAX_DIRECT_DOF interior dofs raises ConfigurationError rather
+        than leave a system that large to LU.  It depends on the geometry
         alone, so it is built once per mesh."""
         chain, fine = [], self
         while fine.n_free_dof > COARSEST_DOF and not np.any(fine.shape % 2):
@@ -153,6 +155,13 @@ class StructuredMesh:
                         format="csr")
             chain.append((P, P.T.tocsr()))
             fine = coarse
+        if fine.n_free_dof > MAX_DIRECT_DOF:
+            raise ConfigurationError(
+                f"a mesh of {self.shape.tolist()} cells coarsens only to "
+                f"{fine.shape.tolist()} cells: {fine.n_free_dof} interior "
+                f"dofs, above the {MAX_DIRECT_DOF} that LU may take on the "
+                f"coarsest multigrid level; use cell counts with more "
+                f"factors of 2")
         return chain
 
     def locate_elements(self, points):
@@ -251,6 +260,10 @@ def refine(mesh):
 # Interior systems of at most this many dofs are the coarsest level of the
 # multigrid hierarchy, which is solved by LU.
 COARSEST_DOF = 200
+# The largest coarsest level a mesh may leave to LU: an odd cell count
+# stops the coarsening early, and LU of the 129,032 dofs of 255 x 255
+# cells would take about 242 MB.
+MAX_DIRECT_DOF = 2**15
 
 
 def coarsen(mesh):

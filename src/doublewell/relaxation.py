@@ -2,12 +2,13 @@
 
 All formulas express the nonconvex infimum through the weak limits
 (window averages) of the minimizing sequence, its dual fields and phase
-fractions, plus the scalar oscillation gap d.  Two conventions for the
-gap term are evaluated side by side: kappa = -theta/2 (coefficient-half)
-and kappa = -theta (coefficient-1, i.e. substitute theta -> 2 theta);
-the analytic 1D laminates satisfy the latter with theta in [0, 1].
-The integrals the formulas combine are evaluated once per report by
-`relaxation_pieces`; the formulas are pure functions of them.
+fractions, plus the scalar oscillation gap d.  The gap term is
+-theta den with theta = d / den; reading it as -theta/2 with
+theta = 2 d / den gives the same formula, so it is evaluated once.  theta
+is reported under both readings, and the verdict names the one in [0, 1]
+(coefficient-1 on the analytic 1D laminates).  The integrals are
+evaluated once per report by `relaxation_pieces`, the Omega_0-split ones
+by `energy.omega0_pieces`; the formulas are pure functions of them.
 """
 
 from __future__ import annotations
@@ -63,99 +64,55 @@ def gap_denominator(mesh, coeffs, bundle, masks):
     return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
 
 
-def eval_I(mesh, coeffs, bundle, masks):
-    """The off-Omega_0 limit integral (guard zone excised and reported)."""
-    w = bundle.windows
-    value, excluded = energy.off_omega0_integral(
-        coeffs, masks.omega0_elem, window_expand(bundle.eps_avg, w),
-        window_expand(bundle.p_avg, w), window_expand(bundle.psi_avg, w))
-    return {"value": value, "excluded_measure": excluded}
-
-
-def _gap_coefficients(theta, convention):
-    """Coefficients of the gap integral in the three representations and
-    the main formula (which shares the first one).
-
-    Coefficient-half: -theta/2, (2-theta)/2, (1-theta)/2.  Coefficient-1
-    variant: substitute theta -> 2 theta, i.e. -theta, 1-theta, 1/2-theta.
-    """
-    if convention == "coefficient-half":
-        tp = theta
-    elif convention == "coefficient-1":
-        tp = 2.0 * theta
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return -tp / 2.0, (2.0 - tp) / 2.0, (1.0 - tp) / 2.0
-
-
-def _omega0_pieces(mesh, coeffs, bundle, masks):
-    """The integrals over Omega_0 that the formulas combine."""
-    om0 = masks.omega0_elem
-    w = mesh.measures
+def _tilt_sq_over_a(mesh, coeffs, omega0, psi):
     a = coeffs.a
-    eps = window_expand(bundle.eps_avg, bundle.windows)
-    p = window_expand(bundle.p_avg, bundle.windows)
-    psi = window_expand(bundle.psi_avg, bundle.windows)
-    C2 = mesh.frob_norm2(coeffs.C)
-    D2 = mesh.frob_norm2(coeffs.D)
-    Aps = ((a[:, None] * (coeffs.C + coeffs.D) / 2.0)
-           + psi[:, None] * (a[:, None] * (coeffs.D - coeffs.C) / 2.0))
-    B0 = a * (C2 + D2) / 2.0 + psi * a * (D2 - C2) / 2.0
-    return {
-        "tilt_eps": float((w * mesh.frob_dot(Aps, eps) * om0).sum()),
-        "B0": float((w * B0 * om0).sum()),
-        "a_eps2": float((w * a * mesh.frob_norm2(eps) * om0).sum()),
-        "p_eps": float((w * mesh.frob_dot(p, eps) * om0).sum()),
-        "p2_over_a": float((w * mesh.frob_norm2(p) / a * om0).sum()),
-    }
-
-
-def _tilt_sq_over_a(mesh, coeffs, bundle, masks):
-    om0 = masks.omega0_elem
-    a = coeffs.a
-    psi = window_expand(bundle.psi_avg, bundle.windows)
     Ap = (a[:, None] * (coeffs.C + coeffs.D)) / 2.0
     Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
     dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
             + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
-    return float((mesh.measures * dens * om0).sum())
+    return float((mesh.measures * dens * omega0).sum())
 
 
 def relaxation_pieces(mesh, coeffs, bundle, masks):
-    """Every integral the relaxation formulas combine, each evaluated once:
-    the Omega_0 integrals, the off-Omega_0 term I and the gap denominator.
+    """Every integral the relaxation formulas combine, each evaluated once
+    on the window means expanded to elements: the Omega_0 integrals and
+    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt term of the
+    inequality chain and the gap denominator.
     """
-    pieces = _omega0_pieces(mesh, coeffs, bundle, masks)
-    pieces["tilt_sq_over_a"] = _tilt_sq_over_a(mesh, coeffs, bundle, masks)
-    pieces["I"] = eval_I(mesh, coeffs, bundle, masks)
+    om0 = masks.omega0_elem
+    eps, p, psi = (window_expand(avg, bundle.windows) for avg in
+                   (bundle.eps_avg, bundle.p_avg, bundle.psi_avg))
+    pieces = energy.omega0_pieces(coeffs, om0, eps, p, psi)
+    pieces["tilt_sq_over_a"] = _tilt_sq_over_a(mesh, coeffs, om0, psi)
     pieces["den"] = gap_denominator(mesh, coeffs, bundle, masks)
     return pieces
 
 
-def eval_limit_formula(pieces, theta, convention):
-    """The main relaxation formula for the infimum.
+def eval_limit_formula(pieces, theta):
+    """The main relaxation formula for the infimum, with the gap term
+    -theta * den (theta = d / den).
 
     Every term carries a global factor 1/2: the limit inequalities the
     formula is squeezed between have 1/2 prefactors throughout, and only
     with the factor does the formula reproduce the analytic convex value
     (without it, it evaluates to twice the infimum).
     """
-    kappa, _, _ = _gap_coefficients(theta, convention)
     return 0.5 * (pieces["tilt_eps"] + pieces["B0"] + pieces["I"]["value"]
-                  + kappa * pieces["den"])
+                  - theta * pieces["den"])
 
 
-def eval_representations(pieces, theta, convention):
+def eval_representations(pieces, theta):
     """The three equivalent re-expressions of the relaxation formula
-    (same global 1/2 as eval_limit_formula)."""
+    (same global 1/2 as eval_limit_formula), with gap coefficients
+    -theta, 1 - theta and 1/2 - theta."""
     off, den = pieces["I"]["value"], pieces["den"]
-    k1, k2, k3 = _gap_coefficients(theta, convention)
     rep_a = 0.5 * (-pieces["a_eps2"] + pieces["B0"] + pieces["p_eps"]
-                   + off + k1 * den)
-    rep_b = 0.5 * (pieces["p2_over_a"] - pieces["p_eps"] + off + k2 * den)
+                   + off - theta * den)
+    rep_b = 0.5 * (pieces["p2_over_a"] - pieces["p_eps"] + off
+                   + (1.0 - theta) * den)
     rep_c = 0.5 * (0.5 * (pieces["p2_over_a"] - pieces["a_eps2"]
                           + pieces["B0"])
-                   + off + k3 * den)
+                   + off + (0.5 - theta) * den)
     return {"rep_a": float(rep_a), "rep_b": float(rep_b),
             "rep_c": float(rep_c)}
 
@@ -257,7 +214,9 @@ def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
     pieces = relaxation_pieces(mesh, coeffs, bundle, masks)
     den = pieces["den"]
     est = theta_estimate(d, den, theta_tolerance(mesh, coeffs))
-    out = {
+    main = eval_limit_formula(pieces, est.theta_coeff1)
+    bnd = dual_lower_bound(mesh, coeffs)
+    return {
         "d": float(d),
         "denominator": float(den),
         "theta_half": est.theta_half,
@@ -269,18 +228,12 @@ def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
         "alpha_scheme": float(alpha_scheme),
         "I_term": pieces["I"],
         "inequality_chain": inequality_chain(pieces, alpha_scheme),
-        "lower_bound": dual_lower_bound(mesh, coeffs),
+        "lower_bound": bnd,
+        "alpha_formula_coefficient_1": float(main),
+        "alpha_residual_coefficient_1": float(abs(main - alpha_scheme)),
+        "representations_coefficient_1": eval_representations(
+            pieces, est.theta_coeff1),
+        "lower_bound_gap": float(alpha_scheme - bnd["bound"]),
+        "stuck_suspected": bool(
+            alpha_scheme - bnd["bound"] > 1e-3 * (1.0 + abs(alpha_scheme))),
     }
-    for conv, theta in (("coefficient-half", est.theta_half),
-                        ("coefficient-1", est.theta_coeff1)):
-        main = eval_limit_formula(pieces, theta, conv)
-        key = conv.replace("-", "_")
-        out[f"alpha_formula_{key}"] = float(main)
-        out[f"alpha_residual_{key}"] = float(abs(main - alpha_scheme))
-        out[f"representations_{key}"] = eval_representations(pieces, theta,
-                                                             conv)
-    bnd = out["lower_bound"]["bound"]
-    out["lower_bound_gap"] = float(alpha_scheme - bnd)
-    out["stuck_suspected"] = bool(
-        alpha_scheme - bnd > 1e-3 * (1.0 + abs(alpha_scheme)))
-    return out

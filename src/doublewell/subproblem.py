@@ -242,8 +242,8 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
 
     Returns the direct quadrature value, the two global representations
     obtained from primal-dual orthogonality, the quadratic energy identity
-    residual, and the two Omega_0-split representations (with guarded
-    division by b - a off Omega_0).
+    residual, and the two Omega_0-split representations from
+    `energy.omega0_pieces` (with guarded division by b - a off Omega_0).
     """
     m = energy.m_field(coeffs, chi)
     E = energy.tilt_field(coeffs, chi)
@@ -259,20 +259,11 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
     rhs = float((w * (mesh.frob_norm2(E) / m)).sum())
     ident_res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
-    a = coeffs.a
-    pdot = mesh.frob_dot(p, eps)
-    off_I, guard_measure = energy.off_omega0_integral(
-        coeffs, omega0, eps, p, chi.psi)
-    off_part = 0.5 * off_I
-    B0 = (a * (mesh.frob_norm2(coeffs.C) + mesh.frob_norm2(coeffs.D)) / 2.0
-          + chi.psi * a * (mesh.frob_norm2(coeffs.D)
-                           - mesh.frob_norm2(coeffs.C)) / 2.0)
-    alpha_16 = (off_part
-                + 0.5 * float((w * (-a * eps2 + B0) * omega0).sum())
-                + 0.5 * float((w * pdot * omega0).sum()))
-    alpha_17 = (off_part
-                + 0.5 * float((w * (mesh.frob_norm2(p) / a) * omega0).sum())
-                - 0.5 * float((w * pdot * omega0).sum()))
+    split = energy.omega0_pieces(coeffs, omega0, eps, p, chi.psi)
+    off_part = 0.5 * split["I"]["value"]
+    alpha_16 = (off_part + 0.5 * (split["B0"] - split["a_eps2"])
+                + 0.5 * split["p_eps"])
+    alpha_17 = off_part + 0.5 * split["p2_over_a"] - 0.5 * split["p_eps"]
 
     return {
         "alpha_direct": alpha_direct,
@@ -281,5 +272,5 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
         "energy_identity_residual": float(ident_res),
         "alpha_split_primal": float(alpha_16),
         "alpha_split_dual": float(alpha_17),
-        "guard_zone_measure": guard_measure,
+        "guard_zone_measure": split["I"]["excluded_measure"],
     }

@@ -171,6 +171,18 @@ def test_prolongations_interpolate_interior_fields(dim, n, levels):
     assert fine.n_free_dof <= meshmod.COARSEST_DOF or np.any(fine.shape % 2)
 
 
+def test_odd_cell_count_beyond_direct_size_raises():
+    # 255 cells per axis stop the chain at once, leaving 129,032 interior
+    # dofs to LU: a configuration error that names the shape
+    fine = meshmod.build_mesh((1.0, 1.0), (255, 255), 2)
+    with pytest.raises(ConfigurationError, match=r"\[255, 255\] cells"):
+        fine.prolongations
+    # 127 cells stop it too, but 31,752 dofs are within MAX_DIRECT_DOF
+    small = meshmod.build_mesh((1.0, 1.0), (127, 127), 2)
+    assert small.n_free_dof <= meshmod.MAX_DIRECT_DOF
+    assert small.prolongations == []
+
+
 def test_prolongation_constant_per_child():
     coarse = make_mesh_2d(2)
     fine = meshmod.refine(coarse)

@@ -55,21 +55,20 @@ def test_formula_matches_scheme_on_laminates():
         den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
         theta = d / den
         pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
-        for conv, th in (("coefficient-1", theta), ("coefficient-half", 2 * theta)):
-            val = relaxation.eval_limit_formula(pieces, th, conv)
-            assert abs(val - trace.alpha) <= 1e-10
-            reps = relaxation.eval_representations(pieces, th, conv)
-            for v in reps.values():
-                assert abs(v - trace.alpha) <= 1e-10
+        val = relaxation.eval_limit_formula(pieces, theta)
+        assert abs(val - trace.alpha) <= 1e-10
+        reps = relaxation.eval_representations(pieces, theta)
+        for v in reps.values():
+            assert abs(v - trace.alpha) <= 1e-10
 
 
 def test_formula_matches_scheme_on_convex_case():
     mesh, coeffs, trace, bundle, masks, d = analysis(C=1.0, D=1.0,
                                                      seed_kind="zero")
     pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
-    val = relaxation.eval_limit_formula(pieces, 0.0, "coefficient-1")
+    val = relaxation.eval_limit_formula(pieces, 0.0)
     assert abs(val - 0.5) <= 1e-10
-    reps = relaxation.eval_representations(pieces, 0.0, "coefficient-1")
+    reps = relaxation.eval_representations(pieces, 0.0)
     for v in reps.values():
         assert abs(v - 0.5) <= 1e-10
 
@@ -86,7 +85,7 @@ def test_eval_I_two_region_quadrature():
     bundle = limitsmod.estimate_limits(
         mesh, windows, eps, np.zeros((mesh.n_elem, 1)), chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
-    out = relaxation.eval_I(mesh, coeffs, bundle, masks)
+    out = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)["I"]
     # psi = -1, C = D = 1:  density = ab(|C|^2-|D|^2)/(2(b-a))
     #                                + ab|C-D|^2/(2(b-a)) = 0 ... plus the
     # p and eps terms vanish; direct quadrature over [0.5, 1]:
@@ -186,15 +185,15 @@ def test_relaxation_section_assembles():
 
 def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
     mesh, coeffs, trace, bundle, masks, d = analysis()
-    names = ("_omega0_pieces", "_tilt_sq_over_a", "eval_I",
-             "gap_denominator")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _orig=getattr(relaxation, name), _name=name,
+    names = ((energy, "omega0_pieces"), (relaxation, "_tilt_sq_over_a"),
+             (relaxation, "gap_denominator"))
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
+        def counted(*args, _orig=getattr(module, name), _name=name,
                     **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
-        monkeypatch.setattr(relaxation, name, counted)
+        monkeypatch.setattr(module, name, counted)
     relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
                                   trace.alpha)
-    assert calls == dict.fromkeys(names, 1)
+    assert calls == dict.fromkeys(calls, 1)

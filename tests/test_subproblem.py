@@ -164,6 +164,34 @@ def test_split_representations_with_equal_moduli_region():
     assert out["guard_zone_measure"] == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(2, 8),
+       share=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+def test_split_representations_match_direct_energy(dim, n, share, seed):
+    # a = b on a random share of the elements, b/a in [1.5, 4] or its
+    # inverse on the rest (far from the guard zone): both Omega_0-split
+    # forms equal the direct energy of the solve
+    cells = n if dim == 2 else 8 * n
+    mesh = meshmod.build_mesh((1.0,) * dim, (cells,) * dim, dim)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.2, 5.0, mesh.n_elem)
+    ratio = rng.uniform(1.5, 4.0, mesh.n_elem) ** rng.choice([-1, 1],
+                                                             mesh.n_elem)
+    b = np.where(rng.random(mesh.n_elem) < share, a, a * ratio)
+    C, D = rng.uniform(-3.0, 3.0, (2, mesh.n_elem, mesh.n_comp))
+    coeffs = energy.CoefficientSet(mesh, a, b, C, D)
+    chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
+    u, _ = subproblem.solve(subproblem.assemble(mesh, coeffs, chi))
+    eps = mesh.symmetrized_gradient(u)
+    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p,
+                                           energy.omega0_mask(coeffs))
+    scale = 1.0 + abs(out["alpha_direct"])
+    assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
+    assert abs(out["alpha_split_dual"] - out["alpha_direct"]) <= 1e-8 * scale
+    assert out["guard_zone_measure"] == 0.0
+
+
 def test_zero_load_short_circuit():
     mesh = make_mesh_1d(16)
     coeffs = make_coeffs(mesh, C=0.0, D=0.0)
