@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -48,8 +47,9 @@ def _cmd_ym(args):
     cfg, mesh, coeffs, eps, chi, p = pipeline.load_run(args.run_dir)
     bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, eps, p, chi)
     report = pipeline.load_report(args.run_dir)
-    print(pipeline.to_json(youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"])))
+    print(json.dumps(youngmeasure.young_measure_block(
+        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"]),
+        indent=2))
     return EXIT_OK
 
 
@@ -81,16 +81,14 @@ def _cmd_oracle(args):
         "f_star_star_at_0": env(0.0),
         "exact_alpha": vals["volume"] * env(0.0),
     }
-    print(pipeline.to_json(out))
+    print(json.dumps(out, indent=2))
     return EXIT_OK
 
 
 def _cmd_report(args):
-    path = os.path.join(args.run_dir, "report.json")
-    with open(path) as fh:
-        report = json.load(fh)
+    report = pipeline.load_report(args.run_dir)
     if args.full:
-        print(pipeline.to_json(report))
+        print(json.dumps(report, indent=2))
         return EXIT_OK
     relax = report["relaxation"]
     ym = report["young_measure"]

@@ -424,12 +424,14 @@ def write_csv(path, header, columns):
                       for row in zip(*cells, strict=True))
 
 
-def read_csv(path):
-    """Columns of a numeric CSV written by `write_csv`, by header name."""
+def read_csv(path, names):
+    """The named columns of a numeric CSV written by `write_csv`; the
+    other columns are not parsed."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, k] for k, name in enumerate(header)}
+        data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                          usecols=[header.index(n) for n in names])
+    return dict(zip(names, data.T))
 
 
 def field_columns(fields):

@@ -6,10 +6,15 @@ estimates weak limits, relaxation formulas and Young measures at the
 finest level and assembles a deterministic JSON report.  Wall-clock
 timings are kept out of report.json so that a fixed config and seed
 reproduce it byte for byte; they go to a separate timing file.
+
+`finest_analysis` is the one builder of the finest-level report blocks.
+The run calls it on its best state; `verify_run` calls it on the dumped
+state and compares every leaf it rebuilds with report.json.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
@@ -43,11 +48,7 @@ def _trace_record(trace):
         "fixed_point": bool(trace.fixed_point),
         "budget_exhausted": bool(trace.budget_exhausted),
         "final_alpha": float(trace.alpha),
-        "steps": [
-            {k: (float(v) if isinstance(v, (float, np.floating)) else int(v))
-             for k, v in step.items()}
-            for step in trace.steps
-        ],
+        "steps": [dict(step) for step in trace.steps],
     }
 
 
@@ -70,6 +71,45 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
     return relaxation.theta_estimate(
         d, den, relaxation.theta_tolerance(mesh, coeffs)).theta_coeff1
+
+
+def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
+    """The report blocks a finest-level state determines: `final` (without
+    the descent's fixed_point flag), `limits`, `relaxation` (without the
+    per-level thetas) and `young_measure`, each evaluated at the primal
+    value alpha.  Returns the window bundle and the blocks."""
+    bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
+    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
+    alpha = float(alpha)
+    dual = subproblem.duality_report(mesh, coeffs, chi, p, alpha)
+    ortho = subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p)
+    return bundle, {
+        "final": {
+            "alpha_scheme": alpha,
+            "duality": {"gap": dual.gap, "ker_residual": dual.ker_residual,
+                        "orthogonality_residual": float(ortho)},
+            "algebraic_representations": subproblem.alpha_representations(
+                mesh, coeffs, chi, eps, p, masks.omega0_elem),
+        },
+        "limits": {
+            "n_windows": int(bundle.windows.n_windows),
+            "psi_range": [float(bundle.psi_avg.min()),
+                          float(bundle.psi_avg.max())],
+            "partition": {
+                "omega0_measure": float(
+                    mesh.measures[masks.omega0_elem].sum()),
+                "omega0_windows": int(masks.omega0_window.sum()),
+                "w0_windows": int(masks.w0.sum()),
+                "w0_plus_windows": int(masks.w0_plus.sum()),
+                "w0_minus_windows": int(masks.w0_minus.sum()),
+                "eta": float(masks.eta),
+            },
+        },
+        "relaxation": relaxation.relaxation_section(mesh, coeffs, bundle,
+                                                    masks, d, alpha),
+        "young_measure": youngmeasure.young_measure_block(
+            mesh, coeffs, bundle, masks, alpha),
+    }
 
 
 def run_experiment(cfg):
@@ -107,63 +147,19 @@ def run_experiment(cfg):
         })
     t_descent = time.perf_counter()
 
-    mesh = meshes[-1]
-    coeffs = coeffs_by_level[-1]
     best = best_by_level[-1]
-    bundle, masks = window_analysis(cfg, mesh, coeffs, best.eps, best.p,
-                                    best.chi)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
-    alpha_scheme = float(best.alpha)
-
-    omega0 = masks.omega0_elem
-    alg = subproblem.alpha_representations(mesh, coeffs, best.chi,
-                                           best.eps, best.p, omega0)
-    ortho = subproblem.orthogonality_residual(mesh, coeffs, best.chi,
-                                              best.eps, best.p)
-
-    relax = relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
-                                          alpha_scheme)
+    bundle, blocks = finest_analysis(cfg, meshes[-1], coeffs_by_level[-1],
+                                     best.eps, best.p, best.chi, best.alpha)
+    blocks["final"]["fixed_point"] = bool(best.fixed_point)
+    relax = blocks["relaxation"]
     relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
-
-    ym = youngmeasure.young_measure_block(mesh, coeffs, bundle, masks,
-                                         alpha_scheme)
-
-    testset = meshmod.default_test_functions(mesh)
     pairing = limitsmod.pairing_diagnostic(
         [{"mesh": m, "eps": t.eps, "p": t.p}
          for m, t in zip(meshes, best_by_level)],
-        bundle, testset)
-
-    report = {
-        "version": VERSION,
-        "config": cfg.echo(),
-        "levels": level_blocks,
-        "final": {
-            "alpha_scheme": alpha_scheme,
-            "duality": {"gap": best.steps[-1]["gap"],
-                        "ker_residual": best.steps[-1]["ker_residual"],
-                        "orthogonality_residual": float(ortho)},
-            "algebraic_representations": alg,
-            "fixed_point": bool(best.fixed_point),
-        },
-        "limits": {
-            "n_windows": int(bundle.windows.n_windows),
-            "psi_range": [float(bundle.psi_avg.min()),
-                          float(bundle.psi_avg.max())],
-            "partition": {
-                "omega0_measure": float(
-                    mesh.measures[masks.omega0_elem].sum()),
-                "omega0_windows": int(masks.omega0_window.sum()),
-                "w0_windows": int(masks.w0.sum()),
-                "w0_plus_windows": int(masks.w0_plus.sum()),
-                "w0_minus_windows": int(masks.w0_minus.sum()),
-                "eta": float(masks.eta),
-            },
-        },
-        "relaxation": relax,
-        "young_measure": ym,
-        "pairing_diagnostic": pairing,
-    }
+        bundle, meshmod.default_test_functions(meshes[-1]))
+    report = {"version": VERSION, "config": cfg.echo(),
+              "levels": level_blocks, **blocks,
+              "pairing_diagnostic": pairing}
     t_end = time.perf_counter()
     timings = {"descent_seconds": t_descent - t0,
                "analysis_seconds": t_end - t_descent,
@@ -173,47 +169,6 @@ def run_experiment(cfg):
                      traces_by_level=traces_by_level,
                      best_by_level=best_by_level, bundle=bundle,
                      timings=timings)
-
-
-# -- deterministic JSON ---------------------------------------------------
-
-def _json_scalar(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if x != x:
-            return '"nan"'
-        if x in (float("inf"), float("-inf")):
-            return f'"{x}"'
-        return format(x, ".17g")
-    if isinstance(x, str):
-        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') \
-            .replace("\n", "\\n") + '"'
-    if x is None:
-        return "null"
-    raise TypeError(f"unserializable value {x!r}")
-
-
-def to_json(obj, indent=0):
-    """JSON with every float at 17 significant digits (deterministic)."""
-    pad, pad_in = " " * indent, " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad_in}{_json_scalar(str(k))}: '
-                 f'{to_json(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [pad_in + to_json(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return to_json(obj.tolist(), indent)
-    return _json_scalar(obj)
 
 
 def _slug(text):
@@ -236,7 +191,7 @@ def emit_outputs(result, outdir):
     with open(path("config.txt"), "w") as fh:
         fh.write("\n".join(cfg.raw_lines) + "\n")
     with open(path("report.json"), "w") as fh:
-        fh.write(to_json(result.report) + "\n")
+        fh.write(json.dumps(result.report, indent=2) + "\n")
     with open(path("timing.txt"), "w") as fh:
         for k, v in result.timings.items():
             fh.write(f"{k} = {v:.6f}\n")
@@ -283,9 +238,11 @@ def _write_trace(fname, steps):
 # -- verification of persisted runs ---------------------------------------
 
 def load_report(run_dir):
-    import json
-    with open(os.path.join(run_dir, "report.json")) as fh:
-        return json.load(fh)
+    try:
+        with open(os.path.join(run_dir, "report.json")) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise VerificationError(f"report.json is not JSON: {exc}") from exc
 
 
 def load_run(run_dir):
@@ -294,58 +251,91 @@ def load_run(run_dir):
     cfg = configmod.parse_config(os.path.join(run_dir, "config.txt"))
     mesh = cfg.build_finest_mesh()
     coeffs = cfg.build_coeffs(mesh)
-    ucols = meshmod.read_csv(os.path.join(run_dir, "u_finest.csv"))
-    eps = mesh.symmetrized_gradient(
-        np.stack([ucols[f"u_{k}"] for k in range(mesh.dim)], axis=1))
-    fcols = meshmod.read_csv(os.path.join(run_dir, "fields_finest.csv"))
-    chi = descent.PhaseField.from_a_indicator(fcols["chi_a"] > 0.5)
-    p = np.stack([fcols[f"p_{k}"] for k in range(mesh.n_comp)], axis=1)
+    u = meshmod.read_csv(os.path.join(run_dir, "u_finest.csv"),
+                         [f"u_{k}" for k in range(mesh.dim)])
+    eps = mesh.symmetrized_gradient(np.stack(list(u.values()), axis=1))
+    pnames = [f"p_{k}" for k in range(mesh.n_comp)]
+    fields = meshmod.read_csv(os.path.join(run_dir, "fields_finest.csv"),
+                              ["chi_a"] + pnames)
+    chi = descent.PhaseField.from_a_indicator(fields.pop("chi_a") > 0.5)
+    p = np.stack(list(fields.values()), axis=1)
     return cfg, mesh, coeffs, eps, chi, p
 
 
+def _flatten(tree, path=""):
+    """(dotted path, leaf) pairs of a JSON tree; each list's length is a
+    leaf of its own."""
+    if isinstance(tree, dict):
+        for key, val in tree.items():
+            yield from _flatten(val, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        yield f"len({path})", len(tree)
+        for k, val in enumerate(tree):
+            yield from _flatten(val, f"{path}[{k}]")
+    else:
+        yield path, tree
+
+
+def _leaf_residual(rebuilt, reported):
+    """|rebuilt - reported| for a rebuilt float and a reported number (inf
+    for NaN); otherwise 0 for equal values of one type, inf else."""
+    if isinstance(rebuilt, float) and type(reported) in (int, float):
+        res = abs(rebuilt - reported)
+        return res if res == res else float("inf")
+    same = type(rebuilt) is type(reported) and rebuilt == reported
+    return 0.0 if same else float("inf")
+
+
 def verify_run(run_dir, tol=1e-10):
-    """Re-evaluate every reported headline number from the dumps.
-
-    Returns a dict of residuals; raises VerificationError when any
-    recomputation drifts beyond `tol` (scaled)."""
+    """Rebuild the finest-level blocks from the dumps at the reported
+    alpha, with `final.fixed_point` and the last per-level theta, and
+    compare every leaf with report.json: floats within `tol * (1 +
+    |alpha|)`, anything else exactly.  Also checks the dumped state's
+    energy against alpha, p = m eps + E, and the lower bound against the
+    recomputed alpha.  Returns a dict of residuals; raises
+    VerificationError naming every failed check and leaf path."""
     report = load_report(run_dir)
+    try:
+        alpha_rep = float(report["final"]["alpha_scheme"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VerificationError(
+            f"report.json has no number final.alpha_scheme: {exc!r}") from exc
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
-    alpha_rep = report["final"]["alpha_scheme"]
-    alpha_re = float(subproblem.direct_energy(mesh, coeffs, chi, eps))
-    p_re = subproblem.dual_variable(mesh, coeffs, chi, eps)
-
-    bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
-    relax = relaxation.relaxation_section(mesh, coeffs, bundle, masks, d,
-                                          alpha_re)
+    _, blocks = finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha_rep)
+    blocks["final"]["fixed_point"] = \
+        chi.flips(descent.assign_phases(coeffs, eps)) == 0
+    rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
+    last = reported.get("len(relaxation.theta_by_level)", 0) - 1
+    rebuilt[f"relaxation.theta_by_level[{last}]"] = \
+        blocks["relaxation"]["theta_coeff1"]
+    residuals = {path: _leaf_residual(val, reported[path])
+                 if path in reported else float("inf")
+                 for path, val in rebuilt.items()}
+    alpha_re = blocks["final"]["algebraic_representations"]["alpha_direct"]
+    bound = blocks["relaxation"]["lower_bound"]["bound"]
 
     scale = 1.0 + abs(alpha_rep)
     checks = {
         "alpha_recomputed": alpha_re,
         "alpha_reported": alpha_rep,
         "alpha_residual": abs(alpha_re - alpha_rep),
-        "p_residual": float(np.abs(p_re - p).max()),
-        "d_residual": abs(d - report["relaxation"]["d"]),
-        "theta_residual": abs(relax["theta_coeff1"]
-                              - report["relaxation"]["theta_coeff1"]),
-        "formula_residual": abs(
-            relax["alpha_formula_coefficient_1"]
-            - report["relaxation"]["alpha_formula_coefficient_1"]),
-        "lower_bound_residual": abs(
-            relax["lower_bound"]["bound"]
-            - report["relaxation"]["lower_bound"]["bound"]),
-        "lower_bound_excess": max(0.0,
-                                  relax["lower_bound"]["bound"] - alpha_re),
+        "p_residual": float(np.abs(
+            subproblem.dual_variable(mesh, coeffs, chi, eps) - p).max()),
+        "lower_bound_excess": max(0.0, bound - alpha_re),
+        "leaves_compared": len(rebuilt),
+        "leaf_residual": max(residuals.values()),
     }
-    failed = [k for k in ("alpha_residual", "p_residual", "d_residual",
-                          "theta_residual", "formula_residual",
-                          "lower_bound_residual", "lower_bound_excess")
-              if checks[k] > tol * scale]
+    failed = [f"{k}={checks[k]:.3e}" for k in
+              ("alpha_residual", "p_residual", "lower_bound_excess")
+              if not checks[k] <= tol * scale]
+    failed += [f"{path}: reported "
+               f"{repr(reported[path]) if path in reported else 'nothing'}"
+               f", rebuilt {rebuilt[path]!r}"
+               for path, res in residuals.items() if not res <= tol * scale]
     checks["ok"] = not failed
     if failed:
-        raise VerificationError(
-            "verification residual exceeded: "
-            + ", ".join(f"{k}={checks[k]:.3e}" for k in failed))
+        raise VerificationError("verification residual exceeded: "
+                                + "; ".join(failed))
     return checks
 
 

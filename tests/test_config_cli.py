@@ -214,7 +214,8 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
                         lambda *a: strains.append(1) or gradient(*a))
     pipeline.emit_outputs(result, tmp_path)
     assert strains == []
-    fields = meshmod.read_csv(tmp_path / "fields_finest.csv")
+    fields = meshmod.read_csv(tmp_path / "fields_finest.csv",
+                              [f"eps_{k}" for k in range(3)])
     eps = gradient(result.meshes[-1], result.best_by_level[-1].u)
     assert np.column_stack([fields[f"eps_{k}"] for k in range(3)]).tobytes() \
         == eps.tobytes()
@@ -261,7 +262,7 @@ def test_verify_reports_an_unsigned_zero_excess(tmp_path):
     # the bound itself is +0.0, so report.json holds no "-0"
     bound = result.report["relaxation"]["lower_bound"]["bound"]
     assert bound == 0.0 and math.copysign(1.0, bound) == 1.0
-    assert not re.search(r"(^|[ :\[])-0,?$",
+    assert not re.search(r"(^|[ :\[])-0(\.0)?,?$",
                          (tmp_path / "report.json").read_text(), re.M)
 
 
@@ -358,17 +359,22 @@ def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,
             "conjugate gradients did not reach tol=1e-10") in err
 
 
-def _verify_tampered(tmp_path, tamper):
-    """Exit code of `verify` after `tamper` edits a solved report."""
+def _solved_run(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
     cfg_path.write_text(SYM_CFG)
     assert cli.main(["solve", str(cfg_path),
                      "--outdir", str(out_dir)]) == 0
+    return out_dir
+
+
+def _verify_tampered(tmp_path, tamper):
+    """Exit code of `verify` after `tamper` edits a solved report."""
+    out_dir = _solved_run(tmp_path)
     report_path = out_dir / "report.json"
     report = json.loads(report_path.read_text())
     tamper(report)
-    report_path.write_text(pipeline.to_json(report) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return cli.main(["verify", str(out_dir)])
 
 
@@ -382,7 +388,48 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     def tamper(report):
         report["relaxation"]["lower_bound"]["bound"] = 123.0
     assert _verify_tampered(tmp_path, tamper) == 4
-    assert "lower_bound_residual" in capsys.readouterr().err
+    assert "relaxation.lower_bound.bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, new", [
+    ("final.duality.gap", 1.0),
+    ("final.duality.ker_residual", 1.0),
+    ("final.duality.orthogonality_residual", 1.0),
+    ("final.algebraic_representations.energy_identity_residual", 1.0),
+    ("young_measure.energy.residual", 1.0),
+    ("limits.n_windows", 5),
+    ("relaxation.convention_verdict", "coefficient-1/2"),
+    ("young_measure.dirac.windows", lambda windows: windows + [0]),
+    ("final.fixed_point", False),
+    ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5]),
+])
+def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
+    def tamper(report):
+        *keys, last = path.split(".")
+        for key in keys:
+            report = report[key]
+        report[last] = new(report[last]) if callable(new) else new
+    assert _verify_tampered(tmp_path, tamper) == 4
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "report.json is not JSON"),
+    ('{"final": {}}', "final.alpha_scheme"),
+])
+def test_cli_verify_rejects_an_unreadable_report(tmp_path, capsys, text,
+                                                 message):
+    out_dir = _solved_run(tmp_path)
+    (out_dir / "report.json").write_text(text)
+    assert cli.main(["verify", str(out_dir)]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_cli_verify_names_a_missing_leaf(tmp_path, capsys):
+    def tamper(report):
+        del report["relaxation"]["d"]
+    assert _verify_tampered(tmp_path, tamper) == 4
+    assert "relaxation.d: reported nothing" in capsys.readouterr().err
 
 
 def test_cli_oracle_json(capsys):
