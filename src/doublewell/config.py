@@ -57,28 +57,25 @@ class RunConfig:
     outdir: str = "runs/out"
     raw_lines: tuple = field(default_factory=tuple, repr=False)
 
-    def _level_mesh(self, level):
-        """The mesh of one refinement level: each level doubles the cells
-        per axis, which is what `mesh.refine` does.  The finest level must
-        split into whole windows."""
-        extents = self.extents if len(self.extents) == self.dim \
-            else self.extents * self.dim
+    def build_finest_mesh(self):
+        """The finest level alone: `resolution` cells per axis, doubled for
+        each further level.  It must split into whole windows."""
         mesh = meshmod.build_mesh(
-            extents, (self.resolution * 2 ** level,) * self.dim,
-            dim=self.dim)
-        if level == self.levels - 1 and np.any(mesh.shape % self.window):
+            self.extents, (self.resolution * 2 ** (self.levels - 1),)
+            * self.dim, dim=self.dim)
+        if np.any(mesh.shape % self.window):
             raise ConfigurationError(
                 f"window {self.window} does not divide the finest "
                 f"element counts {tuple(mesh.shape)}")
         return mesh
 
     def build_meshes(self):
-        """One mesh per refinement level, coarsest first."""
-        return [self._level_mesh(lvl) for lvl in range(self.levels)]
-
-    def build_finest_mesh(self):
-        """The finest level alone, without the coarser ones."""
-        return self._level_mesh(self.levels - 1)
+        """One mesh per refinement level, coarsest first: the finest mesh
+        and its `coarse` meshes, the multigrid solver's levels too."""
+        meshes = [self.build_finest_mesh()]
+        for _ in range(self.levels - 1):
+            meshes.append(meshes[-1].coarse)
+        return meshes[::-1]
 
     def build_coeffs(self, mesh):
         """Evaluate the coefficient expressions at element centers."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy, mesh as meshmod, subproblem
+from . import energy, subproblem
 from .errors import ConfigurationError, SolverError
 
 
@@ -285,8 +285,7 @@ def multistart(mesh, coeffs, seed_specs, rng, budget=50, tol=1e-10,
     return [traces[i] for i in order]
 
 
-def refine_continue(coarse_mesh, fine_mesh, trace):
-    """Initialization for the next level: phases prolonged to children."""
-    chi_a = meshmod.prolong_element_field(coarse_mesh, fine_mesh,
-                                          trace.chi.chi_a)
-    return {"chi": PhaseField(chi_a)}
+def refine_continue(fine_mesh, trace):
+    """Initialization for the next level: the phases of a trace on
+    `fine_mesh.coarse` carried to each element's children."""
+    return {"chi": PhaseField(trace.chi.chi_a[fine_mesh.parent])}

@@ -76,8 +76,10 @@ class StructuredMesh:
     # -- symmetric-matrix algebra on packed fields ------------------------
 
     def frob_dot(self, x, y):
-        """Frobenius inner product per element for packed fields."""
-        return ((x * y) * self.frob_w).sum(axis=-1)
+        """Frobenius inner product per element of packed fields (or rows),
+        summed from +0.0 and component 0 on, as NumPy sums a short axis."""
+        return sum((x[..., k] * y[..., k] * wk
+                    for k, wk in enumerate(self.frob_w)), 0.0)
 
     def frob_norm2(self, x):
         return self.frob_dot(x, x)
@@ -136,33 +138,41 @@ class StructuredMesh:
         return np.sqrt(self.strain_matrix.power(2).T
                        @ (self.measures[:, None] * self.frob_w).ravel())
 
+    def stiffness(self, w):
+        """The interior-dof stiffness G^T diag(w (x) frob_w) G of per-element
+        weights w = |T| m, for G the `strain_matrix`: every multigrid
+        level's operator."""
+        G = self.strain_matrix
+        return (G.T @ (sp.diags((w[:, None] * self.frob_w).ravel())
+                       @ G)).tocsr()
+
     @cached_property
-    def prolongations(self):
-        """The multigrid hierarchy below this mesh, finest first: one
-        (P, P^T) pair of CSR matrices per coarser mesh, where P carries the
-        interior dofs (node * dim + comp) of `coarsen(fine)` to those of
-        `fine` by P1 interpolation.  The chain stops at a mesh with at most
-        COARSEST_DOF interior dofs or an odd cell count on some axis; a
-        mesh that small has no coarser level.  A chain that stops at more
-        than MAX_DIRECT_DOF interior dofs raises ConfigurationError rather
-        than leave a system that large to LU.  It depends on the geometry
-        alone, so it is built once per mesh."""
-        chain, fine = [], self
-        while fine.n_free_dof > COARSEST_DOF and not np.any(fine.shape % 2):
-            coarse = coarsen(fine)
-            P_node = interpolation(coarse.shape)[fine.free_nodes]
-            P = sp.kron(P_node[:, coarse.free_nodes], sp.identity(self.dim),
-                        format="csr")
-            chain.append((P, P.T.tocsr()))
-            fine = coarse
-        if fine.n_free_dof > MAX_DIRECT_DOF:
-            raise ConfigurationError(
-                f"a mesh of {self.shape.tolist()} cells coarsens only to "
-                f"{fine.shape.tolist()} cells: {fine.n_free_dof} interior "
-                f"dofs, above the {MAX_DIRECT_DOF} that LU may take on the "
-                f"coarsest multigrid level; use cell counts with more "
-                f"factors of 2")
-        return chain
+    def coarse(self):
+        """The mesh that `refine` maps onto this one, built once; a mesh with
+        an odd cell count is not nested in one."""
+        if np.any(self.shape % 2):
+            raise ContractViolation(f"a mesh of {self.shape.tolist()} cells "
+                                    "is not nested: cell counts must be even")
+        return build_mesh(self.extents, self.shape // 2, self.dim)
+
+    @cached_property
+    def parent(self):
+        """The element of `coarse` that contains each element, so a field v
+        of `coarse` reads v[parent] here."""
+        return self.coarse.locate_elements(self.centers)
+
+    @cached_property
+    def prolongation(self):
+        """The CSR pair (P, P^T), P the P1 interpolation of the interior dofs
+        (node * dim + comp) of `coarse` to this mesh's; None on a coarsest
+        multigrid level: at most COARSEST_DOF interior dofs, or an odd axis."""
+        if self.n_free_dof <= COARSEST_DOF or np.any(self.shape % 2):
+            return None
+        coarse = self.coarse
+        P_node = interpolation(coarse.shape)[self.free_nodes]
+        P = sp.kron(P_node[:, coarse.free_nodes], sp.identity(self.dim),
+                    format="csr")
+        return P, P.T.tocsr()
 
     def locate_elements(self, points):
         """Element index containing each query point (structured lookup)."""
@@ -260,15 +270,6 @@ def refine(mesh):
 # Interior systems of at most this many dofs are the coarsest level of the
 # multigrid hierarchy, which is solved by LU.
 COARSEST_DOF = 200
-# The largest coarsest level a mesh may leave to LU: an odd cell count
-# stops the coarsening early, and LU of the 129,032 dofs of 255 x 255
-# cells would take about 242 MB.
-MAX_DIRECT_DOF = 2**15
-
-
-def coarsen(mesh):
-    """The mesh that `refine` maps onto `mesh`: half the cells per axis."""
-    return build_mesh(mesh.extents, mesh.shape // 2, mesh.dim)
 
 
 def interpolation(coarse_shape):
@@ -297,13 +298,6 @@ def interpolation(coarse_shape):
         shape=(n_fine, int(np.prod(coarse_shape + 1))))
 
 
-def prolong_element_field(coarse, fine, values):
-    """Carry a per-element field to the refined mesh (piecewise-constant)."""
-    values = np.asarray(values)
-    idx = coarse.locate_elements(fine.centers)
-    return values[idx]
-
-
 # -- windowed averaging ---------------------------------------------------
 
 @dataclass
@@ -327,21 +321,13 @@ def build_windows(mesh, window_size):
             f"window size {window_size} does not divide element counts "
             f"{tuple(mesh.shape)}")
     wshape = mesh.shape // window_size
-    h = mesh.extents / mesh.shape
-    cell = (mesh.centers / h).astype(int)
-    wcell = cell // window_size
-    if mesh.dim == 1:
-        widx = wcell[:, 0]
-    else:
-        widx = wcell[:, 1] * wshape[0] + wcell[:, 0]
-    n_w = int(np.prod(wshape))
-    measures = np.bincount(widx, weights=mesh.measures, minlength=n_w)
-    centers = np.zeros((n_w, mesh.dim))
-    for d in range(mesh.dim):
-        centers[:, d] = np.bincount(
-            widx, weights=mesh.measures * mesh.centers[:, d],
-            minlength=n_w) / measures
-    return Windows(widx, measures, centers)
+    wcell = (mesh.centers / (mesh.extents / mesh.shape)).astype(int) \
+        // window_size
+    widx = wcell @ np.cumprod(np.r_[1, wshape[:-1]])
+    windows = Windows(widx, np.bincount(widx, weights=mesh.measures,
+                                        minlength=int(np.prod(wshape))), None)
+    windows.centers = window_average(mesh.centers, mesh, windows)
+    return windows
 
 
 def window_average(values, mesh, windows):
@@ -350,14 +336,10 @@ def window_average(values, mesh, windows):
     Preserves the global integral exactly:  sum_w |w| * mean_w = integral.
     """
     values = np.asarray(values, dtype=float)
-    single = values.ndim == 1
-    vals = values[:, None] if single else values
-    out = np.empty((windows.n_windows, vals.shape[1]))
-    for c in range(vals.shape[1]):
-        out[:, c] = np.bincount(
-            windows.elem_window, weights=mesh.measures * vals[:, c],
-            minlength=windows.n_windows) / windows.measures
-    return out[:, 0] if single else out
+    means = [np.bincount(windows.elem_window, weights=mesh.measures * v,
+                         minlength=windows.n_windows) / windows.measures
+             for v in values.reshape(len(values), -1).T]
+    return np.stack(means, axis=-1).reshape((-1,) + values.shape[1:])
 
 
 def window_expand(window_values, windows):
@@ -426,9 +408,12 @@ def write_csv(path, header, columns):
 
 def read_csv(path, names):
     """The named columns of a numeric CSV written by `write_csv`; the
-    other columns are not parsed."""
+    other columns are not parsed.  Raises ValueError on a missing column."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [n for n in names if n not in header]
+        if missing:
+            raise ValueError(f"no column {', '.join(missing)}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2,
                           usecols=[header.index(n) for n in names])
     return dict(zip(names, data.T))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import (config as configmod, descent, limits as limitsmod,
                mesh as meshmod, relaxation, subproblem, youngmeasure)
-from .errors import VerificationError
+from .errors import ContractViolation, VerificationError
 
 VERSION = "0.1.0"
 
@@ -126,8 +126,7 @@ def run_experiment(cfg):
                                     budget=cfg.budget, tol=cfg.solver_tol,
                                     level=lvl)
         if lvl > 0:
-            init = descent.refine_continue(meshes[lvl - 1], mesh,
-                                           best_by_level[-1])
+            init = descent.refine_continue(mesh, best_by_level[-1])
             cont = descent.alternate(mesh, coeffs, init,
                                      budget=cfg.budget,
                                      tol=cfg.solver_tol, level=lvl,
@@ -245,20 +244,30 @@ def load_report(run_dir):
         raise VerificationError(f"report.json is not JSON: {exc}") from exc
 
 
+def _read_dump(run_dir, name, columns, check):
+    """`check` of the named columns of a dumped CSV, stacked; a missing column
+    or a shape `check` rejects is a VerificationError naming the file."""
+    try:
+        data = meshmod.read_csv(os.path.join(run_dir, name), columns)
+        return check(np.stack(list(data.values()), axis=1))
+    except (ValueError, ContractViolation) as exc:
+        raise VerificationError(f"{name}: {exc}") from exc
+
+
 def load_run(run_dir):
     """Rebuild mesh, coefficients and finest fields from a run directory:
     the strain of the dumped displacement, the phases and the dual field."""
     cfg = configmod.parse_config(os.path.join(run_dir, "config.txt"))
     mesh = cfg.build_finest_mesh()
     coeffs = cfg.build_coeffs(mesh)
-    u = meshmod.read_csv(os.path.join(run_dir, "u_finest.csv"),
-                         [f"u_{k}" for k in range(mesh.dim)])
-    eps = mesh.symmetrized_gradient(np.stack(list(u.values()), axis=1))
-    pnames = [f"p_{k}" for k in range(mesh.n_comp)]
-    fields = meshmod.read_csv(os.path.join(run_dir, "fields_finest.csv"),
-                              ["chi_a"] + pnames)
-    chi = descent.PhaseField.from_a_indicator(fields.pop("chi_a") > 0.5)
-    p = np.stack(list(fields.values()), axis=1)
+    eps = _read_dump(run_dir, "u_finest.csv",
+                     [f"u_{k}" for k in range(mesh.dim)],
+                     mesh.symmetrized_gradient)
+    chi_a, p = _read_dump(
+        run_dir, "fields_finest.csv",
+        ["chi_a"] + [f"p_{k}" for k in range(mesh.n_comp)],
+        lambda cols: (cols[:, 0], mesh.check_element_field(cols[:, 1:])))
+    chi = descent.PhaseField.from_a_indicator(chi_a > 0.5)
     return cfg, mesh, coeffs, eps, chi, p
 
 

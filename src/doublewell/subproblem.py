@@ -21,13 +21,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import energy
-from .errors import SolverError
+from .errors import ConfigurationError, SolverError
 
 
 @dataclass
 class QuadraticProblem:
     mesh: object
-    K: sp.csr_matrix          # interior-dof operator
+    w: np.ndarray             # per-element weights |T| m of K
+    K: sp.csr_matrix          # interior-dof operator, mesh.stiffness(w)
     f: np.ndarray             # interior-dof load
     c: float                  # constant term 0.5 * int B
 
@@ -72,16 +73,12 @@ def direct_energy(mesh, coeffs, chi, eps):
 
 
 def assemble(mesh, coeffs, chi):
-    """Build the interior-dof quadratic form for fixed phases: K = G^T W G
-    from the mesh's strain matrix G (`StructuredMesh.strain_matrix`), with
-    W = |T| m times the Frobenius weights, and f = G^T (|T| frob_w E)."""
-    m = energy.m_field(coeffs, chi)
-    G = mesh.strain_matrix
-    w = ((mesh.measures * m)[:, None] * mesh.frob_w).ravel()
-    K = (G.T @ (sp.diags(w) @ G)).tocsr()
+    """Build the interior-dof quadratic form for fixed phases: K =
+    `mesh.stiffness(w)` for w = |T| m, and f = `mesh.strain_adjoint(E)`."""
+    w = mesh.measures * energy.m_field(coeffs, chi)
     f = mesh.strain_adjoint(energy.tilt_field(coeffs, chi))
     c = 0.5 * mesh.integrate(energy.B_field(coeffs, chi.psi))
-    return QuadraticProblem(mesh, K, f, c)
+    return QuadraticProblem(mesh, w, mesh.stiffness(w), f, c)
 
 
 # Multigrid smoother: a Chebyshev polynomial of this degree in D^-1 A,
@@ -89,20 +86,33 @@ def assemble(mesh, coeffs, chi):
 # [rho / CHEB_RATIO, rho] of its spectrum (rho >= the largest eigenvalue).
 CHEB_DEGREE = 8
 CHEB_RATIO = 30.0
+# The largest coarsest level LU may take: 255 x 255 cells do not coarsen,
+# and LU of their 129,032 interior dofs would take about 242 MB.
+MAX_DIRECT_DOF = 2**15
 
 
-def _galerkin_levels(K, prolongations):
-    """Per level of the hierarchy, finest first: the Galerkin operator A
-    (K, then P^T A P down the chain), its inverse diagonal, the Gershgorin
-    bound max_i sum_j |A_ij| / A_ii on the spectrum of D^-1 A, and the
-    level's (P, P^T); plus the LU factors of the coarsest operator.
-    Rebuilt for every K: the moduli move with the phases wherever a != b."""
-    levels, A = [], K
-    for P, R in prolongations:
+def _galerkin_levels(problem):
+    """Per level of the mesh hierarchy, finest first: the operator A, its
+    inverse diagonal, the Gershgorin bound max_i sum_j |A_ij| / A_ii on the
+    spectrum of D^-1 A, and `mesh.prolongation`; plus the LU factors of the
+    coarsest A.  A coarse A is the stiffness of the weights summed over
+    each coarse element's children, exactly P^T A P: a coarse basis
+    function's strain is constant per coarse element.  Rebuilt for every
+    K, as the moduli move with the phases wherever a != b."""
+    levels, mesh, w, A = [], problem.mesh, problem.w, problem.K
+    while mesh.prolongation is not None:
         dinv = 1.0 / A.diagonal()
         rho = float((abs(A).sum(axis=1).A1 * dinv).max())
-        levels.append((A, dinv, rho, P, R))
-        A = (R @ (A @ P)).tocsr()
+        levels.append((A, dinv, rho, *mesh.prolongation))
+        w = np.bincount(mesh.parent, w)
+        mesh = mesh.coarse
+        A = mesh.stiffness(w)
+    if mesh.n_free_dof > MAX_DIRECT_DOF:
+        raise ConfigurationError(
+            f"a mesh of {problem.mesh.shape.tolist()} cells coarsens only to "
+            f"{mesh.shape.tolist()} cells: {mesh.n_free_dof} interior dofs, "
+            f"above the {MAX_DIRECT_DOF} that LU may take on the coarsest "
+            f"multigrid level; use cell counts with more factors of 2")
     return levels, spla.splu(A.tocsc())
 
 
@@ -146,8 +156,8 @@ def _v_cycle(levels, lu, r, k=0):
 
 def solve(problem, tol=1e-10):
     """Minimize the quadratic by conjugate gradients preconditioned with a
-    geometric-multigrid V-cycle on the mesh's coarsening chain
-    (`StructuredMesh.prolongations`), LU on its coarsest level.  A system
+    geometric-multigrid V-cycle on the mesh hierarchy below the problem's
+    mesh (`_galerkin_levels`), LU on its coarsest level.  A system
     small enough to be its own coarsest level is solved by LU, and CG
     takes one iteration.
 
@@ -161,7 +171,7 @@ def solve(problem, tol=1e-10):
         return u, SolveReport(0, 0.0, problem.energy(u))
     s = -np.frexp(np.abs(problem.f).max())[1]
     f = np.ldexp(problem.f, s)
-    levels, lu = _galerkin_levels(problem.K, problem.mesh.prolongations)
+    levels, lu = _galerkin_levels(problem)
     precond = spla.LinearOperator(problem.K.shape, dtype=float,
                                   matvec=partial(_v_cycle, levels, lu))
     count = [0]

@@ -189,6 +189,24 @@ def test_load_run_builds_only_the_finest_mesh(tmp_path, monkeypatch):
         bad.build_finest_mesh()
 
 
+def test_each_grid_is_built_once(monkeypatch):
+    # the run's levels 16^2 and 32^2 and the multigrid level 8^2 below
+    # them: three distinct grids, three builds, shared by the run and the
+    # solver
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 16\nlevels = 2\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4\nbudget = 3\n")
+    shapes = []
+    build = meshmod.build_mesh
+    monkeypatch.setattr(meshmod, "build_mesh", lambda *a, **k: (
+        shapes.append(tuple(a[1])) or build(*a, **k)))
+    result = pipeline.run_experiment(cfg)
+    assert sorted(shapes) == [(8, 8), (16, 16), (32, 32)]
+    fine, coarse = result.meshes[::-1]
+    assert fine.coarse is coarse and coarse.prolongation is not None
+
+
 def test_each_level_is_analysed_once(tmp_path, monkeypatch):
     cfg = configmod.parse_config_text(
         "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
@@ -430,6 +448,26 @@ def test_cli_verify_names_a_missing_leaf(tmp_path, capsys):
         del report["relaxation"]["d"]
     assert _verify_tampered(tmp_path, tamper) == 4
     assert "relaxation.d: reported nothing" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_dump_without_a_column(tmp_path, capsys):
+    out_dir = _solved_run(tmp_path)
+    path = out_dir / "fields_finest.csv"
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(header.replace("p_0", "q_0") + "\n" + rest)
+    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_VERIFY
+    assert "fields_finest.csv: no column p_0" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_a_dump_of_another_shape(tmp_path, capsys):
+    out_dir = _solved_run(tmp_path)
+    path = out_dir / "u_finest.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert ("u_finest.csv: displacement shape (32, 1) does not conform to "
+            "mesh (33, 1)") in err
 
 
 def test_cli_oracle_json(capsys):

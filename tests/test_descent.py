@@ -174,7 +174,7 @@ def test_refinement_continuation_prolongs_phases():
     trace = descent.alternate(coarse, coeffs,
                               {"chi": descent.random_phase(coarse, rng)})
     fine = meshmod.refine(coarse)
-    init = descent.refine_continue(coarse, fine, trace)
+    init = descent.refine_continue(fine, trace)
     kids = init["chi"].chi_a.reshape(-1, 2)
     assert np.array_equal(kids[:, 0], kids[:, 1])
     assert np.array_equal(kids[:, 0], trace.chi.chi_a)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublewell import mesh as meshmod
-from doublewell.errors import ConfigurationError
+from doublewell import descent, mesh as meshmod, subproblem
+from doublewell.errors import ConfigurationError, ContractViolation
 
-from conftest import make_mesh_1d, make_mesh_2d
+from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 
 
 def test_1d_mesh_geometry():
@@ -54,6 +54,25 @@ def test_frobenius_weights_match_full_matrices():
     M = np.array([[1.0, 2.0], [2.0, 5.0]])
     packed = np.array([[1.0, 2.0, 5.0]])
     assert np.isclose(mesh.frob_norm2(packed)[0], np.sum(M * M))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_frob_dot_is_bitwise_the_weighted_sum(dim):
+    # summed component by component from +0.0, as NumPy sums a short
+    # axis: every bit agrees, signed zeros included, on whole fields and
+    # on single packed rows
+    mesh = make_mesh_2d(2) if dim == 2 else make_mesh_1d(2)
+    rng = np.random.default_rng(dim)
+    x, y = rng.standard_normal((2, 1000, mesh.n_comp)) \
+        * 10.0 ** rng.integers(-8, 8, (2, 1000, mesh.n_comp))
+    zero = rng.random(x.shape) < 0.4
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    y[:500][zero[500:]] = -0.0
+    for xs, ys in ((x, y), (x[::3], y[::3]), (x[7], y[7]), (x[-1], y[-1])):
+        ref = ((xs * ys) * mesh.frob_w).sum(-1)
+        got = mesh.frob_dot(xs, ys)
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def _interior_field(mesh, rng):
@@ -153,14 +172,16 @@ def _evaluate_p1(mesh, u, points):
                                             (2, 36, 2), (2, 64, 3)])
 def test_prolongations_interpolate_interior_fields(dim, n, levels):
     # each P carries a coarse interior field (zero on the boundary) to its
-    # values at the fine interior nodes; the chain halves the cells until
-    # COARSEST_DOF interior dofs or an odd cell count
+    # values at the fine interior nodes; walking down `coarse` halves the
+    # cells until COARSEST_DOF interior dofs or an odd cell count, where
+    # `prolongation` is None
     fine = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
-    chain = fine.prolongations
-    assert len(chain) == levels
     rng = np.random.default_rng(n)
-    for P, R in chain:
-        coarse = meshmod.coarsen(fine)
+    steps = 0
+    while fine.prolongation is not None:
+        P, R = fine.prolongation
+        coarse = fine.coarse
+        assert coarse is fine.coarse
         assert np.array_equal(coarse.shape, fine.shape // 2)
         assert (R != P.T).nnz == 0
         x, u = _interior_field(coarse, rng)
@@ -168,26 +189,59 @@ def test_prolongations_interpolate_interior_fields(dim, n, levels):
         assert np.allclose((P @ x).reshape(-1, dim), expected, rtol=0.0,
                            atol=1e-13)
         fine = coarse
+        steps += 1
+    assert steps == levels
     assert fine.n_free_dof <= meshmod.COARSEST_DOF or np.any(fine.shape % 2)
 
 
+def _solve_with_load(mesh):
+    """Solve a two-phase problem whose load is nonzero on `mesh`."""
+    coeffs = make_coeffs(mesh, a=1.0, b=3.0, C=[1.0, 0.2, -0.5],
+                         D=[-1.0, 0.0, 0.5])
+    chi = descent.PhaseField.from_a_indicator(
+        np.arange(mesh.n_elem) % 3 == 0)
+    return subproblem.solve(subproblem.assemble(mesh, coeffs, chi))
+
+
 def test_odd_cell_count_beyond_direct_size_raises():
-    # 255 cells per axis stop the chain at once, leaving 129,032 interior
-    # dofs to LU: a configuration error that names the shape
+    # 255 cells per axis have no coarser level, leaving 129,032 interior
+    # dofs to LU: the solve is a configuration error that names the shape
     fine = meshmod.build_mesh((1.0, 1.0), (255, 255), 2)
+    assert fine.prolongation is None
     with pytest.raises(ConfigurationError, match=r"\[255, 255\] cells"):
-        fine.prolongations
-    # 127 cells stop it too, but 31,752 dofs are within MAX_DIRECT_DOF
+        _solve_with_load(fine)
+    # 127 cells stop it too, but 31,752 dofs are within MAX_DIRECT_DOF:
+    # one LU solve
     small = meshmod.build_mesh((1.0, 1.0), (127, 127), 2)
-    assert small.n_free_dof <= meshmod.MAX_DIRECT_DOF
-    assert small.prolongations == []
+    assert small.n_free_dof <= subproblem.MAX_DIRECT_DOF
+    assert small.prolongation is None
+    assert _solve_with_load(small)[1].iterations == 1
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (7, 8)])
+def test_coarse_of_an_odd_cell_count_raises(shape):
+    mesh = meshmod.build_mesh((1.0,) * len(shape), shape, len(shape))
+    with pytest.raises(ContractViolation, match="even"):
+        mesh.coarse
+
+
+@pytest.mark.parametrize("dim, n", [(1, 6), (2, 2), (2, 6)])
+def test_each_coarse_element_has_its_children(dim, n):
+    # 2^dim children per coarse element, whose measures sum to its own
+    fine = meshmod.build_mesh((1.0, 0.5)[:dim], (2 * n,) * dim, dim)
+    coarse = fine.coarse
+    assert np.array_equal(coarse.shape, (n,) * dim)
+    counts = np.bincount(fine.parent, minlength=coarse.n_elem)
+    assert np.array_equal(counts, np.full(coarse.n_elem, 2 ** dim))
+    assert np.allclose(np.bincount(fine.parent, fine.measures),
+                       coarse.measures, rtol=1e-14, atol=0.0)
 
 
 def test_prolongation_constant_per_child():
     coarse = make_mesh_2d(2)
     fine = meshmod.refine(coarse)
     vals = np.arange(coarse.n_elem, dtype=float)
-    out = meshmod.prolong_element_field(coarse, fine, vals)
+    out = vals[fine.parent]
     idx = coarse.locate_elements(fine.centers)
     assert np.array_equal(out, vals[idx])
     # measure bookkeeping: each coarse element covered exactly

@@ -240,12 +240,34 @@ def test_galerkin_operator_is_the_coarse_operator(dim, n):
         return subproblem.assemble(mesh, coeffs, chi)
 
     pc = problem(coarse, lambda v: v)
-    pf = problem(fine, lambda v: meshmod.prolong_element_field(coarse, fine,
-                                                                v))
-    P, R = fine.prolongations[0]
+    pf = problem(fine, lambda v: v[fine.parent])
+    P, R = fine.prolongation
     assert P.shape == (pf.n_dof, pc.n_dof)
     assert abs(R @ pf.K @ P - pc.K).max() <= 1e-13 * abs(pc.K).max()
     assert np.abs(R @ pf.f - pc.f).max() <= 1e-13 * np.abs(pc.f).max()
+
+
+@settings(max_examples=8, deadline=None)
+@given(shape=st.sampled_from([(1024,), (512,), (32, 32), (64, 32)]),
+       seed=st.integers(0, 2 ** 16))
+def test_coarse_stiffness_is_the_galerkin_product(shape, seed):
+    # m = exp(2 N(0, 1)) per fine element: on every level down the
+    # hierarchy, the coarse mesh's stiffness of the weights summed over
+    # each coarse element's children is the triple product R K P
+    dim = len(shape)
+    mesh = meshmod.build_mesh((1.0, 0.75)[:dim], shape, dim)
+    w = mesh.measures * np.exp(2.0 * np.random.default_rng(seed)
+                               .standard_normal(mesh.n_elem))
+    K, steps = mesh.stiffness(w), 0
+    while mesh.prolongation is not None:
+        P, R = mesh.prolongation
+        w = np.bincount(mesh.parent, w)
+        mesh = mesh.coarse
+        K_coarse = mesh.stiffness(w)
+        assert abs(K_coarse - R @ K @ P).max() \
+            <= 1e-13 * abs(K_coarse).max()
+        K, steps = K_coarse, steps + 1
+    assert steps >= 2
 
 
 @settings(max_examples=6, deadline=None)
@@ -280,7 +302,7 @@ def test_multigrid_iterations_stay_flat(contrast, seed):
 def test_system_at_most_the_coarsest_size_is_solved_directly():
     mesh = make_mesh_2d(8)
     assert 0 < mesh.n_free_dof <= meshmod.COARSEST_DOF
-    assert mesh.prolongations == []
+    assert mesh.prolongation is None
     coeffs = make_coeffs(mesh, a=1.0, b=50.0, C=[1.0, 0.2, -0.5],
                          D=[-1.0, 0.0, 0.5])
     chi = descent.PhaseField.from_a_indicator(
