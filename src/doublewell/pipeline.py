@@ -192,8 +192,9 @@ def emit_outputs(result, outdir):
     with open(path("report.json"), "w") as fh:
         fh.write(json.dumps(result.report, indent=2) + "\n")
     with open(path("timing.txt"), "w") as fh:
+        # fixed width, so that the file's size does not vary with the times
         for k, v in result.timings.items():
-            fh.write(f"{k} = {v:.6f}\n")
+            fh.write(f"{k} = {v:12.6f}\n")
 
     best_steps = [s for t in result.best_by_level for s in t.steps]
     _write_trace(path("alpha_trace.csv"), best_steps)

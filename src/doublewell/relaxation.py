@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import energy
 from .mesh import window_expand
@@ -163,13 +162,65 @@ def _coefficient_tuples(mesh, coeffs):
     return rows[:, 0], rows[:, 1], rows[:, 2:2 + n], rows[:, 2 + n:], W
 
 
+def _nelder_mead(f, x0):
+    """Minimize f from x0 by SciPy's non-adaptive Nelder-Mead, operation
+    for operation, so that (x, f(x)) is bit for bit that of
+    `scipy.optimize.minimize(f, x0, method="Nelder-Mead")` with xatol
+    1e-12, fatol 1e-14 and maxiter 4000.  Reflection 1, expansion 2,
+    contraction and shrink 1/2; the first simplex scales one coordinate
+    of x0 by 1.05, or sets it to 0.00025 where it is 0.  Vertices are
+    passed to f as copies, as SciPy passes them.
+    """
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x.copy()) for x in sim])
+    sim, fsim = ordered(*ordered(sim, fsim))   # twice, as SciPy: ties may move
+    for _ in range(1, 4000):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def dual_lower_bound(mesh, coeffs):
     """Certified lower bound from constant dual fields.
 
     For any constant q,  alpha >= -int max over the two phases of the
     conjugate densities; the bound is concave in q, maximized over a grid
     of 9 points per component on [-2 s, 2 s] (s the largest of |aC|, |bD|
-    and 1), then polished from the best grid point by Nelder-Mead.  The
+    and 1), then polished from the best grid point by `_nelder_mead`,
+    SciPy's Nelder-Mead step for step, kept only if it improves.  The
     integrand depends on x only through the coefficients, so the mesh is
     first reduced to its distinct (a, b, C, D) tuples weighted by their
     measure: the cost scales with the number of distinct tuples, not of
@@ -200,12 +251,9 @@ def dual_lower_bound(mesh, coeffs):
     vals = bounds(cands)
     best_idx = int(np.argmax(vals))
     q_best, val_best = cands[best_idx], vals[best_idx]
-    res = optimize.minimize(lambda q: -bounds(q[None, :])[0], q_best,
-                            method="Nelder-Mead",
-                            options={"xatol": 1e-12, "fatol": 1e-14,
-                                     "maxiter": 4000})
-    if -res.fun > val_best:
-        q_best, val_best = res.x, -res.fun
+    q_nm, f_nm = _nelder_mead(lambda q: -bounds(q[None, :])[0], q_best)
+    if -f_nm > val_best:
+        q_best, val_best = q_nm, -f_nm
     return {"bound": float(val_best), "q": [float(v) for v in q_best]}
 
 

@@ -2,8 +2,11 @@
 
 import json
 import math
+import dataclasses
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -510,3 +513,27 @@ def test_report_round_trip_alphas(tmp_path):
     checks = pipeline.verify_run(tmp_path)
     assert checks["ok"]
     assert checks["alpha_residual"] <= 1e-10
+
+
+def test_timing_file_size_does_not_depend_on_the_times(tmp_path):
+    result = pipeline.run_experiment(configmod.parse_config_text(SYM_CFG))
+    sizes = []
+    for i, v in enumerate((9.3, 10.1, 0.0, 12345.678)):
+        timed = dataclasses.replace(result, timings=dict.fromkeys(
+            result.timings, v))
+        pipeline.emit_outputs(timed, tmp_path / str(i))
+        text = (tmp_path / str(i) / "timing.txt").read_text()
+        assert [float(line.split("=")[1]) for line in text.splitlines()] \
+            == [v] * len(result.timings)
+        sizes.append(len(text))
+    assert len(set(sizes)) == 1
+
+
+def test_the_package_does_not_import_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, doublewell, doublewell.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

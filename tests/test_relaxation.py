@@ -2,6 +2,8 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import optimize
 
 from doublewell import descent, energy, limits as limitsmod, \
     mesh as meshmod, oracles, relaxation
@@ -10,6 +12,8 @@ from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 
 moduli = st.floats(0.2, 5.0)
 wells = st.floats(-3.0, 3.0)
+NELDER_MEAD = {"method": "Nelder-Mead",
+               "options": {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}}
 
 
 def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
@@ -159,11 +163,68 @@ def per_element_bound(mesh, coeffs, q):
             float((mesh.measures * np.abs(dens)).sum()))
 
 
+def bound_rows(a, b, C, D, W, fw):
+    """The bound at each row of Q for coefficient tuples (a, b, C, D) of
+    measure W, in dual_lower_bound's arithmetic."""
+    def bound(Q):
+        q2 = ((Q * Q) @ fw)[:, None]
+        dens = np.maximum(q2 / (2.0 * a) - Q @ (C * fw).T,
+                          q2 / (2.0 * b) - Q @ (D * fw).T)
+        return 0.0 - dens @ W
+    return bound
+
+
+def objective(bound):
+    """The function dual_lower_bound hands to Nelder-Mead: -bound at q."""
+    return lambda q: -bound(q[None, :])[0]
+
+
+@st.composite
+def bound_instances(draw):
+    """A concave bound over 1-3 components and 1-50 coefficient tuples,
+    and a start point with zero and nonzero coordinates."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 50))
+    a, b, W = (draw(arrays(float, k, elements=moduli)) for _ in range(3))
+    C, D = (draw(arrays(float, (k, n), elements=wells)) for _ in range(2))
+    fw = draw(st.sampled_from([np.ones(n), np.array([1.0, 2.0, 1.0])[:n]]))
+    x0 = draw(arrays(float, n, elements=st.one_of(st.just(0.0), wells)))
+    return objective(bound_rows(a, b, C, D, W, fw)), x0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bound_instances())
+def test_nelder_mead_is_scipys_bit_for_bit(case):
+    f, x0 = case
+    x, fx = relaxation._nelder_mead(f, x0)
+    ref = optimize.minimize(f, x0, **NELDER_MEAD)
+    assert x.tobytes() == ref.x.tobytes()
+    assert np.float64(fx).tobytes() == np.float64(ref.fun).tobytes()
+
+
+def grid_scipy_bound(mesh, coeffs):
+    """dual_lower_bound's grid search polished by SciPy's Nelder-Mead."""
+    a, b, C, D, W = relaxation._coefficient_tuples(mesh, coeffs)
+    bound = bound_rows(a, b, C, D, W, mesh.frob_w)
+    scale = max(float(np.max(a * np.sqrt(mesh.frob_norm2(C)))),
+                float(np.max(b * np.sqrt(mesh.frob_norm2(D)))), 1.0)
+    axis = np.linspace(-2.0 * scale, 2.0 * scale, 9)
+    grids = np.meshgrid(*[axis] * mesh.n_comp, indexing="ij")
+    cands = np.stack([g.ravel() for g in grids], axis=1)
+    vals = bound(cands)
+    q, val = cands[np.argmax(vals)], vals.max()
+    res = optimize.minimize(objective(bound), q, **NELDER_MEAD)
+    if -res.fun > val:
+        q, val = res.x, -res.fun
+    return {"bound": float(val), "q": [float(v) for v in q]}
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=piecewise_coefficients())
 def test_lower_bound_piecewise_matches_per_element_sum(case):
     mesh, coeffs = case
     out = relaxation.dual_lower_bound(mesh, coeffs)
+    assert out == grid_scipy_bound(mesh, coeffs)
     ref, size = per_element_bound(mesh, coeffs, out["q"])
     assert abs(out["bound"] - ref) <= 1e-12 * (1.0 + size)
     # u = 0 is admissible, so its energy bounds the infimum from above
