@@ -44,12 +44,12 @@ def _cmd_verify(args):
 
 
 def _cmd_ym(args):
+    alpha = pipeline.report_leaf(pipeline.load_report(args.run_dir),
+                                 "final.alpha_scheme")
     cfg, mesh, coeffs, eps, chi, p = pipeline.load_run(args.run_dir)
     bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, eps, p, chi)
-    report = pipeline.load_report(args.run_dir)
     print(json.dumps(youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, report["final"]["alpha_scheme"]),
-        indent=2))
+        mesh, coeffs, bundle, masks, alpha), indent=2))
     return EXIT_OK
 
 
@@ -90,25 +90,24 @@ def _cmd_report(args):
     if args.full:
         print(json.dumps(report, indent=2))
         return EXIT_OK
-    relax = report["relaxation"]
-    ym = report["young_measure"]
     lines = [
-        ("alpha_scheme", report["final"]["alpha_scheme"]),
-        ("duality_gap", report["final"]["duality"]["gap"]),
-        ("ker_residual", report["final"]["duality"]["ker_residual"]),
-        ("d", relax["d"]),
-        ("denominator", relax["denominator"]),
-        ("theta_coeff1", relax["theta_coeff1"]),
-        ("theta_half", relax["theta_half"]),
-        ("convention", relax["convention_verdict"]),
-        ("alpha_formula_coeff1", relax["alpha_formula_coefficient_1"]),
-        ("lower_bound", relax["lower_bound"]["bound"]),
-        ("stuck_suspected", relax["stuck_suspected"]),
-        ("ym_energy_residual", ym["energy"]["residual"]),
-        ("dirac_all_passed", ym["dirac"]["all_passed"]),
+        ("alpha_scheme", "final.alpha_scheme", float),
+        ("duality_gap", "final.duality.gap", float),
+        ("ker_residual", "final.duality.ker_residual", float),
+        ("d", "relaxation.d", float),
+        ("denominator", "relaxation.denominator", float),
+        ("theta_coeff1", "relaxation.theta_coeff1", float),
+        ("theta_half", "relaxation.theta_half", float),
+        ("convention", "relaxation.convention_verdict", str),
+        ("alpha_formula_coeff1", "relaxation.alpha_formula_coefficient_1",
+         float),
+        ("lower_bound", "relaxation.lower_bound.bound", float),
+        ("stuck_suspected", "relaxation.stuck_suspected", bool),
+        ("ym_energy_residual", "young_measure.energy.residual", float),
+        ("dirac_all_passed", "young_measure.dirac.all_passed", bool),
     ]
-    for key, val in lines:
-        print(f"{key} = {val!r}")
+    print("\n".join(f"{key} = {pipeline.report_leaf(report, path, kind)!r}"
+                    for key, path, kind in lines))
     return EXIT_OK
 
 

@@ -386,20 +386,13 @@ def default_test_functions(mesh):
 # -- CSV dumps ------------------------------------------------------------
 
 def write_csv(path, header, columns):
-    """Write equal-length 1-D columns (arrays or sequences) as CSV under a
-    one-line header.
+    """Write equal-length float columns as CSV under a one-line header.
 
     Each value is written as the shortest text that reads back to the
-    same float (`repr`), integers as integers, and None (which makes a
-    sequence an object column) as an empty cell.  Lines end in CRLF.
+    same float (`repr`).  Lines end in CRLF.
     """
-    cells = []
-    for col in columns:
-        col = np.asarray(col)
-        text = map(repr, col.tolist())
-        if col.dtype == object:
-            text = ["" if t == "None" else t for t in text]
-        cells.append(text)
+    cells = [map(repr, np.asarray(col, dtype=float).tolist())
+             for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n"
@@ -437,12 +430,11 @@ def field_columns(fields):
 def dump_element_field(path, mesh, columns):
     """Write per-element fields as CSV after the element centers."""
     header, cols = field_columns(columns)
-    write_csv(path, ["elem_index", "x_center", "y_center"][:mesh.dim + 1]
-              + header, [np.arange(mesh.n_elem), *mesh.centers.T, *cols])
+    write_csv(path, ["x_center", "y_center"][:mesh.dim] + header,
+              [*mesh.centers.T, *cols])
 
 
 def dump_node_field(path, mesh, columns):
     """Write per-node fields as CSV after the node coordinates."""
     header, cols = field_columns(columns)
-    write_csv(path, ["node_index", "x", "y"][:mesh.dim + 1] + header,
-              [np.arange(mesh.n_nodes), *mesh.nodes.T, *cols])
+    write_csv(path, ["x", "y"][:mesh.dim] + header, [*mesh.nodes.T, *cols])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import dataclass
 
@@ -170,17 +169,17 @@ def run_experiment(cfg):
                      timings=timings)
 
 
-def _slug(text):
-    return re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-")
-
-
 # -- persistence ----------------------------------------------------------
 
 def emit_outputs(result, outdir):
-    """Write config.txt, report.json, timing.txt, the alpha traces, the
-    finest-level field dumps, the window means and the plot data."""
+    """Write the run directory and return its file names in writing order:
+    config.txt (the config's lines), report.json, timing.txt, the
+    finest-level dumps u_finest.csv (displacement after the node
+    coordinates) and fields_finest.csv (phase, strain and dual field after
+    the element centres), and limits_windows.csv (the window means).
+    Every other number a run computes, the descent traces and the
+    per-level thetas included, is in report.json alone."""
     os.makedirs(outdir, exist_ok=True)
-    cfg = result.cfg
     written = []
 
     def path(name):
@@ -188,23 +187,13 @@ def emit_outputs(result, outdir):
         return os.path.join(outdir, name)
 
     with open(path("config.txt"), "w") as fh:
-        fh.write("\n".join(cfg.raw_lines) + "\n")
+        fh.write("\n".join(result.cfg.raw_lines) + "\n")
     with open(path("report.json"), "w") as fh:
         fh.write(json.dumps(result.report, indent=2) + "\n")
     with open(path("timing.txt"), "w") as fh:
         # fixed width, so that the file's size does not vary with the times
         for k, v in result.timings.items():
             fh.write(f"{k} = {v:12.6f}\n")
-
-    best_steps = [s for t in result.best_by_level for s in t.steps]
-    _write_trace(path("alpha_trace.csv"), best_steps)
-    repeats = {}
-    for traces in result.traces_by_level:
-        for t in traces:
-            stem = f"alpha_trace_L{t.level}_{_slug(t.seed_label)}"
-            repeats[stem] = repeats.get(stem, 0) + 1
-            suffix = f"-{repeats[stem]}" if repeats[stem] > 1 else ""
-            _write_trace(path(f"{stem}{suffix}.csv"), t.steps)
 
     mesh = result.meshes[-1]
     best = result.best_by_level[-1]
@@ -213,26 +202,11 @@ def emit_outputs(result, outdir):
     meshmod.dump_element_field(
         path("fields_finest.csv"), mesh,
         {"chi_a": best.chi.chi_a, "eps": bundle.eps_raw, "p": best.p})
-    header, cols = meshmod.field_columns({
+    meshmod.write_csv(path("limits_windows.csv"), *meshmod.field_columns({
         "measure": windows.measures, "eps_avg": bundle.eps_avg,
         "p_avg": bundle.p_avg, "chia_avg": bundle.chia_avg,
-        "chib_avg": bundle.chib_avg, "psi_avg": bundle.psi_avg})
-    meshmod.write_csv(path("limits_windows.csv"), ["window"] + header,
-                      [np.arange(windows.n_windows)] + cols)
-
-    alphas = [s["alpha"] for s in best_steps]
-    meshmod.write_csv(path("plot_alpha_vs_step.csv"), ["x", "y"],
-                      [range(len(alphas)), alphas])
-    thetas = result.report["relaxation"]["theta_by_level"]
-    meshmod.write_csv(path("plot_theta_vs_level.csv"), ["x", "y"],
-                      [range(len(thetas)), thetas])
+        "chib_avg": bundle.chib_avg, "psi_avg": bundle.psi_avg}))
     return written
-
-
-def _write_trace(fname, steps):
-    """One row per descent step: level, step, alpha, gap, flips."""
-    keys = ["level", "step", "alpha", "gap", "flips"]
-    meshmod.write_csv(fname, keys, [[s[k] for s in steps] for k in keys])
 
 
 # -- verification of persisted runs ---------------------------------------
@@ -243,6 +217,21 @@ def load_report(run_dir):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise VerificationError(f"report.json is not JSON: {exc}") from exc
+
+
+def report_leaf(report, path, kind=float):
+    """The leaf at a dotted path of a loaded report.json, of `kind`: float
+    (any JSON number), bool or str.  A missing path or a leaf of another
+    kind is a VerificationError naming the path."""
+    leaf = report
+    for key in path.split("."):
+        if not isinstance(leaf, dict) or key not in leaf:
+            raise VerificationError(f"report.json has no {path}")
+        leaf = leaf[key]
+    if type(leaf) not in ((int, float) if kind is float else (kind,)):
+        raise VerificationError(f"report.json has {leaf!r} at {path}, "
+                                f"not a {kind.__name__}")
+    return leaf
 
 
 def _read_dump(run_dir, name, columns, check):
@@ -305,11 +294,7 @@ def verify_run(run_dir, tol=1e-10):
     recomputed alpha.  Returns a dict of residuals; raises
     VerificationError naming every failed check and leaf path."""
     report = load_report(run_dir)
-    try:
-        alpha_rep = float(report["final"]["alpha_scheme"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise VerificationError(
-            f"report.json has no number final.alpha_scheme: {exc!r}") from exc
+    alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
     _, blocks = finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha_rep)
     blocks["final"]["fixed_point"] = \

@@ -14,7 +14,6 @@ value: zero duality gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,23 +171,27 @@ def solve(problem, tol=1e-10):
     s = -np.frexp(np.abs(problem.f).max())[1]
     f = np.ldexp(problem.f, s)
     levels, lu = _galerkin_levels(problem)
-    precond = spla.LinearOperator(problem.K.shape, dtype=float,
-                                  matvec=partial(_v_cycle, levels, lu))
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    x, info = spla.cg(problem.K, -f, rtol=tol, atol=0.0,
-                      maxiter=20 * problem.n_dof, M=precond, callback=cb)
+    # preconditioned CG from x = 0, step for step SciPy's `cg`: the same
+    # products in the same order, so the same iterates and count
+    maxiter, atol = 20 * problem.n_dof, tol * np.linalg.norm(f)
+    x, r, its = np.zeros_like(f), -f, 0
+    while its < maxiter and not np.linalg.norm(r) < atol:
+        z = _v_cycle(levels, lu, r)
+        rho = np.dot(r, z)
+        p = z if its == 0 else (rho / rho_prev) * p + z
+        q = problem.K @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev, its = rho, its + 1
     res = np.linalg.norm(problem.K @ x + f) / np.linalg.norm(f)
-    if info != 0 or res > tol:
+    if its == maxiter or res > tol:
         raise SolverError(
             f"conjugate gradients did not reach tol={tol:g} "
-            f"(residual {res:.3e} after {count[0]} iterations)",
-            residual=res, iterations=count[0])
+            f"(residual {res:.3e} after {its} iterations)",
+            residual=res, iterations=its)
     u = problem.to_full(np.ldexp(x, -s))
-    return u, SolveReport(count[0], float(res), problem.energy(u))
+    return u, SolveReport(its, float(res), problem.energy(u))
 
 
 def dual_variable(mesh, coeffs, chi, eps):

@@ -321,7 +321,7 @@ def test_cli_solve_verify_report(tmp_path, capsys):
     assert cli.main(["solve", str(cfg_path),
                      "--outdir", str(out_dir)]) == 0
     assert (out_dir / "report.json").exists()
-    assert (out_dir / "alpha_trace.csv").exists()
+    assert (out_dir / "u_finest.csv").exists()
     assert cli.main(["verify", str(out_dir)]) == 0
     assert cli.main(["report", str(out_dir)]) == 0
     out = capsys.readouterr().out
@@ -446,6 +446,33 @@ def test_cli_verify_rejects_an_unreadable_report(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+def _drop_final(report):
+    del report["final"]
+
+
+def _untyped_alpha(report):
+    report["final"]["alpha_scheme"] = None
+
+
+@pytest.mark.parametrize("command", ["verify", "ym", "report"])
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_final, "report.json has no final.alpha_scheme"),
+    (_untyped_alpha, "report.json has None at final.alpha_scheme"),
+], ids=["no-final", "alpha-none"])
+def test_cli_commands_name_a_missing_report_leaf(tmp_path, capsys, command,
+                                                 tamper, message):
+    # every command that reads report.json exits 4 and names the path
+    out_dir = _solved_run(tmp_path)
+    path = out_dir / "report.json"
+    report = json.loads(path.read_text())
+    tamper(report)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main([command, str(out_dir)]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 def test_cli_verify_names_a_missing_leaf(tmp_path, capsys):
     def tamper(report):
         del report["relaxation"]["d"]
@@ -483,27 +510,26 @@ def test_cli_oracle_json(capsys):
     assert cli.main(["oracle", "q=1"]) == 2
 
 
-def test_trace_files_per_seed(tmp_path):
-    cfg = configmod.parse_config_text(SYM_CFG)
-    result = pipeline.run_experiment(cfg)
+@pytest.mark.parametrize("cfg_text, headers", [
+    (SYM_CFG, ["x,u_0", "x_center,chi_a,eps_0,p_0",
+               "measure,eps_avg_0,p_avg_0,chia_avg,chib_avg,psi_avg"]),
+    ("[mesh]\ndim = 2\nresolution = 8\n"
+     "[strategy]\nseeds = random random zero\n",
+     ["x,y,u_0,u_1",
+      "x_center,y_center,chi_a,eps_0,eps_1,eps_2,p_0,p_1,p_2",
+      "measure,eps_avg_0,eps_avg_1,eps_avg_2,p_avg_0,p_avg_1,p_avg_2,"
+      "chia_avg,chib_avg,psi_avg"]),
+], ids=["1d", "2d"])
+def test_run_directory_holds_six_files(tmp_path, cfg_text, headers):
+    # the descent traces and the per-level thetas are in report.json
+    # alone, and no CSV has a column that repeats the row number
+    result = pipeline.run_experiment(configmod.parse_config_text(cfg_text))
     written = pipeline.emit_outputs(result, tmp_path)
-    assert "alpha_trace_L0_laminate-4.csv" in written
-    assert "alpha_trace_L0_zero.csv" in written
-    header = (tmp_path / "alpha_trace.csv").read_text().splitlines()[0]
-    assert header == "level,step,alpha,gap,flips"
-
-
-def test_repeated_seed_specs_keep_every_trace(tmp_path):
-    cfg = configmod.parse_config_text(
-        "[mesh]\nresolution = 16\n[strategy]\nseeds = random random zero\n")
-    result = pipeline.run_experiment(cfg)
-    written = pipeline.emit_outputs(result, tmp_path)
-    traces = [n for n in written if n.startswith("alpha_trace_L")]
-    assert len(written) == len(set(written))
-    assert sorted(traces) == ["alpha_trace_L0_random-2.csv",
-                              "alpha_trace_L0_random.csv",
-                              "alpha_trace_L0_zero.csv"]
-    assert all((tmp_path / n).exists() for n in traces)
+    csvs = ["u_finest.csv", "fields_finest.csv", "limits_windows.csv"]
+    assert written == ["config.txt", "report.json", "timing.txt"] + csvs
+    assert sorted(os.listdir(tmp_path)) == sorted(written)
+    assert [(tmp_path / name).read_bytes().split(b"\r\n")[0].decode()
+            for name in csvs] == headers
 
 
 def test_report_round_trip_alphas(tmp_path):

@@ -274,57 +274,37 @@ def test_dump_and_reload_element_field(tmp_path):
     packed = np.column_stack([vals[::-1], vals])
     meshmod.dump_element_field(path, mesh, {"f": vals, "g": packed})
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "elem_index,x_center,f,g_0,g_1"
-    back = meshmod.read_csv(path, ["elem_index", "f", "g_0"])
+    assert lines[0] == "x_center,f,g_0,g_1"
+    back = meshmod.read_csv(path, ["x_center", "f", "g_0"])
     assert back["f"].tobytes() == vals.tobytes()
     assert back["g_0"].tobytes() == vals[::-1].tobytes()
-    assert back["elem_index"].tobytes() == \
-        np.arange(mesh.n_elem, dtype=float).tobytes()
+    assert back["x_center"].tobytes() == mesh.centers[:, 0].tobytes()
 
 
 def reference_csv(header, columns):
     """The bytes csv.writer gives for the same table, values formatted as
-    repr(float(v)), integers as they are and None as an empty cell."""
-    def cell(v):
-        if v is None:
-            return ""
-        return v if isinstance(v, int) else repr(float(v))
+    repr(float(v))."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([cell(v) for v in row] for row in zip(*columns))
+    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
     return buf.getvalue().encode()
 
 
 FLOATS = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_FLOATS))
-COLUMN = st.sampled_from(["int", "float", "float_or_none"])
 
 
 @settings(max_examples=60, deadline=None)
-@given(kinds=st.lists(COLUMN, max_size=4), n_rows=st.integers(1, 12),
-       data=st.data())
-def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory, kinds,
-                                                     n_rows, data):
-    # every table in a run directory starts with an integer column, so no
-    # row is one empty cell (which csv.writer would write as "")
-    kinds = ["int"] + kinds
-    values = {
-        "int": st.integers(-2 ** 63, 2 ** 63 - 1),
-        "float": FLOATS,
-        "float_or_none": st.one_of(st.none(), FLOATS),
-    }
-    columns = [data.draw(st.lists(values[k], min_size=n_rows,
-                                  max_size=n_rows)) for k in kinds]
-    arrays = [np.array(col, dtype={"int": np.int64, "float": float,
-                                   "float_or_none": object}[k])
-              for k, col in zip(kinds, columns)]
-    header = [f"c{j}" for j in range(len(columns))]
+@given(n_cols=st.integers(1, 5), n_rows=st.integers(1, 12), data=st.data())
+def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory,
+                                                     n_cols, n_rows, data):
+    columns = [data.draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows))
+               for _ in range(n_cols)]
+    header = [f"c{j}" for j in range(n_cols)]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    meshmod.write_csv(path, header, arrays)
+    meshmod.write_csv(path, header, [np.array(col) for col in columns])
     assert path.read_bytes() == reference_csv(header, columns)
-    if all(v is not None for col in columns for v in col):
-        back = meshmod.read_csv(path, header)
-        assert list(back) == header
-        for name, col in zip(header, columns):
-            assert back[name].tobytes() == \
-                np.array(col, dtype=float).tobytes()
+    back = meshmod.read_csv(path, header)
+    assert list(back) == header
+    for name, col in zip(header, columns):
+        assert back[name].tobytes() == np.array(col).tobytes()

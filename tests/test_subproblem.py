@@ -309,3 +309,32 @@ def test_system_at_most_the_coarsest_size_is_solved_directly():
         np.arange(mesh.n_elem) % 3 == 0)
     u, rep = subproblem.solve(subproblem.assemble(mesh, coeffs, chi))
     assert rep.iterations == 1
+
+
+@pytest.mark.parametrize("dim, n, contrast", [(1, 256, 1.0), (2, 16, 30.0),
+                                              (2, 32, 100.0)])
+def test_cg_takes_scipys_steps(dim, n, contrast):
+    # the package's preconditioned CG against scipy.sparse.linalg.cg with
+    # the same V-cycle and the same scaled load: the same solution, bit
+    # for bit, in as many iterations
+    mesh = make_mesh_1d(n) if dim == 1 else make_mesh_2d(n)
+    coeffs = make_coeffs(mesh, a=1.0, b=contrast,
+                         C=[0.3, 0.5, -0.2][:mesh.n_comp],
+                         D=[-0.1, -0.5, 0.4][:mesh.n_comp])
+    chi = descent.PhaseField.from_a_indicator(
+        np.random.default_rng(n).random(mesh.n_elem) < 0.5)
+    problem = subproblem.assemble(mesh, coeffs, chi)
+    u, rep = subproblem.solve(problem)
+
+    s = -np.frexp(np.abs(problem.f).max())[1]
+    levels, lu = subproblem._galerkin_levels(problem)
+    precond = spla.LinearOperator(
+        problem.K.shape, dtype=float,
+        matvec=lambda r: subproblem._v_cycle(levels, lu, r))
+    steps = []
+    x, info = spla.cg(problem.K, -np.ldexp(problem.f, s), rtol=1e-10,
+                      atol=0.0, maxiter=20 * problem.n_dof, M=precond,
+                      callback=steps.append)
+    assert info == 0 and len(steps) > 1
+    assert rep.iterations == len(steps)
+    assert problem.to_interior(u).tobytes() == np.ldexp(x, -s).tobytes()
