@@ -25,14 +25,12 @@ EXIT_VERIFY = 4
 
 def _cmd_solve(args):
     cfg = configmod.parse_config(args.config)
-    if args.outdir:
-        cfg.outdir = args.outdir
-    result = pipeline.run_and_emit(cfg)
+    result = pipeline.run_and_emit(cfg, args.outdir)
     rep = result.report
     print(f"alpha_scheme = {rep['final']['alpha_scheme']!r}")
     print(f"theta_coeff1 = {rep['relaxation']['theta_coeff1']!r}")
     print(f"convention   = {rep['relaxation']['convention_verdict']}")
-    print(f"outputs in   {cfg.outdir}")
+    print(f"outputs in   {args.outdir}")
     return EXIT_OK
 
 
@@ -121,8 +119,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run an experiment from a config file")
     p.add_argument("config")
-    p.add_argument("--outdir", default=None,
-                   help="override the configured output directory")
+    p.add_argument("--outdir", default="runs/out",
+                   help="the run directory to write (default: runs/out)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify",

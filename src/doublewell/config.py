@@ -17,7 +17,10 @@ Sections and keys (all optional, defaults in parentheses):
     [coefficients] a ("1.0"), b ("1.0"), C ("0.0"), D ("0.0")
     [strategy]     seeds ("laminate zero"), budget (50)
     [tolerances]   solver_tol (1e-10), eta (0.05)
-    [run]          window (8), seed (0), outdir ("runs/out")
+    [run]          window (8), seed (0)
+
+The output directory is not a key: `doublewell solve --outdir` names it,
+so that the report, which echoes the config, depends on the config alone.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ class RunConfig:
     eta: float = 0.05
     window: int = 8
     seed: int = 0
-    outdir: str = "runs/out"
     raw_lines: tuple = field(default_factory=tuple, repr=False)
 
     def build_finest_mesh(self):
@@ -86,17 +88,13 @@ class RunConfig:
         return energy.CoefficientSet(mesh, a, b, C, D)
 
     def echo(self):
-        """Config as a flat dict for the report."""
-        return {
-            "mesh": {"dim": self.dim, "extents": list(self.extents),
-                     "resolution": self.resolution, "levels": self.levels},
-            "coefficients": {"a": self.a_expr, "b": self.b_expr,
-                             "C": self.C_expr, "D": self.D_expr},
-            "strategy": {"seeds": list(self.seeds), "budget": self.budget},
-            "tolerances": {"solver_tol": self.solver_tol, "eta": self.eta},
-            "run": {"window": self.window, "seed": self.seed,
-                    "outdir": self.outdir},
-        }
+        """Every config key's value by section, in `_SCHEMA` order, tuples
+        as lists: the report's `config` block."""
+        def value(section, key):
+            val = getattr(self, _field_name(section, key))
+            return list(val) if isinstance(val, tuple) else val
+        return {section: {key: value(section, key) for key in keys}
+                for section, keys in _SCHEMA.items()}
 
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -221,9 +219,14 @@ _SCHEMA = {
     "run": {
         "window": lambda t, ln: _parse_int(t, "window", ln, 1),
         "seed": lambda t, ln: _parse_int(t, "seed", ln, 0),
-        "outdir": lambda t, ln: t,
     },
 }
+
+
+def _field_name(section, key):
+    """The RunConfig field of a config key."""
+    return f"{key}_expr" if section == "coefficients" else key
+
 
 def parse_config_text(text):
     """Parse and validate configuration text into a RunConfig."""
@@ -251,8 +254,7 @@ def parse_config_text(text):
         if key not in _SCHEMA[section]:
             raise ConfigurationError(
                 f"line {line_no}: unknown key {key!r} in [{section}]")
-        field_name = f"{key}_expr" if section == "coefficients" else key
-        values[field_name] = _SCHEMA[section][key](val, line_no)
+        values[_field_name(section, key)] = _SCHEMA[section][key](val, line_no)
 
     cfg = RunConfig(raw_lines=tuple(lines), **values)
     if len(cfg.extents) == 1 and cfg.dim > 1:

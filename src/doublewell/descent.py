@@ -44,7 +44,6 @@ class PhaseField:
 
 @dataclass
 class RunTrace:
-    level: int
     seed_label: str
     steps: list = field(default_factory=list)
     fixed_point: bool = False
@@ -81,7 +80,7 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
     chi = init.get("chi")
     if chi is None:
         chi = assign_phases(coeffs, mesh.symmetrized_gradient(init["u"]))
-    trace = RunTrace(level=level, seed_label=seed_label)
+    trace = RunTrace(seed_label=seed_label)
     for step in range(budget):
         problem = subproblem.assemble(mesh, coeffs, chi)
         try:
@@ -96,8 +95,6 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
         new_chi = assign_phases(coeffs, eps)
         flips = chi.flips(new_chi)
         trace.steps.append({
-            "level": level,
-            "step": step,
             "alpha": srep.alpha,
             "gap": drep.gap,
             "ker_residual": drep.ker_residual,
@@ -257,15 +254,13 @@ def build_seed(mesh, coeffs, spec, rng):
                 "chi": assign_phases(coeffs, mesh.symmetrized_gradient(u))}
     if name == "random":
         return {"chi": random_phase(mesh, rng)}
-    u, chi, info = laminate_seed(mesh, coeffs, period)
+    u, chi, _ = laminate_seed(mesh, coeffs, period)
     if u is None:
-        return {"chi": random_phase(mesh, rng), "fallback": info}
+        return {"chi": random_phase(mesh, rng)}
     if frac > 0.0:
         flip = rng.random(mesh.n_elem) < frac
-        chi_a = np.where(flip, 1.0 - chi.chi_a, chi.chi_a)
-        chi = PhaseField(chi_a)
-        return {"chi": chi, "laminate_info": info}
-    return {"u": u, "chi": chi, "laminate_info": info}
+        return {"chi": PhaseField(np.where(flip, 1.0 - chi.chi_a, chi.chi_a))}
+    return {"u": u, "chi": chi}
 
 
 def multistart(mesh, coeffs, seed_specs, rng, budget=50, tol=1e-10,

@@ -34,7 +34,6 @@ class PartitionMasks:
     w0_plus: np.ndarray         # per window: psi_avg >= 1 - 2 eta
     w0_minus: np.ndarray        # per window: psi_avg <= -1 + 2 eta
     w0: np.ndarray              # union (min(chia, chib) <= eta)
-    eta: float
 
 
 def estimate_limits(mesh, windows, strain, p, chi):
@@ -61,7 +60,7 @@ def partition_masks(mesh, coeffs, bundle, eta=0.05):
     plus = bundle.psi_avg >= 1.0 - 2.0 * eta
     minus = bundle.psi_avg <= -1.0 + 2.0 * eta
     union = np.minimum(bundle.chia_avg, bundle.chib_avg) <= eta
-    return PartitionMasks(omega0, om0_w, plus, minus, union, eta)
+    return PartitionMasks(omega0, om0_w, plus, minus, union)
 
 
 def gap_d(mesh, coeffs, bundle, masks):
@@ -82,35 +81,24 @@ def pairing_diagnostic(levels, bundle, testset):
 
     `levels` is a list of dicts with keys mesh, eps (the strain eps(u))
     and p, coarsest first;
-    the limit side comes from the finest-level window averages.
+    the limit side comes from the finest-level window averages.  Returns
+    the limit per test and the value and residual per level and test.
     """
     w = bundle.windows
-    lim_dens = (bundle.windows.measures
-                * levels[-1]["mesh"].frob_dot(bundle.p_avg, bundle.eps_avg))
-    phi_w = testset.values_at(w.centers)           # (n_test, n_w)
-    lim_vals = phi_w @ lim_dens                    # (n_test,)
-
-    table = []
-    for lvl, data in enumerate(levels):
-        mesh = data["mesh"]
-        dens = mesh.measures * mesh.frob_dot(data["p"], data["eps"])
-        phi_e = testset.values_at(mesh.centers)
-        vals = phi_e @ dens
-        for tix in range(testset.n_test):
-            table.append({
-                "test": tix,
-                "level": lvl,
-                "value": float(vals[tix]),
-                "limit": float(lim_vals[tix]),
-                "residual": float(abs(vals[tix] - lim_vals[tix])),
-            })
+    lim_dens = w.measures * levels[-1]["mesh"].frob_dot(bundle.p_avg,
+                                                        bundle.eps_avg)
+    lim_vals = testset.values_at(w.centers) @ lim_dens     # (n_test,)
+    vals = np.array([
+        testset.values_at(data["mesh"].centers)
+        @ (data["mesh"].measures
+           * data["mesh"].frob_dot(data["p"], data["eps"]))
+        for data in levels])                               # (n_lvl, n_test)
+    res = np.abs(vals - lim_vals)
     flags = []
     if len(levels) >= 2:
-        for tix in range(testset.n_test):
-            rs = [row["residual"] for row in table if row["test"] == tix]
-            # slack absorbs the window-discretization noise floor once
-            # the residual has plateaued
-            slack = max(1e-8, 0.01 * rs[-2])
-            flags.append(bool(rs[-1] > rs[-2] + slack))
-    return {"rows": table, "non_decreasing_flags": flags}
-
+        # slack absorbs the window-discretization noise floor once
+        # the residual has plateaued
+        slack = np.maximum(1e-8, 0.01 * res[-2])
+        flags = (res[-1] > res[-2] + slack).tolist()
+    return {"limit": lim_vals.tolist(), "value": vals.tolist(),
+            "residual": res.tolist(), "non_decreasing_flags": flags}

@@ -43,7 +43,6 @@ class RunResult:
 def _trace_record(trace):
     return {
         "seed": trace.seed_label,
-        "level": trace.level,
         "fixed_point": bool(trace.fixed_point),
         "budget_exhausted": bool(trace.budget_exhausted),
         "final_alpha": float(trace.alpha),
@@ -101,7 +100,6 @@ def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
                 "w0_windows": int(masks.w0.sum()),
                 "w0_plus_windows": int(masks.w0_plus.sum()),
                 "w0_minus_windows": int(masks.w0_minus.sum()),
-                "eta": float(masks.eta),
             },
         },
         "relaxation": relaxation.relaxation_section(mesh, coeffs, bundle,
@@ -137,9 +135,7 @@ def run_experiment(cfg):
         if lvl < cfg.levels - 1:   # the finest level is analysed below
             theta_by_level.append(_theta_for_level(cfg, mesh, coeffs, best))
         level_blocks.append({
-            "level": lvl,
             "n_elem": int(mesh.n_elem),
-            "best_seed": best.seed_label,
             "best_alpha": float(best.alpha),
             "traces": [_trace_record(t) for t in traces],
         })
@@ -235,12 +231,13 @@ def report_leaf(report, path, kind=float):
 
 
 def _read_dump(run_dir, name, columns, check):
-    """`check` of the named columns of a dumped CSV, stacked; a missing column
-    or a shape `check` rejects is a VerificationError naming the file."""
+    """`check` of the named columns of a dumped CSV, stacked; a missing or
+    unreadable file, a missing column or a shape `check` rejects is a
+    VerificationError naming the file."""
     try:
         data = meshmod.read_csv(os.path.join(run_dir, name), columns)
         return check(np.stack(list(data.values()), axis=1))
-    except (ValueError, ContractViolation) as exc:
+    except (OSError, ValueError, ContractViolation) as exc:
         raise VerificationError(f"{name}: {exc}") from exc
 
 
@@ -334,8 +331,8 @@ def verify_run(run_dir, tol=1e-10):
     return checks
 
 
-def run_and_emit(cfg, outdir=None):
+def run_and_emit(cfg, outdir):
     """Convenience wrapper for the CLI: run, persist, return result."""
     result = run_experiment(cfg)
-    emit_outputs(result, outdir or cfg.outdir)
+    emit_outputs(result, outdir)
     return result

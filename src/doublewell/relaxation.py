@@ -273,8 +273,7 @@ def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
         "theta_half_in_range": est.half_in_range,
         "theta_coeff1_in_range": est.coeff1_in_range,
         "convention_verdict": est.verdict(),
-        "alpha_scheme": float(alpha_scheme),
-        "I_term": pieces["I"],
+        "I_term": pieces["I"]["value"],
         "inequality_chain": inequality_chain(pieces, alpha_scheme),
         "lower_bound": bnd,
         "alpha_formula_coefficient_1": float(main),

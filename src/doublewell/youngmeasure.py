@@ -45,7 +45,6 @@ def ym_energy_check(moments, windows, alpha_scheme):
     """Residual of  alpha = int int h(x, lambda) dnu_x dx."""
     total = float((windows.measures * moments.h).sum())
     return {"ym_energy": total,
-            "alpha_scheme": float(alpha_scheme),
             "residual": float(abs(total - alpha_scheme))}
 
 

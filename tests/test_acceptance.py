@@ -242,8 +242,9 @@ def test_criterion_06_theta_verification(suite):
 def test_criterion_07_relaxation_formula(suite):
     ok, details = True, []
     for name in ORACLE_SUITE:
-        relax = suite[name].report["relaxation"]
-        alpha = relax["alpha_scheme"]
+        report = suite[name].report
+        relax = report["relaxation"]
+        alpha = report["final"]["alpha_scheme"]
         tol = max(1e-6, 1e-3 * (1.0 + abs(alpha)))
         vals = [relax["alpha_formula_coefficient_1"]]
         vals += list(relax["representations_coefficient_1"].values())
@@ -282,12 +283,14 @@ def test_criterion_10_lower_bound(suite, compat2d):
     ok, details = True, []
     for name, res in list(suite.items()) + [("compat2d", compat2d)]:
         relax = res.report["relaxation"]
-        gap = relax["alpha_scheme"] - relax["lower_bound"]["bound"]
+        gap = (res.report["final"]["alpha_scheme"]
+               - relax["lower_bound"]["bound"])
         ok &= gap >= -1e-8
         details.append(f"{name}:{gap:.2e}")
     stuck = suite["stuck"].report["relaxation"]
     volume = float(np.prod(suite["stuck"].cfg.extents))
-    stuck_gap = stuck["alpha_scheme"] - stuck["lower_bound"]["bound"]
+    stuck_gap = (suite["stuck"].report["final"]["alpha_scheme"]
+                 - stuck["lower_bound"]["bound"])
     ok &= stuck["stuck_suspected"] and stuck_gap >= 0.49 * volume
     _criterion(10, "lower-bound soundness", ok,
                f"stuck_gap={stuck_gap:.3f}")
@@ -298,7 +301,7 @@ def test_criterion_11_2d_compatibility(suite, compat2d):
     mono = all(alphas[k + 1] <= alphas[k] for k in range(len(alphas) - 1))
     ratio = alphas[-1] / alphas[0]
     relax = suite["incompat2d"].report["relaxation"]
-    incompat_ok = (relax["alpha_scheme"]
+    incompat_ok = (suite["incompat2d"].report["final"]["alpha_scheme"]
                    >= relax["lower_bound"]["bound"] - 1e-8
                    and relax["lower_bound"]["bound"] > 0.0)
     ok = mono and ratio <= 0.05 and incompat_ok

@@ -133,8 +133,7 @@ ALL_KEYS = {
     "strategy": {"seeds": ("random zero", ["random", "zero"]),
                  "budget": ("7", 7)},
     "tolerances": {"solver_tol": ("1e-9", 1e-9), "eta": ("0.1", 0.1)},
-    "run": {"window": ("4", 4), "seed": ("3", 3),
-            "outdir": ("elsewhere/out", "elsewhere/out")},
+    "run": {"window": ("4", 4), "seed": ("3", 3)},
 }
 
 
@@ -153,10 +152,18 @@ def test_every_schema_key_reaches_the_echo():
             assert default[section][key] != value, (section, key)
 
 
-@pytest.mark.parametrize("key", ["guard_scale", "dirac_tol", "tol_den",
-                                 "dist_tol"])
-def test_derived_thresholds_are_not_config_keys(key, tmp_path, capsys):
-    text = f"[tolerances]\n{key} = 1e-5\n"
+# removed keys: the derived thresholds, and the output directory, which
+# only `solve --outdir` names
+REMOVED_KEYS = [("tolerances", "guard_scale"), ("tolerances", "dirac_tol"),
+                ("tolerances", "tol_den"), ("tolerances", "dist_tol"),
+                ("run", "outdir")]
+
+
+@pytest.mark.parametrize("section, key", REMOVED_KEYS,
+                         ids=[key for _, key in REMOVED_KEYS])
+def test_derived_thresholds_are_not_config_keys(section, key, tmp_path,
+                                                capsys):
+    text = f"[{section}]\n{key} = 1e-5\n"
     with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
         configmod.parse_config_text(text)
     cfg_path = tmp_path / "run.cfg"
@@ -480,24 +487,45 @@ def test_cli_verify_names_a_missing_leaf(tmp_path, capsys):
     assert "relaxation.d: reported nothing" in capsys.readouterr().err
 
 
-def test_cli_verify_rejects_a_dump_without_a_column(tmp_path, capsys):
-    out_dir = _solved_run(tmp_path)
+def _rename_a_column(out_dir):
     path = out_dir / "fields_finest.csv"
     header, rest = path.read_text().split("\n", 1)
     path.write_text(header.replace("p_0", "q_0") + "\n" + rest)
-    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_VERIFY
-    assert "fields_finest.csv: no column p_0" in capsys.readouterr().err
 
 
-def test_cli_verify_rejects_a_dump_of_another_shape(tmp_path, capsys):
-    out_dir = _solved_run(tmp_path)
+def _drop_the_last_row(out_dir):
     path = out_dir / "u_finest.csv"
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-1]))
-    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_VERIFY
-    err = capsys.readouterr().err
-    assert ("u_finest.csv: displacement shape (32, 1) does not conform to "
-            "mesh (33, 1)") in err
+
+
+def _delete_the_dump(out_dir):
+    (out_dir / "u_finest.csv").unlink()
+
+
+@pytest.mark.parametrize("command", ["verify", "ym"])
+@pytest.mark.parametrize("edit, message", [
+    (_rename_a_column, "fields_finest.csv: no column p_0"),
+    (_drop_the_last_row, "u_finest.csv: displacement shape (32, 1) does "
+                         "not conform to mesh (33, 1)"),
+    (_delete_the_dump, "u_finest.csv: [Errno 2] No such file"),
+], ids=["no-column", "other-shape", "missing"])
+def test_cli_verify_rejects_a_dump(tmp_path, capsys, edit, message,
+                                   command):
+    # a dump the run cannot be rebuilt from exits 4 and names the file
+    out_dir = _solved_run(tmp_path)
+    edit(out_dir)
+    capsys.readouterr()
+    assert cli.main([command, str(out_dir)]) == cli.EXIT_VERIFY
+    assert message in capsys.readouterr().err
+
+
+def test_cli_verify_without_a_config_is_a_configuration_error(tmp_path,
+                                                              capsys):
+    out_dir = _solved_run(tmp_path)
+    (out_dir / "config.txt").unlink()
+    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_CONFIG
+    assert "config.txt" in capsys.readouterr().err
 
 
 def test_cli_oracle_json(capsys):
@@ -530,6 +558,45 @@ def test_run_directory_holds_six_files(tmp_path, cfg_text, headers):
     assert sorted(os.listdir(tmp_path)) == sorted(written)
     assert [(tmp_path / name).read_bytes().split(b"\r\n")[0].decode()
             for name in csvs] == headers
+
+
+def test_report_states_each_number_once():
+    # each dropped leaf restated another leaf or its own position
+    result = pipeline.run_experiment(configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 8\nlevels = 2\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4 zero\n"))
+    report = result.report
+    assert "outdir" not in report["config"]["run"]
+    for block in report["levels"]:
+        assert set(block) == {"n_elem", "best_alpha", "traces"}
+        for trace in block["traces"]:
+            assert "level" not in trace
+            for step in trace["steps"]:
+                assert "level" not in step and "step" not in step
+    assert "eta" not in report["limits"]["partition"]
+    assert "alpha_scheme" not in report["relaxation"]
+    assert "alpha_scheme" not in report["young_measure"]["energy"]
+    assert isinstance(report["relaxation"]["I_term"], float)
+    pairing = report["pairing_diagnostic"]
+    assert list(pairing) == ["limit", "value", "residual",
+                             "non_decreasing_flags"]
+    n_test = meshmod.default_test_functions(result.meshes[-1]).n_test
+    assert np.shape(pairing["limit"]) == (n_test,)
+    assert np.shape(pairing["value"]) == np.shape(pairing["residual"]) \
+        == (2, n_test)
+    assert len(pairing["non_decreasing_flags"]) == n_test
+
+
+def test_report_does_not_depend_on_outdir(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SYM_CFG)
+    blobs = []
+    for out_dir in (tmp_path / "a", tmp_path / "b" / "elsewhere"):
+        assert cli.main(["solve", str(cfg_path),
+                         "--outdir", str(out_dir)]) == 0
+        blobs.append((out_dir / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_report_round_trip_alphas(tmp_path):

@@ -125,5 +125,9 @@ def test_pairing_diagnostic_levels_shrink():
         [{"mesh": coarse, "eps": t0.eps, "p": t0.p},
          {"mesh": mesh, "eps": trace.eps, "p": trace.p}],
         bundle, testset)
-    assert len(out["rows"]) == 2 * testset.n_test
+    assert np.shape(out["limit"]) == (testset.n_test,)
+    assert np.shape(out["value"]) == np.shape(out["residual"]) \
+        == (2, testset.n_test)
+    assert np.array_equal(out["residual"], np.abs(
+        np.subtract(out["value"], out["limit"])))
     assert not any(out["non_decreasing_flags"])
