@@ -63,6 +63,8 @@ def _parse_oracle_params(tokens):
             vals[key] = float(val)
         except ValueError:
             raise ConfigurationError(f"bad numeric value in {tok!r}")
+        if not np.isfinite(vals[key]):
+            raise ConfigurationError(f"non-finite value in {tok!r}")
     return vals
 
 

@@ -169,9 +169,9 @@ def _parse_positive(text, key, line_no):
     except ValueError:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be a number, got {text!r}")
-    if val <= 0:
+    if not 0 < val < np.inf:
         raise ConfigurationError(
-            f"line {line_no}: {key!r} must be positive, got {val}")
+            f"line {line_no}: {key!r} must be positive and finite, got {val}")
     return val
 
 
@@ -181,9 +181,9 @@ def _parse_extents(text, key, line_no):
     except ValueError:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be floats, got {text!r}")
-    if not vals or any(v <= 0 for v in vals):
+    if not vals or not all(0 < v < np.inf for v in vals):
         raise ConfigurationError(
-            f"line {line_no}: {key!r} must be positive floats")
+            f"line {line_no}: {key!r} must be positive finite floats")
     return vals
 
 

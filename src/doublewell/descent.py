@@ -47,7 +47,6 @@ class RunTrace:
     seed_label: str
     steps: list = field(default_factory=list)
     fixed_point: bool = False
-    budget_exhausted: bool = False
     u: np.ndarray | None = None
     eps: np.ndarray | None = None    # strain of u, per element
     chi: PhaseField | None = None
@@ -61,6 +60,10 @@ class RunTrace:
     def alphas(self):
         return [s["alpha"] for s in self.steps]
 
+    @property
+    def budget_exhausted(self):
+        return not self.fixed_point
+
 
 def assign_phases(coeffs, strain):
     """Elementwise argmin over the two phase energies (ties go to a)."""
@@ -68,18 +71,14 @@ def assign_phases(coeffs, strain):
     return PhaseField.from_a_indicator(ea <= eb)
 
 
-def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
+def alternate(mesh, coeffs, chi, budget=50, tol=1e-10, level=0,
               seed_label="init"):
-    """Alternating minimization from a phase field or displacement seed.
-
-    `init` is a dict with 'chi' (PhaseField) and/or 'u' (displacement);
-    a displacement-only seed gets its phases from its own strain.  A
-    failed linear solve is re-raised as a SolverError that names the
-    level, the seed and the step.
+    """Alternating minimization from the phase field chi: solve for the
+    frozen phases, reassign each element to its cheaper phase, repeat
+    until no element flips or `budget` steps are spent.  A failed linear
+    solve is re-raised as a SolverError that names the level, the seed
+    and the step.
     """
-    chi = init.get("chi")
-    if chi is None:
-        chi = assign_phases(coeffs, mesh.symmetrized_gradient(init["u"]))
     trace = RunTrace(seed_label=seed_label)
     for step in range(budget):
         problem = subproblem.assemble(mesh, coeffs, chi)
@@ -91,13 +90,11 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
                 residual=exc.residual, iterations=exc.iterations) from exc
         eps = mesh.symmetrized_gradient(u)
         p = subproblem.dual_variable(mesh, coeffs, chi, eps)
-        drep = subproblem.duality_report(mesh, coeffs, chi, p, srep.alpha)
         new_chi = assign_phases(coeffs, eps)
         flips = chi.flips(new_chi)
         trace.steps.append({
             "alpha": srep.alpha,
-            "gap": drep.gap,
-            "ker_residual": drep.ker_residual,
+            **subproblem.duality_report(mesh, coeffs, chi, p, srep.alpha),
             "flips": flips,
             "cg_iterations": srep.iterations,
             "cg_residual": srep.residual,
@@ -107,8 +104,6 @@ def alternate(mesh, coeffs, init, budget=50, tol=1e-10, level=0,
             trace.fixed_point = True
             break
         chi = new_chi
-    else:
-        trace.budget_exhausted = True
     return trace
 
 
@@ -245,42 +240,41 @@ def parse_seed_spec(spec):
 
 
 def build_seed(mesh, coeffs, spec, rng):
-    """Turn a seed spec string (see `parse_seed_spec`) into an init dict
-    for `alternate`."""
+    """The phase field a seed spec (see `parse_seed_spec`) starts from;
+    a laminate on incompatible wells starts from 'random' phases."""
     name, frac, period = parse_seed_spec(spec)
     if name == "zero":
-        u = mesh.zero_displacement()
-        return {"u": u,
-                "chi": assign_phases(coeffs, mesh.symmetrized_gradient(u))}
+        return assign_phases(
+            coeffs, mesh.symmetrized_gradient(mesh.zero_displacement()))
     if name == "random":
-        return {"chi": random_phase(mesh, rng)}
-    u, chi, _ = laminate_seed(mesh, coeffs, period)
-    if u is None:
-        return {"chi": random_phase(mesh, rng)}
+        return random_phase(mesh, rng)
+    _, chi, _ = laminate_seed(mesh, coeffs, period)
+    if chi is None:
+        return random_phase(mesh, rng)
     if frac > 0.0:
         flip = rng.random(mesh.n_elem) < frac
-        return {"chi": PhaseField(np.where(flip, 1.0 - chi.chi_a, chi.chi_a))}
-    return {"u": u, "chi": chi}
+        return PhaseField(np.where(flip, 1.0 - chi.chi_a, chi.chi_a))
+    return chi
 
 
-def multistart(mesh, coeffs, seed_specs, rng, budget=50, tol=1e-10,
-               level=0):
-    """Run `alternate` from every seed and keep them all; the first
-    element of the returned list is the best (smallest final alpha,
-    ties broken by seed order)."""
+def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
+               tol=1e-10, level=0):
+    """Run `alternate` from every seed in spec order, then from
+    `continued`, the phases carried from the coarser level (none at the
+    coarsest), labelled 'continued'.  Returns every trace, sorted by
+    final alpha: the first is the best, and ties keep the start order."""
     if not seed_specs:
         raise ConfigurationError("at least one seed is required")
-    traces = []
-    for idx, spec in enumerate(seed_specs):
-        init = build_seed(mesh, coeffs, spec, rng)
-        traces.append(alternate(mesh, coeffs, init, budget=budget, tol=tol,
-                                level=level, seed_label=spec))
-    order = sorted(range(len(traces)),
-                   key=lambda i: (traces[i].alpha, i))
-    return [traces[i] for i in order]
+    starts = [(spec, build_seed(mesh, coeffs, spec, rng))
+              for spec in seed_specs]
+    if continued is not None:
+        starts.append(("continued", continued))
+    return sorted((alternate(mesh, coeffs, chi, budget=budget, tol=tol,
+                             level=level, seed_label=label)
+                   for label, chi in starts), key=lambda t: t.alpha)
 
 
 def refine_continue(fine_mesh, trace):
-    """Initialization for the next level: the phases of a trace on
-    `fine_mesh.coarse` carried to each element's children."""
-    return {"chi": PhaseField(trace.chi.chi_a[fine_mesh.parent])}
+    """The phases of a trace on `fine_mesh.coarse` carried to each
+    element's children: `multistart`'s `continued` start on `fine_mesh`."""
+    return PhaseField(trace.chi.chi_a[fine_mesh.parent])

@@ -42,9 +42,11 @@ class CoefficientSet:
                                  (m.n_elem, m.n_comp)).copy()
         self.D = np.broadcast_to(np.atleast_2d(np.asarray(self.D, float)),
                                  (m.n_elem, m.n_comp)).copy()
-        if np.any(self.a < MODULUS_FLOOR) or np.any(self.b < MODULUS_FLOOR):
+        moduli = np.concatenate([self.a, self.b])
+        if not np.all((moduli >= MODULUS_FLOOR) & (moduli < np.inf)):
             raise ContractViolation(
-                f"phase moduli must satisfy a, b >= {MODULUS_FLOOR:g}")
+                f"phase moduli must be finite and satisfy a, b >= "
+                f"{MODULUS_FLOOR:g}")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.D))):
             raise ContractViolation("tilt matrices must be finite")
 

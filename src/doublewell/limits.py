@@ -75,27 +75,25 @@ def gap_d(mesh, coeffs, bundle, masks):
     return d
 
 
-def pairing_diagnostic(levels, bundle, testset):
+def pairing_diagnostic(meshes, traces, bundle, testset):
     """Residuals of  int phi p.eps(u)  against the windowed limit
     surrogate, per test bump and refinement level.
 
-    `levels` is a list of dicts with keys mesh, eps (the strain eps(u))
-    and p, coarsest first;
-    the limit side comes from the finest-level window averages.  Returns
-    the limit per test and the value and residual per level and test.
+    `meshes` and `traces` hold one mesh and one trace per level, coarsest
+    first; each trace's `eps` (the strain eps(u)) and `p` are read.  The
+    limit side comes from the finest-level window averages.  Returns the
+    limit per test and the value and residual per level and test.
     """
     w = bundle.windows
-    lim_dens = w.measures * levels[-1]["mesh"].frob_dot(bundle.p_avg,
-                                                        bundle.eps_avg)
+    lim_dens = w.measures * meshes[-1].frob_dot(bundle.p_avg, bundle.eps_avg)
     lim_vals = testset.values_at(w.centers) @ lim_dens     # (n_test,)
     vals = np.array([
-        testset.values_at(data["mesh"].centers)
-        @ (data["mesh"].measures
-           * data["mesh"].frob_dot(data["p"], data["eps"]))
-        for data in levels])                               # (n_lvl, n_test)
+        testset.values_at(mesh.centers)
+        @ (mesh.measures * mesh.frob_dot(trace.p, trace.eps))
+        for mesh, trace in zip(meshes, traces)])           # (n_lvl, n_test)
     res = np.abs(vals - lim_vals)
     flags = []
-    if len(levels) >= 2:
+    if len(meshes) >= 2:
         # slack absorbs the window-discretization noise floor once
         # the residual has plateaued
         slack = np.maximum(1e-8, 0.01 * res[-2])

@@ -68,7 +68,7 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
     return relaxation.theta_estimate(
-        d, den, relaxation.theta_tolerance(mesh, coeffs)).theta_coeff1
+        d, den, relaxation.theta_tolerance(mesh, coeffs))["theta_coeff1"]
 
 
 def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
@@ -79,12 +79,12 @@ def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
     bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
     d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     alpha = float(alpha)
-    dual = subproblem.duality_report(mesh, coeffs, chi, p, alpha)
     ortho = subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p)
     return bundle, {
         "final": {
             "alpha_scheme": alpha,
-            "duality": {"gap": dual.gap, "ker_residual": dual.ker_residual,
+            "duality": {**subproblem.duality_report(mesh, coeffs, chi, p,
+                                                    alpha),
                         "orthogonality_residual": float(ortho)},
             "algebraic_representations": subproblem.alpha_representations(
                 mesh, coeffs, chi, eps, p, masks.omega0_elem),
@@ -119,16 +119,11 @@ def run_experiment(cfg):
     traces_by_level, best_by_level, level_blocks = [], [], []
     theta_by_level = []
     for lvl, (mesh, coeffs) in enumerate(zip(meshes, coeffs_by_level)):
-        traces = descent.multistart(mesh, coeffs, cfg.seeds, rng,
+        continued = (descent.refine_continue(mesh, best_by_level[-1])
+                     if lvl else None)
+        traces = descent.multistart(mesh, coeffs, cfg.seeds, rng, continued,
                                     budget=cfg.budget, tol=cfg.solver_tol,
                                     level=lvl)
-        if lvl > 0:
-            init = descent.refine_continue(mesh, best_by_level[-1])
-            cont = descent.alternate(mesh, coeffs, init,
-                                     budget=cfg.budget,
-                                     tol=cfg.solver_tol, level=lvl,
-                                     seed_label="continued")
-            traces = sorted(traces + [cont], key=lambda t: t.alpha)
         best = traces[0]
         traces_by_level.append(traces)
         best_by_level.append(best)
@@ -148,9 +143,8 @@ def run_experiment(cfg):
     relax = blocks["relaxation"]
     relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
     pairing = limitsmod.pairing_diagnostic(
-        [{"mesh": m, "eps": t.eps, "p": t.p}
-         for m, t in zip(meshes, best_by_level)],
-        bundle, meshmod.default_test_functions(meshes[-1]))
+        meshes, best_by_level, bundle,
+        meshmod.default_test_functions(meshes[-1]))
     report = {"version": VERSION, "config": cfg.echo(),
               "levels": level_blocks, **blocks,
               "pairing_diagnostic": pairing}
@@ -243,18 +237,22 @@ def _read_dump(run_dir, name, columns, check):
 
 def load_run(run_dir):
     """Rebuild mesh, coefficients and finest fields from a run directory:
-    the strain of the dumped displacement, the phases and the dual field."""
+    the strain of the dumped displacement, the phases (a dumped chi_a must
+    be 0 or 1) and the dual field."""
     cfg = configmod.parse_config(os.path.join(run_dir, "config.txt"))
     mesh = cfg.build_finest_mesh()
     coeffs = cfg.build_coeffs(mesh)
     eps = _read_dump(run_dir, "u_finest.csv",
                      [f"u_{k}" for k in range(mesh.dim)],
                      mesh.symmetrized_gradient)
-    chi_a, p = _read_dump(
-        run_dir, "fields_finest.csv",
-        ["chi_a"] + [f"p_{k}" for k in range(mesh.n_comp)],
-        lambda cols: (cols[:, 0], mesh.check_element_field(cols[:, 1:])))
-    chi = descent.PhaseField.from_a_indicator(chi_a > 0.5)
+    def phases_and_p(cols):
+        if not np.isin(cols[:, 0], (0.0, 1.0)).all():
+            raise ValueError("chi_a is not 0 or 1 in every element")
+        return (descent.PhaseField.from_a_indicator(cols[:, 0] == 1.0),
+                mesh.check_element_field(cols[:, 1:]))
+    chi, p = _read_dump(run_dir, "fields_finest.csv",
+                        ["chi_a"] + [f"p_{k}" for k in range(mesh.n_comp)],
+                        phases_and_p)
     return cfg, mesh, coeffs, eps, chi, p
 
 
@@ -332,7 +330,9 @@ def verify_run(run_dir, tol=1e-10):
 
 
 def run_and_emit(cfg, outdir):
-    """Convenience wrapper for the CLI: run, persist, return result."""
+    """Convenience wrapper for the CLI: create outdir, run, persist, return
+    the result.  An outdir that cannot be created fails before the run."""
+    os.makedirs(outdir, exist_ok=True)
     result = run_experiment(cfg)
     emit_outputs(result, outdir)
     return result

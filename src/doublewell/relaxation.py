@@ -13,38 +13,31 @@ by `energy.omega0_pieces`; the formulas are pure functions of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import energy
 from .mesh import window_expand
 
 
-@dataclass
-class ThetaEstimate:
-    theta_half: float        # 2 d / den  (kappa = -theta/2 convention)
-    theta_coeff1: float       # d / den
-    zero_branch: bool
-    half_in_range: bool
-    coeff1_in_range: bool
-
-    def verdict(self):
-        if self.coeff1_in_range:
-            return "coefficient-1"
-        if self.half_in_range:
-            return "coefficient-half"
-        return "none"
-
-
 def theta_estimate(d, den, tol):
-    if den <= tol:
-        return ThetaEstimate(0.0, 0.0, True, True, True)
-    tp = 2.0 * d / den
-    tc = d / den
-    return ThetaEstimate(float(tp), float(tc), False,
-                         bool(-1e-10 <= tp <= 1.0 + 1e-10),
-                         bool(-1e-10 <= tc <= 1.0 + 1e-10))
+    """The six theta leaves of the relaxation block, in report order:
+    theta = 2 d / den (kappa = -theta/2 reading) and d / den, both 0 on
+    the zero branch den <= tol; whether each lies in [0, 1]; and the
+    verdict naming the one that does, coefficient-1 first."""
+    zero = den <= tol
+    half, coeff1 = (0.0, 0.0) if zero else (2.0 * d / den, d / den)
+    half_in, coeff1_in = (bool(-1e-10 <= t <= 1.0 + 1e-10)
+                          for t in (half, coeff1))
+    return {
+        "theta_half": float(half),
+        "theta_coeff1": float(coeff1),
+        "theta_zero_branch": bool(zero),
+        "theta_half_in_range": half_in,
+        "theta_coeff1_in_range": coeff1_in,
+        "convention_verdict": ("coefficient-1" if coeff1_in
+                               else "coefficient-half" if half_in
+                               else "none"),
+    }
 
 
 def theta_tolerance(mesh, coeffs):
@@ -261,25 +254,20 @@ def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
     """Assemble the full relaxation block of the run report."""
     pieces = relaxation_pieces(mesh, coeffs, bundle, masks)
     den = pieces["den"]
-    est = theta_estimate(d, den, theta_tolerance(mesh, coeffs))
-    main = eval_limit_formula(pieces, est.theta_coeff1)
+    theta = theta_estimate(d, den, theta_tolerance(mesh, coeffs))
+    main = eval_limit_formula(pieces, theta["theta_coeff1"])
     bnd = dual_lower_bound(mesh, coeffs)
     return {
         "d": float(d),
         "denominator": float(den),
-        "theta_half": est.theta_half,
-        "theta_coeff1": est.theta_coeff1,
-        "theta_zero_branch": est.zero_branch,
-        "theta_half_in_range": est.half_in_range,
-        "theta_coeff1_in_range": est.coeff1_in_range,
-        "convention_verdict": est.verdict(),
+        **theta,
         "I_term": pieces["I"]["value"],
         "inequality_chain": inequality_chain(pieces, alpha_scheme),
         "lower_bound": bnd,
         "alpha_formula_coefficient_1": float(main),
         "alpha_residual_coefficient_1": float(abs(main - alpha_scheme)),
         "representations_coefficient_1": eval_representations(
-            pieces, est.theta_coeff1),
+            pieces, theta["theta_coeff1"]),
         "lower_bound_gap": float(alpha_scheme - bnd["bound"]),
         "stuck_suspected": bool(
             alpha_scheme - bnd["bound"] > 1e-3 * (1.0 + abs(alpha_scheme))),

@@ -55,12 +55,6 @@ class SolveReport:
     alpha: float
 
 
-@dataclass
-class DualityReport:
-    gap: float
-    ker_residual: float
-
-
 def direct_energy(mesh, coeffs, chi, eps):
     """J(u) by direct elementwise quadrature (assembly-free oracle path),
     from the strain eps = eps(u)."""
@@ -228,11 +222,11 @@ def dual_objective(mesh, coeffs, chi, q):
 
 
 def duality_report(mesh, coeffs, chi, p, alpha):
-    """Duality gap alpha + I(p) of the primal value alpha, and the kernel
-    residual of p."""
+    """{"gap": the duality gap alpha + I(p) of the primal value alpha,
+    "ker_residual": the kernel residual of p}."""
     beta = dual_objective(mesh, coeffs, chi, p)
-    return DualityReport(gap=float(alpha + beta),
-                         ker_residual=ker_residual(mesh, coeffs, chi, p))
+    return {"gap": float(alpha + beta),
+            "ker_residual": ker_residual(mesh, coeffs, chi, p)}
 
 
 def orthogonality_residual(mesh, coeffs, chi, eps, p):

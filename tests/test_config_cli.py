@@ -51,9 +51,15 @@ def test_unknown_section_rejected():
 
 
 def test_negative_tolerance_names_key():
-    text = "[tolerances]\neta = -0.5\n"
-    with pytest.raises(ConfigurationError, match="eta"):
-        configmod.parse_config_text(text)
+    # a number that is not positive and finite is rejected by its key
+    for text, key in (("[tolerances]\neta = -0.5\n", "eta"),
+                      ("[tolerances]\neta = nan\n", "eta"),
+                      ("[tolerances]\nsolver_tol = nan\n", "solver_tol"),
+                      ("[tolerances]\nsolver_tol = inf\n", "solver_tol"),
+                      ("[mesh]\nextents = nan\n", "extents"),
+                      ("[mesh]\ndim = 2\nextents = 1.0 inf\n", "extents")):
+        with pytest.raises(ConfigurationError, match=key):
+            configmod.parse_config_text(text)
 
 
 def test_bad_type_reports_line():
@@ -268,7 +274,7 @@ def test_one_strain_per_solve(tmp_path, monkeypatch):
         return trace
     monkeypatch.setattr(descent, "alternate", counted)
     result = pipeline.run_experiment(cfg)
-    # every seed here carries its phases, so each strain is a step's
+    # every start is a phase field, so each strain is a step's
     assert len(traces) == 8
     assert all(n_strains == n_steps for n_strains, n_steps, _ in traces)
     assert len(strains) == traces[-1][2]    # none after the last step
@@ -362,6 +368,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "missing.cfg")]) == 2
     bad.write_text("[strategy]\nseeds = laminate-perturbed:1.2.3\n")
     assert cli.main(["solve", str(bad)]) == 2
+    # a number that is not finite, in the text or from an expression
+    for text in ("[mesh]\nextents = nan\n", "[mesh]\nextents = inf\n",
+                 "[coefficients]\na = sqrt(x - 2)\n",
+                 "[coefficients]\nb = exp(1000)\n",
+                 "[tolerances]\nsolver_tol = nan\n",
+                 "[tolerances]\neta = nan\n"):
+        bad.write_text(text + "[strategy]\nseeds = zero\n")
+        assert cli.main(["solve", str(bad), "--outdir",
+                         str(tmp_path / "out")]) == 2, text
 
 
 def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,
@@ -503,13 +518,22 @@ def _delete_the_dump(out_dir):
     (out_dir / "u_finest.csv").unlink()
 
 
+def _blur_a_phase(out_dir):
+    path = out_dir / "fields_finest.csv"
+    header, first, rest = path.read_text().split("\n", 2)
+    cells = first.split(",")
+    cells[header.split(",").index("chi_a")] = "0.7"
+    path.write_text("\n".join([header, ",".join(cells), rest]))
+
+
 @pytest.mark.parametrize("command", ["verify", "ym"])
 @pytest.mark.parametrize("edit, message", [
     (_rename_a_column, "fields_finest.csv: no column p_0"),
     (_drop_the_last_row, "u_finest.csv: displacement shape (32, 1) does "
                          "not conform to mesh (33, 1)"),
     (_delete_the_dump, "u_finest.csv: [Errno 2] No such file"),
-], ids=["no-column", "other-shape", "missing"])
+    (_blur_a_phase, "fields_finest.csv: chi_a is not 0 or 1"),
+], ids=["no-column", "other-shape", "missing", "not-a-phase"])
 def test_cli_verify_rejects_a_dump(tmp_path, capsys, edit, message,
                                    command):
     # a dump the run cannot be rebuilt from exits 4 and names the file
@@ -536,6 +560,18 @@ def test_cli_oracle_json(capsys):
     assert out["exact_alpha"] == 0.0
     assert any(p["kind"] == "affine" for p in out["pieces"])
     assert cli.main(["oracle", "q=1"]) == 2
+    assert cli.main(["oracle", "a=nan"]) == 2
+    assert cli.main(["oracle", "b=inf"]) == 2
+
+
+def test_cli_solve_checks_the_outdir_before_the_run(tmp_path, monkeypatch):
+    def fail(cfg):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(pipeline, "run_experiment", fail)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SYM_CFG)
+    assert cli.main(["solve", str(cfg_path), "--outdir",
+                     str(cfg_path)]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("cfg_text, headers", [

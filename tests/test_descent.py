@@ -20,8 +20,8 @@ def test_phase_assignment_ties_go_to_a():
 def test_convex_case_fixed_point_in_one_step():
     mesh = make_mesh_1d(32)
     coeffs = make_coeffs(mesh, C=1.0, D=1.0)
-    trace = descent.alternate(mesh, coeffs,
-                              {"u": mesh.zero_displacement()})
+    trace = descent.alternate(
+        mesh, coeffs, descent.build_seed(mesh, coeffs, "zero", None))
     assert trace.fixed_point
     assert len(trace.steps) == 1
     assert np.isclose(trace.alpha, 0.5)
@@ -31,8 +31,7 @@ def test_descent_monotone_from_random_seed():
     mesh = make_mesh_1d(64)
     coeffs = make_coeffs(mesh, C=1.0, D=-1.0)
     rng = np.random.default_rng(0)
-    trace = descent.alternate(mesh, coeffs,
-                              {"chi": descent.random_phase(mesh, rng)})
+    trace = descent.alternate(mesh, coeffs, descent.random_phase(mesh, rng))
     alphas = trace.alphas
     assert all(alphas[k + 1] <= alphas[k] + 1e-10
                for k in range(len(alphas) - 1))
@@ -51,7 +50,7 @@ def test_descent_properties_on_random_1d_problems(a, b, C, D, is_a):
     mesh = make_mesh_1d(len(is_a))
     coeffs = make_coeffs(mesh, a=a, b=b, C=C, D=D)
     trace = descent.alternate(
-        mesh, coeffs, {"chi": descent.PhaseField.from_a_indicator(is_a)})
+        mesh, coeffs, descent.PhaseField.from_a_indicator(is_a))
     alphas = trace.alphas
     assert all(alphas[k + 1] <= alphas[k] + 1e-10
                for k in range(len(alphas) - 1))
@@ -67,7 +66,7 @@ def test_laminate_seed_symmetric_exact_zero_every_resolution():
         coeffs = make_coeffs(mesh, C=1.0, D=-1.0)
         u, chi, value = oracles.laminate_oracle(mesh, coeffs, 4)
         assert value == 0.0
-        trace = descent.alternate(mesh, coeffs, {"u": u, "chi": chi})
+        trace = descent.alternate(mesh, coeffs, chi)
         assert trace.alpha <= 1e-10
 
 
@@ -96,9 +95,10 @@ def test_bare_laminate_seed_has_period_two():
     bare, two, four = (descent.build_seed(mesh, coeffs, spec,
                                           np.random.default_rng(0))
                        for spec in ("laminate", "laminate:2", "laminate:4"))
-    assert np.array_equal(bare["u"], two["u"])
-    assert np.array_equal(bare["chi"].chi_a, two["chi"].chi_a)
-    assert not np.array_equal(bare["chi"].chi_a, four["chi"].chi_a)
+    assert np.array_equal(bare.chi_a, two.chi_a)
+    assert np.array_equal(
+        bare.chi_a, descent.laminate_seed(mesh, coeffs, 2)[1].chi_a)
+    assert not np.array_equal(bare.chi_a, four.chi_a)
 
 
 def test_rank_one_decompose():
@@ -167,15 +167,32 @@ def test_multistart_deterministic_for_fixed_seed():
     assert runs[0] == runs[1]
 
 
+def test_multistart_runs_continued_last_among_ties():
+    # the phases carried from the coarser level start after the seeds, so
+    # the stable sort by final alpha puts them behind a seed they tie
+    mesh = make_mesh_1d(32)
+    coeffs = make_coeffs(mesh, C=1.0, D=-1.0)
+    zero = descent.build_seed(mesh, coeffs, "zero", None)
+    _, laminate, _ = descent.laminate_seed(mesh, coeffs, 4)
+    tied, better = (descent.multistart(mesh, coeffs, ["zero"],
+                                       np.random.default_rng(0),
+                                       continued=continued)
+                    for continued in (zero, laminate))
+    assert [t.seed_label for t in tied] == ["zero", "continued"]
+    assert tied[0].alpha == tied[1].alpha
+    assert [t.seed_label for t in better] == ["continued", "zero"]
+    assert better[0].alpha < better[1].alpha
+
+
 def test_refinement_continuation_prolongs_phases():
     coarse = make_mesh_1d(16)
     coeffs = make_coeffs(coarse, C=1.0, D=-1.0)
     rng = np.random.default_rng(3)
     trace = descent.alternate(coarse, coeffs,
-                              {"chi": descent.random_phase(coarse, rng)})
+                              descent.random_phase(coarse, rng))
     fine = meshmod.refine(coarse)
     init = descent.refine_continue(fine, trace)
-    kids = init["chi"].chi_a.reshape(-1, 2)
+    kids = init.chi_a.reshape(-1, 2)
     assert np.array_equal(kids[:, 0], kids[:, 1])
     assert np.array_equal(kids[:, 0], trace.chi.chi_a)
 

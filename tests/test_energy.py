@@ -63,9 +63,11 @@ def test_tilt_field_matches_plus_minus_decomposition():
 
 
 def test_modulus_floor_enforced():
+    # a modulus below the floor, NaN or infinite is rejected
     mesh = make_mesh_1d(4)
-    with pytest.raises(ContractViolation):
-        make_coeffs(mesh, a=0.0)
+    for moduli in ({"a": 0.0}, {"a": np.nan}, {"b": np.inf}):
+        with pytest.raises(ContractViolation):
+            make_coeffs(mesh, **moduli)
 
 
 def test_omega0_mask_piecewise():

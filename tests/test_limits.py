@@ -12,8 +12,8 @@ from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 def laminate_run(n=64, period=4, C=1.0, D=-1.0, window=8):
     mesh = make_mesh_1d(n)
     coeffs = make_coeffs(mesh, C=C, D=D)
-    u, chi, _ = descent.laminate_seed(mesh, coeffs, period)
-    trace = descent.alternate(mesh, coeffs, {"u": u, "chi": chi})
+    _, chi, _ = descent.laminate_seed(mesh, coeffs, period)
+    trace = descent.alternate(mesh, coeffs, chi)
     windows = meshmod.build_windows(mesh, window)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
                                        trace.chi)
@@ -67,8 +67,8 @@ def test_gap_d_symmetric_laminate_equals_one():
 def test_gap_d_zero_without_oscillation():
     mesh = make_mesh_1d(64)
     coeffs = make_coeffs(mesh, C=1.0, D=1.0)
-    trace = descent.alternate(mesh, coeffs,
-                              {"u": mesh.zero_displacement()})
+    trace = descent.alternate(
+        mesh, coeffs, descent.build_seed(mesh, coeffs, "zero", None))
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
                                        trace.chi)
@@ -118,13 +118,11 @@ def test_pairing_diagnostic_levels_shrink():
     mesh, coeffs, trace, windows, bundle = laminate_run()
     coarse = make_mesh_1d(16)
     ccoeffs = make_coeffs(coarse, C=1.0, D=-1.0)
-    u0, chi0, _ = descent.laminate_seed(coarse, ccoeffs, 4)
-    t0 = descent.alternate(coarse, ccoeffs, {"u": u0, "chi": chi0})
+    _, chi0, _ = descent.laminate_seed(coarse, ccoeffs, 4)
+    t0 = descent.alternate(coarse, ccoeffs, chi0)
     testset = meshmod.default_test_functions(mesh)
-    out = limitsmod.pairing_diagnostic(
-        [{"mesh": coarse, "eps": t0.eps, "p": t0.p},
-         {"mesh": mesh, "eps": trace.eps, "p": trace.p}],
-        bundle, testset)
+    out = limitsmod.pairing_diagnostic([coarse, mesh], [t0, trace], bundle,
+                                       testset)
     assert np.shape(out["limit"]) == (testset.n_test,)
     assert np.shape(out["value"]) == np.shape(out["residual"]) \
         == (2, testset.n_test)

@@ -60,8 +60,8 @@ def test_exact_alpha_values():
 def test_exact_alpha_matches_convex_solve():
     mesh = make_mesh_1d(64)
     coeffs = make_coeffs(mesh, a=2.0, b=2.0, C=0.3, D=0.3)
-    trace = descent.alternate(mesh, coeffs,
-                              {"u": mesh.zero_displacement()})
+    trace = descent.alternate(
+        mesh, coeffs, descent.build_seed(mesh, coeffs, "zero", None))
     exact = oracles.exact_alpha_1d(coeffs)
     assert abs(trace.alpha - exact) <= 1e-10 * mesh.measures.sum()
 

@@ -20,10 +20,9 @@ def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
     mesh = make_mesh_1d(n)
     coeffs = make_coeffs(mesh, C=C, D=D)
     if seed_kind == "laminate":
-        u, chi, _ = descent.laminate_seed(mesh, coeffs, period)
-        init = {"u": u, "chi": chi}
+        _, init, _ = descent.laminate_seed(mesh, coeffs, period)
     else:
-        init = {"u": mesh.zero_displacement()}
+        init = descent.build_seed(mesh, coeffs, "zero", None)
     trace = descent.alternate(mesh, coeffs, init)
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
@@ -38,10 +37,10 @@ def test_theta_symmetric_laminate():
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
     assert np.isclose(den, 1.0)
     est = relaxation.theta_estimate(d, den, 1e-12)
-    assert np.isclose(est.theta_coeff1, 1.0, atol=1e-10)
-    assert np.isclose(est.theta_half, 2.0, atol=1e-10)
-    assert est.coeff1_in_range and not est.half_in_range
-    assert est.verdict() == "coefficient-1"
+    assert np.isclose(est["theta_coeff1"], 1.0, atol=1e-10)
+    assert np.isclose(est["theta_half"], 2.0, atol=1e-10)
+    assert est["theta_coeff1_in_range"] and not est["theta_half_in_range"]
+    assert est["convention_verdict"] == "coefficient-1"
 
 
 def test_theta_zero_branch_for_convex_case():
@@ -49,8 +48,8 @@ def test_theta_zero_branch_for_convex_case():
                                                      seed_kind="zero")
     den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
     est = relaxation.theta_estimate(d, den, 1e-12)
-    assert est.zero_branch
-    assert est.theta_coeff1 == 0.0
+    assert est["theta_zero_branch"]
+    assert est["theta_coeff1"] == 0.0
 
 
 def test_formula_matches_scheme_on_laminates():

@@ -92,8 +92,8 @@ def test_duality_gap_zero_at_optimum():
     p = subproblem.dual_variable(mesh, coeffs, chi,
                                  mesh.symmetrized_gradient(u))
     drep = subproblem.duality_report(mesh, coeffs, chi, p, rep.alpha)
-    assert abs(drep.gap) <= 1e-8 * (1.0 + abs(rep.alpha))
-    assert drep.ker_residual <= 1e-9
+    assert abs(drep["gap"]) <= 1e-8 * (1.0 + abs(rep.alpha))
+    assert drep["ker_residual"] <= 1e-9
 
 
 def test_dual_objective_of_suboptimal_field_is_below():
