@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: solve, verify, ym, oracle, report.  Exit codes: 0 ok,
+Subcommands: solve, verify, oracle, report.  Exit codes: 0 ok,
 2 configuration error, 3 solver failure, 4 verification residual
 exceeded.
 """
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import config as configmod, oracles, pipeline, youngmeasure
+from . import config as configmod, oracles, pipeline
 from .errors import (ConfigurationError, ContractViolation, SolverError,
                      VerificationError)
 
@@ -35,19 +35,9 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    checks = pipeline.verify_run(args.run_dir, tol=args.tol)
+    checks = pipeline.verify_run(args.run_dir)
     for key, val in checks.items():
         print(f"{key} = {val!r}")
-    return EXIT_OK
-
-
-def _cmd_ym(args):
-    alpha = pipeline.report_leaf(pipeline.load_report(args.run_dir),
-                                 "final.alpha_scheme")
-    cfg, mesh, coeffs, eps, chi, p = pipeline.load_run(args.run_dir)
-    bundle, masks = pipeline.window_analysis(cfg, mesh, coeffs, eps, p, chi)
-    print(json.dumps(youngmeasure.young_measure_block(
-        mesh, coeffs, bundle, masks, alpha), indent=2))
     return EXIT_OK
 
 
@@ -65,6 +55,9 @@ def _parse_oracle_params(tokens):
             raise ConfigurationError(f"bad numeric value in {tok!r}")
         if not np.isfinite(vals[key]):
             raise ConfigurationError(f"non-finite value in {tok!r}")
+    if not vals["volume"] > 0:
+        raise ConfigurationError(
+            f"volume must be positive, got {vals['volume']}")
     return vals
 
 
@@ -87,9 +80,6 @@ def _cmd_oracle(args):
 
 def _cmd_report(args):
     report = pipeline.load_report(args.run_dir)
-    if args.full:
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
     lines = [
         ("alpha_scheme", "final.alpha_scheme", float),
         ("duality_gap", "final.duality.gap", float),
@@ -128,12 +118,7 @@ def build_parser():
     p = sub.add_parser("verify",
                        help="re-evaluate reported numbers from the dumps")
     p.add_argument("run_dir")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("ym", help="recompute the Young-measure checks")
-    p.add_argument("run_dir")
-    p.set_defaults(func=_cmd_ym)
 
     p = sub.add_parser("oracle",
                        help="1D envelope oracle; params like a=1 c=1 b=1 "
@@ -143,7 +128,6 @@ def build_parser():
 
     p = sub.add_parser("report", help="print a run summary")
     p.add_argument("run_dir")
-    p.add_argument("--full", action="store_true")
     p.set_defaults(func=_cmd_report)
     return parser
 

@@ -1,11 +1,11 @@
 """Flat, line-oriented experiment configuration.
 
 Format: `[section]` headers followed by `key = value` lines; `#` starts
-a comment; blank lines ignored.  Unknown sections or keys are rejected
-with the offending line number.  Coefficient values are expressions in
-the element-center coordinates `x` (and `y` in 2D); matrix-valued
-coefficients list their packed components separated by `;`
-(1D: xx; 2D: xx; xy; yy).  An expression may hold numbers, + - * / **,
+a comment; blank lines ignored.  Unknown sections or keys, and a key set
+twice, are rejected with the offending line number.  Coefficient values
+are expressions in the element-center coordinates `x` (and `y` in 2D);
+matrix-valued coefficients list their packed components separated by
+`;` (1D: xx; 2D: xx; xy; yy).  An expression may hold numbers, + - * / **,
 unary minus, one comparison per term, x, y, pi and calls of where, abs,
 sign, sin, cos, exp, sqrt, minimum and maximum; anything else is
 rejected without being evaluated.
@@ -230,7 +230,7 @@ def _field_name(section, key):
 
 def parse_config_text(text):
     """Parse and validate configuration text into a RunConfig."""
-    values = {}
+    values, set_on = {}, {}
     section = None
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -254,7 +254,13 @@ def parse_config_text(text):
         if key not in _SCHEMA[section]:
             raise ConfigurationError(
                 f"line {line_no}: unknown key {key!r} in [{section}]")
-        values[_field_name(section, key)] = _SCHEMA[section][key](val, line_no)
+        name = _field_name(section, key)
+        if name in set_on:
+            raise ConfigurationError(
+                f"line {line_no}: {key!r} in [{section}] is already set on "
+                f"line {set_on[name]}")
+        set_on[name] = line_no
+        values[name] = _SCHEMA[section][key](val, line_no)
 
     cfg = RunConfig(raw_lines=tuple(lines), **values)
     if len(cfg.extents) == 1 and cfg.dim > 1:

@@ -58,7 +58,7 @@ class EnvelopeDescription:
         """
         xi = np.asarray(xi, float)
         vals = [s * xi - self.conjugate(s) for s in self._candidate_slopes(xi)]
-        out = np.maximum.reduce(vals)
+        out = np.maximum.reduce(vals) + 0.0     # never -0.0
         return float(out) if out.ndim == 0 else out
 
     def raw(self, xi):

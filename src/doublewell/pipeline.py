@@ -202,11 +202,16 @@ def emit_outputs(result, outdir):
 # -- verification of persisted runs ---------------------------------------
 
 def load_report(run_dir):
+    """The parsed report.json of a run directory; a file that is missing,
+    unreadable or not JSON is a VerificationError naming report.json."""
     try:
-        with open(os.path.join(run_dir, "report.json")) as fh:
+        with open(os.path.join(run_dir, "report.json"),
+                  encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise VerificationError(f"report.json is not JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise VerificationError(f"report.json: {exc}") from exc
 
 
 def report_leaf(report, path, kind=float):
@@ -280,31 +285,50 @@ def _leaf_residual(rebuilt, reported):
     return 0.0 if same else float("inf")
 
 
-def verify_run(run_dir, tol=1e-10):
+def verify_run(run_dir):
     """Rebuild the finest-level blocks from the dumps at the reported
-    alpha, with `final.fixed_point` and the last per-level theta, and
-    compare every leaf with report.json: floats within `tol * (1 +
-    |alpha|)`, anything else exactly.  Also checks the dumped state's
-    energy against alpha, p = m eps + E, and the lower bound against the
-    recomputed alpha.  Returns a dict of residuals; raises
-    VerificationError naming every failed check and leaf path."""
+    alpha, with `final.fixed_point`, the last per-level theta and the
+    finest level's best trace, whose final state is the dumped one (its
+    last step, flags and alphas), and compare every leaf with
+    report.json: floats within `1e-10 * (1 + |alpha|)`, anything else
+    exactly.  Also checks the dumped state's energy against alpha, p = m
+    eps + E, and the lower bound against the recomputed alpha.  Returns
+    a dict of residuals; raises VerificationError naming every failed
+    check and leaf path."""
     report = load_report(run_dir)
     alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
     _, blocks = finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha_rep)
-    blocks["final"]["fixed_point"] = \
-        chi.flips(descent.assign_phases(coeffs, eps)) == 0
+    flips = chi.flips(descent.assign_phases(coeffs, eps))
+    blocks["final"]["fixed_point"] = flips == 0
     rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
-    last = reported.get("len(relaxation.theta_by_level)", 0) - 1
-    rebuilt[f"relaxation.theta_by_level[{last}]"] = \
-        blocks["relaxation"]["theta_coeff1"]
+
+    def last(path):     # the path of a reported list's last entry
+        return f"{path}[{reported.get(f'len({path})', 0) - 1}]"
+    level = last("levels")
+    trace = f"{level}.traces[0]"
+    step = last(f"{trace}.steps")
+    duality = blocks["final"]["duality"]
+    rebuilt.update({
+        last("relaxation.theta_by_level"):
+            blocks["relaxation"]["theta_coeff1"],
+        f"{level}.n_elem": int(mesh.n_elem),
+        f"{level}.best_alpha": alpha_rep,
+        f"{trace}.final_alpha": alpha_rep,
+        f"{trace}.fixed_point": flips == 0,
+        f"{trace}.budget_exhausted": flips != 0,
+        f"{step}.alpha": alpha_rep,
+        f"{step}.gap": duality["gap"],
+        f"{step}.ker_residual": duality["ker_residual"],
+        f"{step}.flips": flips,
+    })
     residuals = {path: _leaf_residual(val, reported[path])
                  if path in reported else float("inf")
                  for path, val in rebuilt.items()}
     alpha_re = blocks["final"]["algebraic_representations"]["alpha_direct"]
     bound = blocks["relaxation"]["lower_bound"]["bound"]
 
-    scale = 1.0 + abs(alpha_rep)
+    tol = 1e-10 * (1.0 + abs(alpha_rep))
     checks = {
         "alpha_recomputed": alpha_re,
         "alpha_reported": alpha_rep,
@@ -317,12 +341,11 @@ def verify_run(run_dir, tol=1e-10):
     }
     failed = [f"{k}={checks[k]:.3e}" for k in
               ("alpha_residual", "p_residual", "lower_bound_excess")
-              if not checks[k] <= tol * scale]
+              if not checks[k] <= tol]
     failed += [f"{path}: reported "
                f"{repr(reported[path]) if path in reported else 'nothing'}"
                f", rebuilt {rebuilt[path]!r}"
-               for path, res in residuals.items() if not res <= tol * scale]
-    checks["ok"] = not failed
+               for path, res in residuals.items() if not res <= tol]
     if failed:
         raise VerificationError("verification residual exceeded: "
                                 + "; ".join(failed))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from doublewell import cli, config as configmod, descent, \
-    mesh as meshmod, pipeline, relaxation, subproblem, youngmeasure
+    mesh as meshmod, pipeline, relaxation, subproblem
 from doublewell.errors import ConfigurationError, SolverError
 
 SYM_CFG = """
@@ -48,6 +48,20 @@ def test_unknown_key_reports_line():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigurationError, match="unknown section"):
         configmod.parse_config_text("[solver]\nx = 1\n")
+
+
+def test_a_key_set_twice_names_both_lines():
+    # the second value used to win silently; a repeated header is fine
+    with pytest.raises(ConfigurationError,
+                       match=r"line 3: 'dim' in \[mesh\] is already set on "
+                             r"line 2"):
+        configmod.parse_config_text("[mesh]\ndim = 2\ndim = 1\n")
+    with pytest.raises(ConfigurationError, match="line 5: 'C'.* line 2"):
+        configmod.parse_config_text(
+            "[coefficients]\nC = 1.0\n[run]\n[coefficients]\nC = 2.0\n")
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\n[run]\nseed = 3\n[mesh]\nresolution = 8\n")
+    assert (cfg.dim, cfg.resolution, cfg.seed) == (2, 8, 3)
 
 
 def test_negative_tolerance_names_key():
@@ -339,26 +353,18 @@ def test_cli_solve_verify_report(tmp_path, capsys):
     assert cli.main(["report", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "alpha_scheme" in out
-    assert cli.main(["ym", str(out_dir)]) == 0
 
 
-def test_cli_ym_prints_the_report_block(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "run.cfg"
-    out_dir = tmp_path / "out"
-    cfg_path.write_text(SYM_CFG)
-    assert cli.main(["solve", str(cfg_path),
-                     "--outdir", str(out_dir)]) == 0
-    capsys.readouterr()
-    calls = []
-    build = youngmeasure.young_measure_block
-    monkeypatch.setattr(youngmeasure, "young_measure_block",
-                        lambda *a, **k: calls.append(1) or build(*a, **k))
-    assert cli.main(["ym", str(out_dir)]) == 0
-    block = json.loads(capsys.readouterr().out)
-    report = json.loads((out_dir / "report.json").read_text())
-    assert block == report["young_measure"]
-    assert block["two_point_variance"]
-    assert calls == [1]
+@pytest.mark.parametrize("args", [["ym"], ["report", "--full"],
+                                  ["verify", "--tol", "inf"]],
+                         ids=["ym", "report-full", "verify-tol"])
+def test_cli_verify_is_the_one_audit_of_a_run(tmp_path, capsys, args):
+    # `verify` rebuilds report.json from the dumps at one tolerance, and
+    # report.json is the full report: no other path restates either
+    out_dir = _solved_run(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([args[0], str(out_dir), *args[1:]])
+    assert exc.value.code == 2
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -445,27 +451,49 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("young_measure.dirac.windows", lambda windows: windows + [0]),
     ("final.fixed_point", False),
     ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5]),
+    ("levels[-1].best_alpha", 123.0),
+    ("levels[-1].traces[0].final_alpha", 123.0),
+    ("levels[-1].traces[0].steps[-1].gap", 123.0),
 ])
 def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
+    # a list index -1 is the last entry, which the message numbers
+    named = []
+
     def tamper(report):
         *keys, last = path.split(".")
         for key in keys:
-            report = report[key]
+            name, _, index = key.rstrip("]").partition("[")
+            report = report[name]
+            if index:
+                k = int(index) % len(report)
+                report, key = report[k], f"{name}[{k}]"
+            named.append(key)
         report[last] = new(report[last]) if callable(new) else new
+        named.append(last)
     assert _verify_tampered(tmp_path, tamper) == 4
-    assert path in capsys.readouterr().err
+    assert ".".join(named) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [
     ("{not json", "report.json is not JSON"),
     ('{"final": {}}', "final.alpha_scheme"),
+    ("\xff\xfe", "report.json: 'utf-8' codec can't decode"),
+    (None, "report.json: [Errno 2] No such file"),
 ])
 def test_cli_verify_rejects_an_unreadable_report(tmp_path, capsys, text,
                                                  message):
+    # None deletes the file; the text is written byte for byte
     out_dir = _solved_run(tmp_path)
-    (out_dir / "report.json").write_text(text)
-    assert cli.main(["verify", str(out_dir)]) == 4
-    assert message in capsys.readouterr().err
+    path = out_dir / "report.json"
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text, encoding="latin-1")
+    capsys.readouterr()
+    assert cli.main(["verify", str(out_dir)]) == cli.EXIT_VERIFY
+    assert cli.main(["report", str(out_dir)]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert err.count(message) == 2 and out == ""
 
 
 def _drop_final(report):
@@ -476,7 +504,7 @@ def _untyped_alpha(report):
     report["final"]["alpha_scheme"] = None
 
 
-@pytest.mark.parametrize("command", ["verify", "ym", "report"])
+@pytest.mark.parametrize("command", ["verify", "report"])
 @pytest.mark.parametrize("tamper, message", [
     (_drop_final, "report.json has no final.alpha_scheme"),
     (_untyped_alpha, "report.json has None at final.alpha_scheme"),
@@ -526,7 +554,7 @@ def _blur_a_phase(out_dir):
     path.write_text("\n".join([header, ",".join(cells), rest]))
 
 
-@pytest.mark.parametrize("command", ["verify", "ym"])
+@pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("edit, message", [
     (_rename_a_column, "fields_finest.csv: no column p_0"),
     (_drop_the_last_row, "u_finest.csv: displacement shape (32, 1) does "
@@ -562,6 +590,12 @@ def test_cli_oracle_json(capsys):
     assert cli.main(["oracle", "q=1"]) == 2
     assert cli.main(["oracle", "a=nan"]) == 2
     assert cli.main(["oracle", "b=inf"]) == 2
+    assert cli.main(["oracle", "volume=-1"]) == 2
+    assert cli.main(["oracle", "volume=0"]) == 2
+    # the crossing slope 2ab(c - d)/(b - a) is -0.0 here
+    capsys.readouterr()
+    assert cli.main(["oracle", "a=2", "c=0", "b=1", "d=0"]) == 0
+    assert "-0.0" not in capsys.readouterr().out
 
 
 def test_cli_solve_checks_the_outdir_before_the_run(tmp_path, monkeypatch):
@@ -640,7 +674,6 @@ def test_report_round_trip_alphas(tmp_path):
     result = pipeline.run_experiment(cfg)
     pipeline.emit_outputs(result, tmp_path)
     checks = pipeline.verify_run(tmp_path)
-    assert checks["ok"]
     assert checks["alpha_residual"] <= 1e-10
 
 
