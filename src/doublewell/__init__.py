@@ -6,25 +6,9 @@ convex solves with phase reassignment, oscillation (laminate) seeding
 and mesh refinement.  Every run cross-checks the Fenchel duality
 identities, the algebraic energy representations, the relaxation
 formulas through weak limits, and the parametrized Young measure of the
-minimizing sequence.
+minimizing sequence.  The modules are imported by name
+(`from doublewell import pipeline`); the package itself holds only its
+version.
 """
 
-from .config import RunConfig, parse_config, parse_config_text
-from .descent import PhaseField, alternate, laminate_seed, multistart
-from .energy import CoefficientSet
-from .errors import (ConfigurationError, ContractViolation, SolverError,
-                     VerificationError)
-from .mesh import StructuredMesh, build_mesh, build_windows, refine
-from .pipeline import (RunResult, emit_outputs, run_and_emit,
-                       run_experiment, verify_run)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CoefficientSet", "ConfigurationError", "ContractViolation",
-    "PhaseField", "RunConfig", "RunResult", "SolverError",
-    "StructuredMesh", "VerificationError", "alternate", "build_mesh",
-    "build_windows", "emit_outputs", "laminate_seed", "multistart",
-    "parse_config", "parse_config_text", "refine", "run_and_emit",
-    "run_experiment", "verify_run",
-]

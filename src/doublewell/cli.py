@@ -42,13 +42,19 @@ def _cmd_verify(args):
 
 
 def _parse_oracle_params(tokens):
+    """The oracle's parameters from key=value tokens, each key at most
+    once, over the defaults."""
     vals = {"a": 1.0, "b": 1.0, "c": 0.0, "d": 0.0, "volume": 1.0}
+    seen = set()
     for tok in tokens:
         key, sep, val = tok.partition("=")
         if not sep or key not in vals:
             raise ConfigurationError(
                 f"oracle parameters are key=value with keys {sorted(vals)};"
                 f" got {tok!r}")
+        if key in seen:
+            raise ConfigurationError(f"oracle parameter {key!r} is set twice")
+        seen.add(key)
         try:
             vals[key] = float(val)
         except ValueError:

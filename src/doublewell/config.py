@@ -132,7 +132,9 @@ def _eval_expr(expr, mesh, key):
     if mesh.dim > 1:
         names["y"] = mesh.centers[:, 1]
     try:
-        val = _eval_node(ast.parse(expr, mode="eval").body, names)
+        # no NumPy warning: CoefficientSet rejects a value that is not finite
+        with np.errstate(all="ignore"):
+            val = _eval_node(ast.parse(expr, mode="eval").body, names)
     except Exception as exc:
         raise ConfigurationError(
             f"cannot evaluate expression for {key!r}: {exc}") from exc

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import (config as configmod, descent, limits as limitsmod,
                mesh as meshmod, relaxation, subproblem, youngmeasure)
+from . import __version__ as VERSION
 from .errors import ContractViolation, VerificationError
-
-VERSION = "0.1.0"
 
 
 @dataclass
@@ -65,10 +64,7 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
         return None
     bundle, masks = window_analysis(cfg, mesh, coeffs, trace.eps, trace.p,
                                     trace.chi)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
-    den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
-    return relaxation.theta_estimate(
-        d, den, relaxation.theta_tolerance(mesh, coeffs))["theta_coeff1"]
+    return relaxation.gap_theta(mesh, coeffs, bundle, masks)["theta_coeff1"]
 
 
 def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
@@ -77,7 +73,6 @@ def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
     per-level thetas) and `young_measure`, each evaluated at the primal
     value alpha.  Returns the window bundle and the blocks."""
     bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
     alpha = float(alpha)
     ortho = subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p)
     return bundle, {
@@ -103,7 +98,7 @@ def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
             },
         },
         "relaxation": relaxation.relaxation_section(mesh, coeffs, bundle,
-                                                    masks, d, alpha),
+                                                    masks, alpha),
         "young_measure": youngmeasure.young_measure_block(
             mesh, coeffs, bundle, masks, alpha),
     }

@@ -6,7 +6,8 @@ fractions, plus the scalar oscillation gap d.  The gap term is
 -theta den with theta = d / den; reading it as -theta/2 with
 theta = 2 d / den gives the same formula, so it is evaluated once.  theta
 is reported under both readings, and the verdict names the one in [0, 1]
-(coefficient-1 on the analytic 1D laminates).  The integrals are
+(coefficient-1 on the analytic 1D laminates); `gap_theta` is the one
+path from a state to d, den and theta, at every level.  The integrals are
 evaluated once per report by `relaxation_pieces`, the Omega_0-split ones
 by `energy.omega0_pieces`; the formulas are pure functions of them.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import energy
+from . import energy, limits
 from .mesh import window_expand
 
 
@@ -40,13 +41,6 @@ def theta_estimate(d, den, tol):
     }
 
 
-def theta_tolerance(mesh, coeffs):
-    """Denominator below which theta takes its zero branch:
-    1e-12 int a |C - D|^2."""
-    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-    return 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
-
-
 def gap_denominator(mesh, coeffs, bundle, masks):
     """int over Omega_0 of  chia chib a |C - D|^2  (window fractions)."""
     om0 = masks.omega0_elem
@@ -54,6 +48,21 @@ def gap_denominator(mesh, coeffs, bundle, masks):
     chib = window_expand(bundle.chib_avg, bundle.windows)
     cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
     return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
+
+
+def gap_theta(mesh, coeffs, bundle, masks, den=None):
+    """The gap d (`limits.gap_d`), its denominator den (`gap_denominator`,
+    unless the caller has it) and the six theta leaves of
+    `theta_estimate`, whose zero branch is den <= 1e-12 int a |C - D|^2:
+    the leading leaves of the relaxation block, in report order, and the
+    per-level theta of the refinement plot."""
+    if den is None:
+        den = gap_denominator(mesh, coeffs, bundle, masks)
+    d = limits.gap_d(mesh, coeffs, bundle, masks)
+    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
+    tol = 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
+    return {"d": float(d), "denominator": float(den),
+            **theta_estimate(d, den, tol)}
 
 
 def _tilt_sq_over_a(mesh, coeffs, omega0, psi):
@@ -110,26 +119,21 @@ def eval_representations(pieces, theta):
 
 
 def inequality_chain(pieces, alpha_scheme):
-    """Residuals of the three-member inequality chain under two
-    coefficient readings: full and half (the full constants fail the
-    analytic 1D oracles; both readings are reported, neither asserted).
+    """The three members of the inequality chain left >= middle >= right,
+    with the half constants of the limit inequalities (the full constants
+    fail the analytic 1D oracles), and its violation.  The chain holds to
+    rounding for constant coefficients; where they vary inside a window,
+    the violation can reach the relaxation formula's residual.
     """
-    off = pieces["I"]["value"]
     left = -0.5 * pieces["a_eps2"] + pieces["p_eps"]
-    mid_full = (alpha_scheme + 0.5 * pieces["p_eps"] - off
-                - pieces["B0"])
-    mid_half = (alpha_scheme + 0.5 * pieces["p_eps"] - 0.5 * off
-                - 0.5 * pieces["B0"])
+    mid = (alpha_scheme + 0.5 * pieces["p_eps"] - 0.5 * pieces["I"]["value"]
+           - 0.5 * pieces["B0"])
     right = 0.5 * (pieces["p2_over_a"] - pieces["tilt_sq_over_a"])
     return {
         "left": float(left),
-        "middle_full": float(mid_full),
-        "middle_half": float(mid_half),
+        "middle_half": float(mid),
         "right": float(right),
-        "full_violation": float(max(mid_full - left,
-                                    right - mid_full, 0.0)),
-        "half_violation": float(max(mid_half - left,
-                                    right - mid_half, 0.0)),
+        "half_violation": float(max(mid - left, right - mid, 0.0)),
     }
 
 
@@ -250,16 +254,13 @@ def dual_lower_bound(mesh, coeffs):
     return {"bound": float(val_best), "q": [float(v) for v in q_best]}
 
 
-def relaxation_section(mesh, coeffs, bundle, masks, d, alpha_scheme):
+def relaxation_section(mesh, coeffs, bundle, masks, alpha_scheme):
     """Assemble the full relaxation block of the run report."""
     pieces = relaxation_pieces(mesh, coeffs, bundle, masks)
-    den = pieces["den"]
-    theta = theta_estimate(d, den, theta_tolerance(mesh, coeffs))
+    theta = gap_theta(mesh, coeffs, bundle, masks, pieces["den"])
     main = eval_limit_formula(pieces, theta["theta_coeff1"])
     bnd = dual_lower_bound(mesh, coeffs)
     return {
-        "d": float(d),
-        "denominator": float(den),
         **theta,
         "I_term": pieces["I"]["value"],
         "inequality_chain": inequality_chain(pieces, alpha_scheme),

@@ -367,6 +367,7 @@ def test_cli_verify_is_the_one_audit_of_a_run(tmp_path, capsys, args):
     assert exc.value.code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[mesh]\nvim = 2\n")
@@ -374,15 +375,30 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "missing.cfg")]) == 2
     bad.write_text("[strategy]\nseeds = laminate-perturbed:1.2.3\n")
     assert cli.main(["solve", str(bad)]) == 2
-    # a number that is not finite, in the text or from an expression
+    # a number that is not finite, in the text or from an expression, is
+    # rejected as such, and NumPy does not warn about it first
     for text in ("[mesh]\nextents = nan\n", "[mesh]\nextents = inf\n",
                  "[coefficients]\na = sqrt(x - 2)\n",
                  "[coefficients]\nb = exp(1000)\n",
                  "[tolerances]\nsolver_tol = nan\n",
                  "[tolerances]\neta = nan\n"):
         bad.write_text(text + "[strategy]\nseeds = zero\n")
+        capsys.readouterr()
         assert cli.main(["solve", str(bad), "--outdir",
                          str(tmp_path / "out")]) == 2, text
+        assert "finite" in capsys.readouterr().err, text
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_where_guards_a_branch_that_is_not_finite():
+    # sqrt(x - 0.5) is NaN for x < 0.5, where the other branch is taken
+    cfg = configmod.parse_config_text(
+        "[mesh]\nresolution = 8\n"
+        "[coefficients]\nb = 1.0 + where(x > 0.5, sqrt(x - 0.5), 0.0)\n")
+    mesh = cfg.build_finest_mesh()
+    x = mesh.centers[:, 0]
+    assert np.array_equal(cfg.build_coeffs(mesh).b, 1.0 + np.where(
+        x > 0.5, np.sqrt(np.abs(x - 0.5)), 0.0))
 
 
 def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,
@@ -592,6 +608,10 @@ def test_cli_oracle_json(capsys):
     assert cli.main(["oracle", "b=inf"]) == 2
     assert cli.main(["oracle", "volume=-1"]) == 2
     assert cli.main(["oracle", "volume=0"]) == 2
+    # a repeated key is named, not overridden
+    capsys.readouterr()
+    assert cli.main(["oracle", "a=1", "a=2", "c=1", "d=-1"]) == 2
+    assert "'a' is set twice" in capsys.readouterr().err
     # the crossing slope 2ab(c - d)/(b - a) is -0.0 here
     capsys.readouterr()
     assert cli.main(["oracle", "a=2", "c=0", "b=1", "d=0"]) == 0
