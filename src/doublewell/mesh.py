@@ -108,20 +108,26 @@ class StructuredMesh:
         at the element's interior dofs, numbered node * dim + comp in the
         order of `free_nodes`.  So G x is eps(u) packed and raveled, for u
         the displacement with interior values x and zero on the boundary.
-        It depends on the geometry alone, so it is built once per mesh."""
-        free_index = np.full(self.n_nodes, -1)
+        It depends on the geometry alone, so it is built once per mesh.
+
+        Its rows are already in (element, component) order, so the CSR
+        arrays are read off `grad` directly, with int32 indices sorted in
+        place: no COO triplets and no duplicate summing."""
+        free_index = np.full(self.n_nodes, -1, dtype=np.int32)
         free_index[self.free_nodes] = np.arange(self.free_nodes.size)
         # interior dof of each local dof, node-major as in `grad`; negative
         # on boundary nodes
         dof = (np.repeat(free_index[self.elements], self.dim, axis=1)
-               * self.dim + np.tile(np.arange(self.dim), self.dim + 1))
-        rows, _, cols = np.broadcast_arrays(
-            np.arange(self.n_elem * self.n_comp).reshape(self.n_elem, -1, 1),
-            self.grad, dof[:, None, :])
-        keep = (cols >= 0) & (self.grad != 0)
-        return sp.csr_matrix((self.grad[keep], (rows[keep], cols[keep])),
-                             shape=(self.n_elem * self.n_comp,
-                                    self.n_free_dof))
+               * self.dim
+               + np.tile(np.arange(self.dim, dtype=np.int32), self.dim + 1))
+        keep = (dof[:, None, :] >= 0) & (self.grad != 0)
+        indices = np.broadcast_to(dof[:, None, :], keep.shape)[keep]
+        indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(keep.sum(axis=2))
+        G = sp.csr_matrix((self.grad[keep], indices, indptr),
+                          shape=(self.n_elem * self.n_comp, self.n_free_dof))
+        G.sort_indices()
+        return G
 
     def strain_adjoint(self, X):
         """Discrete adjoint of the strain, G^T (|T| frob_w X): the integral
@@ -141,10 +147,21 @@ class StructuredMesh:
     def stiffness(self, w):
         """The interior-dof stiffness G^T diag(w (x) frob_w) G of per-element
         weights w = |T| m, for G the `strain_matrix`: every multigrid
-        level's operator."""
+        level's operator.
+
+        One CSR product G^T G_w, for G_w the rows of G scaled by their
+        weights: no diagonal matrix and no CSC product to convert.  Each
+        entry sums the same products in the same order as the triple
+        product, so K is the same bit for bit.  G^T is built anew per
+        call, not kept: it is as large as G."""
         G = self.strain_matrix
-        return (G.T @ (sp.diags((w[:, None] * self.frob_w).ravel())
-                       @ G)).tocsr()
+        G_w = sp.csr_matrix(
+            (G.data * np.repeat((w[:, None] * self.frob_w).ravel(),
+                                np.diff(G.indptr)), G.indices, G.indptr),
+            shape=G.shape)
+        K = G.T.tocsr() @ G_w
+        K.sort_indices()
+        return K
 
     @cached_property
     def coarse(self):
@@ -385,18 +402,28 @@ def default_test_functions(mesh):
 
 # -- CSV dumps ------------------------------------------------------------
 
+# Rows that `write_csv` formats at once: the text of one block is all it
+# holds, whatever the table's length.
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, columns):
     """Write equal-length float columns as CSV under a one-line header.
 
     Each value is written as the shortest text that reads back to the
-    same float (`repr`).  Lines end in CRLF.
+    same float (`repr`).  Lines end in CRLF.  Rows are formatted and
+    written CSV_BLOCK_ROWS at a time, so the whole table never exists as
+    Python floats or strings at once.
     """
-    cells = [map(repr, np.asarray(col, dtype=float).tolist())
-             for col in columns]
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    n_rows = max((col.size for col in columns), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n"
-                      for row in zip(*cells, strict=True))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            cells = [map(repr, col[start:start + CSV_BLOCK_ROWS].tolist())
+                     for col in columns]
+            fh.writelines(",".join(row) + "\r\n"
+                          for row in zip(*cells, strict=True))
 
 
 def read_csv(path, names):

@@ -95,7 +95,10 @@ def _galerkin_levels(problem):
     levels, mesh, w, A = [], problem.mesh, problem.w, problem.K
     while mesh.prolongation is not None:
         dinv = 1.0 / A.diagonal()
-        rho = float((abs(A).sum(axis=1).A1 * dinv).max())
+        # row sums of |A| read off its data: every row holds its positive
+        # diagonal, so no row is empty
+        rho = float((np.add.reduceat(np.abs(A.data), A.indptr[:-1])
+                     * dinv).max())
         levels.append((A, dinv, rho, *mesh.prolongation))
         w = np.bincount(mesh.parent, w)
         mesh = mesh.coarse

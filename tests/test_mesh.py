@@ -2,9 +2,11 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from doublewell import descent, mesh as meshmod, subproblem
@@ -92,6 +94,56 @@ def test_strain_matrix_is_the_strain_on_interior_dofs(dim, n):
     x, u = _interior_field(mesh, np.random.default_rng(dim))
     assert np.allclose(G @ x, mesh.symmetrized_gradient(u).ravel(),
                        rtol=0.0, atol=1e-12 * np.abs(G @ x).max())
+
+
+# 1D and 2D meshes, among them one with no interior dof in each dimension
+OPERATOR_MESHES = [(1, 1), (1, 16), (2, 1), (2, 8), (2, 16)]
+
+
+def _same_csr(A, B):
+    """A and B hold the same CSR arrays, bit for bit and dtype for dtype."""
+    return all(np.array_equal(getattr(A, k), getattr(B, k))
+               and getattr(A, k).dtype == getattr(B, k).dtype
+               for k in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("dim, n", OPERATOR_MESHES)
+def test_strain_matrix_is_the_coo_build(dim, n):
+    # the CSR arrays read off `grad` are those of the COO triplet build,
+    # with sorted int32 indices
+    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    free_index = np.full(mesh.n_nodes, -1)
+    free_index[mesh.free_nodes] = np.arange(mesh.free_nodes.size)
+    dof = (np.repeat(free_index[mesh.elements], dim, axis=1) * dim
+           + np.tile(np.arange(dim), dim + 1))
+    rows, _, cols = np.broadcast_arrays(
+        np.arange(mesh.n_elem * mesh.n_comp).reshape(mesh.n_elem, -1, 1),
+        mesh.grad, dof[:, None, :])
+    keep = (cols >= 0) & (mesh.grad != 0)
+    ref = sp.csr_matrix((mesh.grad[keep], (rows[keep], cols[keep])),
+                        shape=(mesh.n_elem * mesh.n_comp, mesh.n_free_dof))
+    G = mesh.strain_matrix
+    assert G.shape == ref.shape
+    assert G.indices.dtype == np.int32 and G.has_sorted_indices
+    assert _same_csr(G, ref)
+
+
+@pytest.mark.parametrize("dim, n", OPERATOR_MESHES)
+@pytest.mark.parametrize("zeros", [0.0, 0.3, 1.0])
+def test_stiffness_is_the_triple_product_bit_for_bit(dim, n, zeros):
+    # one CSR product sums the same products in the same order as
+    # G^T (diag(w (x) frob_w) G): the same arrays, no tolerance, also
+    # where weights are exactly zero (a share `zeros` of the elements)
+    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    rng = np.random.default_rng(n)
+    w = mesh.measures * np.exp(rng.standard_normal(mesh.n_elem))
+    w[rng.random(mesh.n_elem) < zeros] = 0.0
+    G = mesh.strain_matrix
+    ref = (G.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel())
+                  @ G)).tocsr()
+    K = mesh.stiffness(w)
+    assert K.shape == ref.shape == (mesh.n_free_dof,) * 2
+    assert _same_csr(K, ref)
 
 
 def test_strain_adjoint_vanishes_for_constant_dual_field():
@@ -308,3 +360,33 @@ def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory,
     assert list(back) == header
     for name, col in zip(header, columns):
         assert back[name].tobytes() == np.array(col).tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, meshmod.CSV_BLOCK_ROWS - 1,
+                                    meshmod.CSV_BLOCK_ROWS,
+                                    meshmod.CSV_BLOCK_ROWS + 1])
+def test_write_csv_blocks_are_the_one_shot_bytes(tmp_path, n_rows):
+    # on either side of a block boundary, the bytes of the whole table
+    # written at once
+    rng = np.random.default_rng(n_rows)
+    columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(
+        -300, 300, n_rows) for _ in range(3)]
+    header = ["x", "y", "z"]
+    path = tmp_path / "t.csv"
+    meshmod.write_csv(path, header, columns)
+    assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_write_csv_memory_is_bounded_by_a_block(tmp_path):
+    # 200,000 rows x 9 columns: formatting the whole table at once peaks
+    # at 55 MiB of Python floats and strings; one block is about 1 MiB
+    rng = np.random.default_rng(0)
+    columns = [rng.standard_normal(200_000) for _ in range(9)]
+    tracemalloc.start()
+    try:
+        meshmod.write_csv(tmp_path / "big.csv",
+                          [f"c{j}" for j in range(9)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

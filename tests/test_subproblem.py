@@ -247,6 +247,26 @@ def test_galerkin_operator_is_the_coarse_operator(dim, n):
     assert np.abs(R @ pf.f - pc.f).max() <= 1e-13 * np.abs(pc.f).max()
 
 
+def test_gershgorin_bound_reads_the_operator_data():
+    # graded moduli and random phases: on every level but the coarsest, the
+    # row sums taken from A.data give the bound abs(A).sum(axis=1) gives,
+    # bit for bit, and the inverse diagonal is that of A
+    mesh = make_mesh_2d(32)
+    x, y = mesh.centers.T
+    coeffs = make_coeffs(mesh, a=1.0 + 0.5 * x,
+                         b=np.where(y < 0.5, 1.0 + 0.5 * x, 2.0 + x * y),
+                         C=[0.0, 0.5, 0.0], D=[0.0, -0.5, 0.0])
+    chi = descent.PhaseField.from_a_indicator(
+        np.random.default_rng(0).random(mesh.n_elem) < 0.5)
+    levels, _ = subproblem._galerkin_levels(
+        subproblem.assemble(mesh, coeffs, chi))
+    assert len(levels) >= 2
+    for A, dinv, rho, _, _ in levels:
+        assert dinv.tobytes() == (1.0 / A.diagonal()).tobytes()
+        ref = float((abs(A).sum(axis=1).A1 * dinv).max())
+        assert np.float64(rho).tobytes() == np.float64(ref).tobytes()
+
+
 @settings(max_examples=8, deadline=None)
 @given(shape=st.sampled_from([(1024,), (512,), (32, 32), (64, 32)]),
        seed=st.integers(0, 2 ** 16))
