@@ -6,8 +6,9 @@ twice, are rejected with the offending line number.  Coefficient values
 are expressions in the element-center coordinates `x` (and `y` in 2D);
 matrix-valued coefficients list their packed components separated by
 `;` (1D: xx; 2D: xx; xy; yy).  An expression may hold numbers, + - * / **,
-unary minus, one comparison per term, x, y, pi and calls of where, abs,
-sign, sin, cos, exp, sqrt, minimum and maximum; anything else is
+unary minus, one comparison per term, x, y, pi and calls of where (three
+arguments), minimum and maximum (two), abs, sign, sin, cos, exp and sqrt
+(one); anything else, a function name without its call included, is
 rejected without being evaluated.
 
 Sections and keys (all optional, defaults in parentheses):
@@ -34,10 +35,12 @@ import numpy as np
 from . import descent, energy, mesh as meshmod
 from .errors import ConfigurationError
 
-_EXPR_NAMES = {
-    "where": np.where, "abs": np.abs, "sign": np.sign,
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
-    "minimum": np.minimum, "maximum": np.maximum, "pi": np.pi,
+# each function an expression may call, and its number of arguments
+_EXPR_FUNCS = {
+    "where": (np.where, 3), "minimum": (np.minimum, 2),
+    "maximum": (np.maximum, 2), "abs": (np.abs, 1), "sign": (np.sign, 1),
+    "sin": (np.sin, 1), "cos": (np.cos, 1), "exp": (np.exp, 1),
+    "sqrt": (np.sqrt, 1),
 }
 
 
@@ -106,7 +109,7 @@ _OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 def _eval_node(node, names):
     """Evaluate an expression tree made only of what the module docstring
-    allows; raise ValueError on any other node."""
+    allows (`names` holds x, y and pi); raise ValueError on any other node."""
     def ev(n):
         return _eval_node(n, names)
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -121,24 +124,26 @@ def _eval_node(node, names):
             and type(node.ops[0]) in _OPS:
         return _OPS[type(node.ops[0])](ev(node.left), ev(node.comparators[0]))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords):
-        return _EXPR_NAMES[node.func.id](*map(ev, node.args))
+            and node.func.id in _EXPR_FUNCS and not node.keywords):
+        func, arity = _EXPR_FUNCS[node.func.id]
+        if len(node.args) == arity:
+            return func(*map(ev, node.args))
+        raise ValueError(f"{node.func.id} takes {arity} argument(s)")
     raise ValueError(f"{type(node).__name__} is not allowed")
 
 
 def _eval_expr(expr, mesh, key):
-    names = dict(_EXPR_NAMES)
-    names["x"] = mesh.centers[:, 0]
-    if mesh.dim > 1:
-        names["y"] = mesh.centers[:, 1]
+    centers = mesh.centers.view()
+    centers.flags.writeable = False   # an expression reads the mesh only
+    names = {"pi": np.pi, **dict(zip("xy", centers.T))}
     try:
         # no NumPy warning: CoefficientSet rejects a value that is not finite
         with np.errstate(all="ignore"):
             val = _eval_node(ast.parse(expr, mode="eval").body, names)
+        return np.broadcast_to(np.asarray(val, float), (mesh.n_elem,)).copy()
     except Exception as exc:
         raise ConfigurationError(
             f"cannot evaluate expression for {key!r}: {exc}") from exc
-    return np.broadcast_to(np.asarray(val, float), (mesh.n_elem,)).copy()
 
 
 def _eval_matrix(expr, mesh, key):

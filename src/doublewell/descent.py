@@ -89,12 +89,12 @@ def alternate(mesh, coeffs, chi, budget=50, tol=1e-10, level=0,
                 f"level {level}, seed {seed_label!r}, step {step}: {exc}",
                 residual=exc.residual, iterations=exc.iterations) from exc
         eps = mesh.symmetrized_gradient(u)
-        p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+        p = subproblem.dual_variable(problem, eps)
         new_chi = assign_phases(coeffs, eps)
         flips = chi.flips(new_chi)
         trace.steps.append({
             "alpha": srep.alpha,
-            **subproblem.duality_report(mesh, coeffs, chi, p, srep.alpha),
+            **subproblem.duality_report(problem, p, srep.alpha),
             "flips": flips,
             "cg_iterations": srep.iterations,
             "cg_residual": srep.residual,

@@ -7,10 +7,12 @@ energies
 
 with scalar moduli a, b >= MODULUS_FLOOR > 0 and symmetric tilts C, D,
 all piecewise constant per element.  Matrices use the packed storage and
-Frobenius weights of the owning mesh.  The Omega_0-split integrals
-(`omega0_pieces`, with the guarded off-Omega_0 integral I) are written
-once: the split representations of one solve evaluate them on its own
-fields, the relaxation formulas on the window means.
+Frobenius weights of the owning mesh (`subproblem.assemble` evaluates
+the terms m, E and B of one phase field's convex problem).  The
+Omega_0-split integrals (`omega0_pieces`, with the guarded off-Omega_0
+integral I) are written once: the split representations of one solve
+evaluate them on its own fields, the relaxation formulas on the window
+means.
 """
 
 from __future__ import annotations
@@ -75,28 +77,6 @@ def h_density(coeffs, strain):
     """Nonconvex density h = min of the two phase energies, per element."""
     ea, eb = well_energies(coeffs, strain)
     return np.minimum(ea, eb)
-
-
-def m_field(coeffs, chi):
-    """Effective modulus chi_a a + chi_b b = ((a + b) + psi (b - a)) / 2."""
-    return chi.chi_a * coeffs.a + chi.chi_b * coeffs.b
-
-
-def B_field(coeffs, psi):
-    """Constant energy offset  (a|C|^2 + b|D|^2)/2 + psi (b|D|^2 - a|C|^2)/2.
-
-    Accepts the binary per-element psi as well as averaged psi in [-1, 1].
-    """
-    m = coeffs.mesh
-    ac2 = coeffs.a * m.frob_norm2(coeffs.C)
-    bd2 = coeffs.b * m.frob_norm2(coeffs.D)
-    return (ac2 + bd2) / 2.0 + np.asarray(psi) * (bd2 - ac2) / 2.0
-
-
-def tilt_field(coeffs, chi):
-    """Loading term chi_a aC + chi_b bD = ((aC + bD) + psi (bD - aC)) / 2."""
-    ab = (chi.chi_a * coeffs.a)[:, None] * coeffs.C
-    return ab + (chi.chi_b * coeffs.b)[:, None] * coeffs.D
 
 
 def omega0_mask(coeffs):

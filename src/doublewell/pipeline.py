@@ -67,22 +67,23 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
     return relaxation.gap_theta(mesh, coeffs, bundle, masks)["theta_coeff1"]
 
 
-def finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha):
+def finest_analysis(cfg, problem, eps, p, alpha):
     """The report blocks a finest-level state determines: `final` (without
     the descent's fixed_point flag), `limits`, `relaxation` (without the
     per-level thetas) and `young_measure`, each evaluated at the primal
-    value alpha.  Returns the window bundle and the blocks."""
-    bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, chi)
+    value alpha, from the convex problem of its phase field (never solved
+    here).  Returns the window bundle and the blocks."""
+    mesh, coeffs = problem.mesh, problem.coeffs
+    bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, problem.chi)
     alpha = float(alpha)
-    ortho = subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p)
+    ortho = subproblem.orthogonality_residual(problem, eps, p)
     return bundle, {
         "final": {
             "alpha_scheme": alpha,
-            "duality": {**subproblem.duality_report(mesh, coeffs, chi, p,
-                                                    alpha),
+            "duality": {**subproblem.duality_report(problem, p, alpha),
                         "orthogonality_residual": float(ortho)},
             "algebraic_representations": subproblem.alpha_representations(
-                mesh, coeffs, chi, eps, p, masks.omega0_elem),
+                problem, eps, p, masks.omega0_elem),
         },
         "limits": {
             "n_windows": int(bundle.windows.n_windows),
@@ -132,8 +133,9 @@ def run_experiment(cfg):
     t_descent = time.perf_counter()
 
     best = best_by_level[-1]
-    bundle, blocks = finest_analysis(cfg, meshes[-1], coeffs_by_level[-1],
-                                     best.eps, best.p, best.chi, best.alpha)
+    problem = subproblem.assemble(meshes[-1], coeffs_by_level[-1], best.chi)
+    bundle, blocks = finest_analysis(cfg, problem, best.eps, best.p,
+                                     best.alpha)
     blocks["final"]["fixed_point"] = bool(best.fixed_point)
     relax = blocks["relaxation"]
     relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
@@ -293,7 +295,8 @@ def verify_run(run_dir):
     report = load_report(run_dir)
     alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
-    _, blocks = finest_analysis(cfg, mesh, coeffs, eps, p, chi, alpha_rep)
+    problem = subproblem.assemble(mesh, coeffs, chi)
+    _, blocks = finest_analysis(cfg, problem, eps, p, alpha_rep)
     flips = chi.flips(descent.assign_phases(coeffs, eps))
     blocks["final"]["fixed_point"] = flips == 0
     rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
@@ -329,7 +332,7 @@ def verify_run(run_dir):
         "alpha_reported": alpha_rep,
         "alpha_residual": abs(alpha_re - alpha_rep),
         "p_residual": float(np.abs(
-            subproblem.dual_variable(mesh, coeffs, chi, eps) - p).max()),
+            subproblem.dual_variable(problem, eps) - p).max()),
         "lower_bound_excess": max(0.0, bound - alpha_re),
         "leaves_compared": len(rebuilt),
         "leaf_residual": max(residuals.values()),

@@ -1,22 +1,23 @@
-"""Assembly and solution of the convex subproblem for frozen phases.
+"""The convex problem of one phase field: assembly, solution and checks.
 
 With the phase indicators fixed, the energy is the convex quadratic
 
     J(v) = int [ 0.5 m |eps(v)|^2 + E . eps(v) + 0.5 B ] dx
 
-with m = chi_a a + chi_b b and E = chi_a aC + chi_b bD.  Discretely this
-is 0.5 v.Kv + f.v + c over the interior degrees of freedom; the minimizer
-solves K u = -f.  The dual variable p = m eps(u) + E lies (discretely) in
-the kernel of the adjoint strain operator, and -I(p) recovers the primal
-value: zero duality gap.
+with m = chi_a a + chi_b b, E = chi_a aC + chi_b bD and B = chi_a a|C|^2
++ chi_b b|D|^2, evaluated once by `assemble` and read by every check.
+Discretely J is 0.5 v.Kv + f.v + c over the interior degrees of freedom;
+the minimizer solves K u = -f, K built on first use.  The dual variable
+p = m eps(u) + E lies (discretely) in the kernel of the adjoint strain
+operator, and -I(p) recovers the primal value: zero duality gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import energy
@@ -26,10 +27,19 @@ from .errors import ConfigurationError, SolverError
 @dataclass
 class QuadraticProblem:
     mesh: object
+    coeffs: object
+    chi: object               # the frozen phase field
+    m: np.ndarray             # per-element modulus chi_a a + chi_b b
+    E: np.ndarray             # per-element tilt chi_a aC + chi_b bD
+    B: np.ndarray             # per-element offset chi_a a|C|^2 + chi_b b|D|^2
     w: np.ndarray             # per-element weights |T| m of K
-    K: sp.csr_matrix          # interior-dof operator, mesh.stiffness(w)
-    f: np.ndarray             # interior-dof load
+    f: np.ndarray             # interior-dof load, mesh.strain_adjoint(E)
     c: float                  # constant term 0.5 * int B
+
+    @cached_property
+    def K(self):
+        """The interior-dof operator, built on first use: no check needs it."""
+        return self.mesh.stiffness(self.w)
 
     @property
     def n_dof(self):
@@ -55,23 +65,26 @@ class SolveReport:
     alpha: float
 
 
-def direct_energy(mesh, coeffs, chi, eps):
+def assemble(mesh, coeffs, chi):
+    """The convex problem of the phase field chi; with psi = chi_b - chi_a,
+    B = (a|C|^2 + b|D|^2) / 2 + psi (b|D|^2 - a|C|^2) / 2."""
+    chi_a, chi_b, a, b = chi.chi_a, chi.chi_b, coeffs.a, coeffs.b
+    m = chi_a * a + chi_b * b
+    E = (chi_a * a)[:, None] * coeffs.C + (chi_b * b)[:, None] * coeffs.D
+    ac2 = a * mesh.frob_norm2(coeffs.C)
+    bd2 = b * mesh.frob_norm2(coeffs.D)
+    B = (ac2 + bd2) / 2.0 + chi.psi * (bd2 - ac2) / 2.0
+    return QuadraticProblem(mesh, coeffs, chi, m, E, B, mesh.measures * m,
+                            mesh.strain_adjoint(E), 0.5 * mesh.integrate(B))
+
+
+def direct_energy(problem, eps):
     """J(u) by direct elementwise quadrature (assembly-free oracle path),
     from the strain eps = eps(u)."""
-    m = energy.m_field(coeffs, chi)
-    E = energy.tilt_field(coeffs, chi)
-    B = energy.B_field(coeffs, chi.psi)
-    dens = 0.5 * m * mesh.frob_norm2(eps) + mesh.frob_dot(E, eps) + 0.5 * B
+    mesh = problem.mesh
+    dens = (0.5 * problem.m * mesh.frob_norm2(eps)
+            + mesh.frob_dot(problem.E, eps) + 0.5 * problem.B)
     return mesh.integrate(dens)
-
-
-def assemble(mesh, coeffs, chi):
-    """Build the interior-dof quadratic form for fixed phases: K =
-    `mesh.stiffness(w)` for w = |T| m, and f = `mesh.strain_adjoint(E)`."""
-    w = mesh.measures * energy.m_field(coeffs, chi)
-    f = mesh.strain_adjoint(energy.tilt_field(coeffs, chi))
-    c = 0.5 * mesh.integrate(energy.B_field(coeffs, chi.psi))
-    return QuadraticProblem(mesh, w, mesh.stiffness(w), f, c)
 
 
 # Multigrid smoother: a Chebyshev polynomial of this degree in D^-1 A,
@@ -191,14 +204,13 @@ def solve(problem, tol=1e-10):
     return u, SolveReport(its, float(res), problem.energy(u))
 
 
-def dual_variable(mesh, coeffs, chi, eps):
+def dual_variable(problem, eps):
     """Optimal dual field p = m eps(u) + E, per element, from the strain
     eps = eps(u)."""
-    m = energy.m_field(coeffs, chi)
-    return m[:, None] * eps + energy.tilt_field(coeffs, chi)
+    return problem.m[:, None] * eps + problem.E
 
 
-def ker_residual(mesh, coeffs, chi, p):
+def ker_residual(problem, p):
     """Max normalized pairing of p against the interior nodal basis.
 
     The natural normalization |<p, eps(phi_i)>| / (|p| |eps(phi_i)|)
@@ -206,47 +218,45 @@ def ker_residual(mesh, coeffs, chi, p):
     laminate), so the denominator is floored by the L2 size of the
     inhomogeneity E that defines p.
     """
+    mesh = problem.mesh
     p = mesh.check_element_field(p)
     r = mesh.strain_adjoint(p)
-    p_scale = max(mesh.l2_norm(p),
-                  mesh.l2_norm(energy.tilt_field(coeffs, chi)), 1e-300)
+    p_scale = max(mesh.l2_norm(p), mesh.l2_norm(problem.E), 1e-300)
     ratios = np.abs(r) / np.maximum(mesh.basis_strain_norms * p_scale, 1e-300)
     return float(ratios.max()) if ratios.size else 0.0
 
 
-def dual_objective(mesh, coeffs, chi, q):
+def dual_objective(problem, q):
     """Dual functional I(q) = int [ |q - E|^2 / (2m) - 0.5 B ] dx."""
+    mesh = problem.mesh
     q = mesh.check_element_field(q)
-    m = energy.m_field(coeffs, chi)
-    E = energy.tilt_field(coeffs, chi)
-    B = energy.B_field(coeffs, chi.psi)
-    dens = mesh.frob_norm2(q - E) / (2.0 * m) - 0.5 * B
+    dens = (mesh.frob_norm2(q - problem.E) / (2.0 * problem.m)
+            - 0.5 * problem.B)
     return mesh.integrate(dens)
 
 
-def duality_report(mesh, coeffs, chi, p, alpha):
+def duality_report(problem, p, alpha):
     """{"gap": the duality gap alpha + I(p) of the primal value alpha,
     "ker_residual": the kernel residual of p}."""
-    beta = dual_objective(mesh, coeffs, chi, p)
-    return {"gap": float(alpha + beta),
-            "ker_residual": ker_residual(mesh, coeffs, chi, p)}
+    return {"gap": float(alpha + dual_objective(problem, p)),
+            "ker_residual": ker_residual(problem, p)}
 
 
-def orthogonality_residual(mesh, coeffs, chi, eps, p):
+def orthogonality_residual(problem, eps, p):
     """Normalized primal-dual orthogonality |<p, eps(u)>|, from the strain
     eps = eps(u).
 
     Floored the same way as ker_residual for the degenerate p -> 0 case.
     """
+    mesh = problem.mesh
     val = abs(mesh.integrate(mesh.frob_dot(p, eps)))
     eps_norm = mesh.l2_norm(eps)
-    p_scale = max(mesh.l2_norm(p),
-                  mesh.l2_norm(energy.tilt_field(coeffs, chi)))
+    p_scale = max(mesh.l2_norm(p), mesh.l2_norm(problem.E))
     denom = p_scale * eps_norm
     return val / denom if denom > 0 else 0.0
 
 
-def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
+def alpha_representations(problem, eps, p, omega0):
     """Algebraic re-expressions of the optimal value from one solve, read
     from its strain eps = eps(u) and dual field p.
 
@@ -255,12 +265,10 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
     residual, and the two Omega_0-split representations from
     `energy.omega0_pieces` (with guarded division by b - a off Omega_0).
     """
-    m = energy.m_field(coeffs, chi)
-    E = energy.tilt_field(coeffs, chi)
-    B = energy.B_field(coeffs, chi.psi)
+    mesh, m, E, B = problem.mesh, problem.m, problem.E, problem.B
     w = mesh.measures
 
-    alpha_direct = direct_energy(mesh, coeffs, chi, eps)
+    alpha_direct = direct_energy(problem, eps)
     eps2 = mesh.frob_norm2(eps)
     alpha_a = 0.5 * float((w * (-m * eps2 + B)).sum())
     alpha_b = 0.5 * float((w * (mesh.frob_dot(E, eps) + B)).sum())
@@ -269,7 +277,8 @@ def alpha_representations(mesh, coeffs, chi, eps, p, omega0):
     rhs = float((w * (mesh.frob_norm2(E) / m)).sum())
     ident_res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
-    split = energy.omega0_pieces(coeffs, omega0, eps, p, chi.psi)
+    split = energy.omega0_pieces(problem.coeffs, omega0, eps, p,
+                                 problem.chi.psi)
     off_part = 0.5 * split["I"]["value"]
     alpha_16 = (off_part + 0.5 * (split["B0"] - split["a_eps2"])
                 + 0.5 * split["p_eps"])

@@ -164,8 +164,8 @@ def test_criterion_02_dual_feasibility(suite, compat2d):
         mesh, coeffs = res.meshes[-1], res.coeffs_by_level[-1]
         best = res.best_by_level[-1]
         worst_orth = max(worst_orth, subproblem.orthogonality_residual(
-            mesh, coeffs, best.chi, mesh.symmetrized_gradient(best.u),
-            best.p))
+            subproblem.assemble(mesh, coeffs, best.chi),
+            mesh.symmetrized_gradient(best.u), best.p))
     ok = worst_ker <= tol and worst_orth <= 1e-8
     _criterion(2, "dual feasibility",
                ok, f"ker={worst_ker:.3e} orth={worst_orth:.3e}")
@@ -179,7 +179,8 @@ def test_criterion_03_energy_identity(suite, compat2d):
             coeffs = res.coeffs_by_level[lvl]
             for t in traces:
                 out = subproblem.alpha_representations(
-                    mesh, coeffs, t.chi, mesh.symmetrized_gradient(t.u), t.p,
+                    subproblem.assemble(mesh, coeffs, t.chi),
+                    mesh.symmetrized_gradient(t.u), t.p,
                     np.abs(coeffs.a - coeffs.b) <= 1e-12
                     * (coeffs.a.max() + coeffs.b.max()))
                 worst = max(worst, out["energy_identity_residual"])

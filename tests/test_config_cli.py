@@ -298,6 +298,32 @@ def test_one_strain_per_solve(tmp_path, monkeypatch):
     assert len(strains) == 1
 
 
+def test_each_phase_field_is_assembled_once(tmp_path, monkeypatch):
+    # the CI 2D smoke config: each solve's phase field is assembled once
+    # and its stiffness built by the solve, on its level and each coarser
+    # multigrid level; the finest analysis assembles the best phase field
+    # once more and builds no stiffness, and neither does verify
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 16\nlevels = 2\n"
+        "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
+        "[strategy]\nseeds = laminate:4 zero\n[run]\nwindow = 8\n")
+    calls = {"stiffness": 0, "assemble": 0, "solve": 0}
+    for owner, name in ((meshmod.StructuredMesh, "stiffness"),
+                        (subproblem, "assemble"), (subproblem, "solve")):
+        def counted(*args, _orig=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    result = pipeline.run_experiment(cfg)
+    assert calls["stiffness"] == 10
+    assert calls["assemble"] == calls["solve"] + 1
+    pipeline.emit_outputs(result, tmp_path)
+    calls.update(dict.fromkeys(calls, 0))
+    pipeline.verify_run(tmp_path)
+    assert calls == {"stiffness": 0, "assemble": 1, "solve": 0}
+
+
 def test_verify_reports_an_unsigned_zero_excess(tmp_path):
     result = pipeline.run_and_emit(configmod.parse_config_text(SYM_CFG),
                                    tmp_path)
@@ -387,6 +413,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert cli.main(["solve", str(bad), "--outdir",
                          str(tmp_path / "out")]) == 2, text
         assert "finite" in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("dim, line", [
+    (1, "b = minimum(x, 0.5, x)"), (2, "a = 1.0 + 0*sign(x, x)"),
+    (1, "b = where(x)"), (1, "b = where")])
+def test_each_function_takes_its_own_number_of_arguments(tmp_path, capsys,
+                                                         dim, line):
+    # NumPy reads a ufunc's argument after its operands as `out`: a call
+    # with one argument too many, or too few, or a function name used as a
+    # value, is a configuration error, and the mesh's centres are unchanged
+    text = (f"[mesh]\ndim = {dim}\nresolution = 16\n[coefficients]\n"
+            f"{line}\n[strategy]\nseeds = zero\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["solve", str(path), "--outdir",
+                     str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    cfg = configmod.parse_config_text(text)
+    mesh = cfg.build_finest_mesh()
+    centers = mesh.centers.copy()
+    with pytest.raises(ConfigurationError):
+        cfg.build_coeffs(mesh)
+    assert mesh.centers.tobytes() == centers.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doublewell import descent, energy
+from doublewell import descent, energy, subproblem
 from doublewell.errors import ContractViolation
 
 from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
@@ -36,19 +36,21 @@ def test_modulus_and_reciprocal_identity():
     coeffs = make_coeffs(mesh, a=1.0, b=3.0)
     rng = np.random.default_rng(1)
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
-    m = energy.m_field(coeffs, chi)
+    m = subproblem.assemble(mesh, coeffs, chi).m
     assert set(np.unique(m)) <= {1.0, 3.0}
 
 
-def test_B_field_binary_and_averaged_psi():
+def test_offset_B_of_each_phase():
     mesh = make_mesh_1d(8)
     coeffs = make_coeffs(mesh, a=2.0, b=1.0, C=1.0, D=2.0)
+
+    def offset(is_a):
+        chi = descent.PhaseField.from_a_indicator(np.full(mesh.n_elem, is_a))
+        return subproblem.assemble(mesh, coeffs, chi).B
     # psi = -1 selects phase a: B = a|C|^2
-    assert np.allclose(energy.B_field(coeffs, -1.0), 2.0)
+    assert np.allclose(offset(True), 2.0)
     # psi = +1 selects phase b: B = b|D|^2
-    assert np.allclose(energy.B_field(coeffs, 1.0), 4.0)
-    # psi = 0 is the midpoint
-    assert np.allclose(energy.B_field(coeffs, 0.0), 3.0)
+    assert np.allclose(offset(False), 4.0)
 
 
 def test_tilt_field_matches_plus_minus_decomposition():
@@ -59,7 +61,7 @@ def test_tilt_field_matches_plus_minus_decomposition():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     aC, bD = 2.0 * coeffs.C, 5.0 * coeffs.D
     expect = (aC + bD) / 2.0 + chi.psi[:, None] * (bD - aC) / 2.0
-    assert np.allclose(energy.tilt_field(coeffs, chi), expect)
+    assert np.allclose(subproblem.assemble(mesh, coeffs, chi).E, expect)
 
 
 def test_modulus_floor_enforced():

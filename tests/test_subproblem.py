@@ -46,7 +46,7 @@ def test_quadratic_form_is_the_direct_energy(dim, n, seed):
     x = rng.standard_normal(problem.n_dof)
     terms = (0.5 * x @ (problem.K @ x), problem.f @ x, problem.c)
     direct = subproblem.direct_energy(
-        mesh, coeffs, chi, mesh.symmetrized_gradient(problem.to_full(x)))
+        problem, mesh.symmetrized_gradient(problem.to_full(x)))
     assert abs(sum(terms) - direct) <= 1e-12 * sum(map(abs, terms))
 
 
@@ -89,9 +89,8 @@ def test_duality_gap_zero_at_optimum():
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
-    p = subproblem.dual_variable(mesh, coeffs, chi,
-                                 mesh.symmetrized_gradient(u))
-    drep = subproblem.duality_report(mesh, coeffs, chi, p, rep.alpha)
+    p = subproblem.dual_variable(problem, mesh.symmetrized_gradient(u))
+    drep = subproblem.duality_report(problem, p, rep.alpha)
     assert abs(drep["gap"]) <= 1e-8 * (1.0 + abs(rep.alpha))
     assert drep["ker_residual"] <= 1e-9
 
@@ -107,8 +106,7 @@ def test_dual_objective_of_suboptimal_field_is_below():
     _, rep = subproblem.solve(problem)
     for qval in (-1.0, 0.0, 0.5, 2.0):
         q = np.full((mesh.n_elem, 1), qval)
-        assert -subproblem.dual_objective(mesh, coeffs, chi, q) \
-            <= rep.alpha + 1e-12
+        assert -subproblem.dual_objective(problem, q) <= rep.alpha + 1e-12
 
 
 def test_orthogonality_of_primal_dual_pair():
@@ -120,9 +118,8 @@ def test_orthogonality_of_primal_dual_pair():
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, _ = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
-    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
-    assert subproblem.orthogonality_residual(mesh, coeffs, chi, eps, p) \
-        <= 1e-8
+    p = subproblem.dual_variable(problem, eps)
+    assert subproblem.orthogonality_residual(problem, eps, p) <= 1e-8
 
 
 def test_energy_identity_and_representations():
@@ -133,9 +130,9 @@ def test_energy_identity_and_representations():
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
-    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+    p = subproblem.dual_variable(problem, eps)
     omega0 = energy.omega0_mask(coeffs)
-    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p, omega0)
+    out = subproblem.alpha_representations(problem, eps, p, omega0)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_rep_bulk"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_rep_tilt"] - out["alpha_direct"]) <= 1e-8 * scale
@@ -154,10 +151,10 @@ def test_split_representations_with_equal_moduli_region():
     problem = subproblem.assemble(mesh, coeffs, chi)
     u, rep = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
-    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
+    p = subproblem.dual_variable(problem, eps)
     omega0 = energy.omega0_mask(coeffs)
     assert 0 < omega0.sum() < mesh.n_elem
-    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p, omega0)
+    out = subproblem.alpha_representations(problem, eps, p, omega0)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_split_dual"] - out["alpha_direct"]) <= 1e-8 * scale
@@ -181,10 +178,11 @@ def test_split_representations_match_direct_energy(dim, n, share, seed):
     C, D = rng.uniform(-3.0, 3.0, (2, mesh.n_elem, mesh.n_comp))
     coeffs = energy.CoefficientSet(mesh, a, b, C, D)
     chi = descent.PhaseField.from_a_indicator(rng.random(mesh.n_elem) < 0.5)
-    u, _ = subproblem.solve(subproblem.assemble(mesh, coeffs, chi))
+    problem = subproblem.assemble(mesh, coeffs, chi)
+    u, _ = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
-    p = subproblem.dual_variable(mesh, coeffs, chi, eps)
-    out = subproblem.alpha_representations(mesh, coeffs, chi, eps, p,
+    p = subproblem.dual_variable(problem, eps)
+    out = subproblem.alpha_representations(problem, eps, p,
                                            energy.omega0_mask(coeffs))
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
