@@ -71,7 +71,7 @@ class RunConfig:
         if np.any(mesh.shape % self.window):
             raise ConfigurationError(
                 f"window {self.window} does not divide the finest "
-                f"element counts {tuple(mesh.shape)}")
+                f"element counts {tuple(mesh.shape.tolist())}")
         return mesh
 
     def build_meshes(self):

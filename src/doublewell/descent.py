@@ -148,7 +148,7 @@ def laminate_seed(mesh, coeffs, period_elements):
     if np.any(mesh.shape % period_elements != 0):
         raise ConfigurationError(
             f"laminate period {period_elements} does not divide the "
-            f"element counts {tuple(mesh.shape)}")
+            f"element counts {tuple(mesh.shape.tolist())}")
     C, D = coeffs.C[0], coeffs.D[0]
     wells_vary = bool(np.any(coeffs.C != C) or np.any(coeffs.D != D))
     if wells_vary:

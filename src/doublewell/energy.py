@@ -8,16 +8,17 @@ energies
 with scalar moduli a, b >= MODULUS_FLOOR > 0 and symmetric tilts C, D,
 all piecewise constant per element.  Matrices use the packed storage and
 Frobenius weights of the owning mesh (`subproblem.assemble` evaluates
-the terms m, E and B of one phase field's convex problem).  The
-Omega_0-split integrals (`omega0_pieces`, with the guarded off-Omega_0
-integral I) are written once: the split representations of one solve
-evaluate them on its own fields, the relaxation formulas on the window
-means.
+the terms m, E and B of one phase field's convex problem).  The moduli
+alone fix Omega_0 = {a = b} and its guard zone, where b - a is too small
+to divide by: `CoefficientSet` decides both once.  The Omega_0-split
+integrals (`omega0_pieces`, with the guarded off-Omega_0 integral I) are
+written once: the split representations of one solve evaluate them on
+its own fields, the relaxation formulas on the window means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,8 @@ class CoefficientSet:
     b: np.ndarray          # (n_elem,)
     C: np.ndarray          # (n_elem, n_comp)
     D: np.ndarray          # (n_elem, n_comp)
+    omega0: np.ndarray = field(init=False)   # (n_elem,) a = b
+    guard: np.ndarray = field(init=False)    # off Omega_0, b - a too small
 
     def __post_init__(self):
         m = self.mesh
@@ -51,6 +54,10 @@ class CoefficientSet:
                 f"{MODULUS_FLOOR:g}")
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.D))):
             raise ContractViolation("tilt matrices must be finite")
+        gap = np.abs(self.a - self.b)
+        scale = self.a.max() + self.b.max()
+        self.omega0 = gap <= 1e-12 * scale
+        self.guard = ~self.omega0 & (gap < 1e-8 * scale)
 
     def constant_values(self):
         """(a, b, C, D) when spatially constant, else raises."""
@@ -79,60 +86,37 @@ def h_density(coeffs, strain):
     return np.minimum(ea, eb)
 
 
-def omega0_mask(coeffs):
-    """Elements where a = b, up to 1e-12 (max a + max b)."""
-    return (np.abs(coeffs.a - coeffs.b)
-            <= 1e-12 * (coeffs.a.max() + coeffs.b.max()))
-
-
-def off_omega0_integral(coeffs, omega0, eps, p, psi):
-    """Integral off Omega_0 of the density that eliminates psi eps via p.
-
-    The division by b - a is guarded: elements off Omega_0 with
-    |b - a| < 1e-8 (max a + max b) are excised.  Returns the
-    integral over the rest and the excised measure.
-    """
-    m = coeffs.mesh
-    a, b = coeffs.a, coeffs.b
-    off0 = ~omega0
-    guarded = off0 & (np.abs(a - b) >= 1e-8 * (a.max() + b.max()))
-    excluded = float(m.measures[off0 & ~guarded].sum())
-    if not guarded.any():
-        return 0.0, excluded
-    ab_ = a * b
-    dba = np.where(guarded, b - a, 1.0)
-    CD = coeffs.C - coeffs.D
-    dens = (m.frob_dot((ab_ / dba)[:, None] * CD, eps)
-            + m.frob_dot((b[:, None] * coeffs.D
-                          - a[:, None] * coeffs.C) / dba[:, None], p)
-            + ab_ * (m.frob_norm2(coeffs.C)
-                     - m.frob_norm2(coeffs.D)) / (2.0 * dba)
-            - psi * ab_ * m.frob_norm2(CD) / (2.0 * dba))
-    return float((m.measures * dens * guarded).sum()), excluded
-
-
-def omega0_pieces(coeffs, omega0, eps, p, psi):
+def omega0_pieces(coeffs, eps, p, psi):
     """The integrals the Omega_0-split representations combine, from the
     per-element strain eps, dual field p and phase field psi (binary, or
     window means in [-1, 1]).
 
-    Over Omega_0 (where a = b): the tilt pairing with eps, the offset B0,
-    a |eps|^2, p : eps and |p|^2 / a.  Off it: the guarded integral I of
-    `off_omega0_integral`, as {value, excluded_measure}.
+    Over Omega_0 (where a = b): the offset B0, a |eps|^2, p : eps and
+    |p|^2 / a.  Off it: the integral I of the density that eliminates
+    psi eps via p, as {value, excluded_measure}; the division by b - a is
+    guarded, so I excises the guard zone and reports its measure.
     """
     m = coeffs.mesh
-    w, a = m.measures, coeffs.a
+    w, a, b, omega0 = m.measures, coeffs.a, coeffs.b, coeffs.omega0
     C2 = m.frob_norm2(coeffs.C)
     D2 = m.frob_norm2(coeffs.D)
-    Aps = ((a[:, None] * (coeffs.C + coeffs.D) / 2.0)
-           + psi[:, None] * (a[:, None] * (coeffs.D - coeffs.C) / 2.0))
     B0 = a * (C2 + D2) / 2.0 + psi * a * (D2 - C2) / 2.0
-    value, excluded = off_omega0_integral(coeffs, omega0, eps, p, psi)
+    value, rest = 0.0, ~(omega0 | coeffs.guard)
+    if rest.any():
+        ab_ = a * b
+        dba = np.where(rest, b - a, 1.0)
+        CD = coeffs.C - coeffs.D
+        dens = (m.frob_dot((ab_ / dba)[:, None] * CD, eps)
+                + m.frob_dot((b[:, None] * coeffs.D
+                              - a[:, None] * coeffs.C) / dba[:, None], p)
+                + ab_ * (C2 - D2) / (2.0 * dba)
+                - psi * ab_ * m.frob_norm2(CD) / (2.0 * dba))
+        value = float((w * dens * rest).sum())
     return {
-        "tilt_eps": float((w * m.frob_dot(Aps, eps) * omega0).sum()),
         "B0": float((w * B0 * omega0).sum()),
         "a_eps2": float((w * a * m.frob_norm2(eps) * omega0).sum()),
         "p_eps": float((w * m.frob_dot(p, eps) * omega0).sum()),
         "p2_over_a": float((w * m.frob_norm2(p) / a * omega0).sum()),
-        "I": {"value": value, "excluded_measure": excluded},
+        "I": {"value": value,
+              "excluded_measure": float(w[coeffs.guard].sum())},
     }

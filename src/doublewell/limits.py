@@ -3,7 +3,9 @@
 Oscillating fields do not converge pointwise; their weak limits are
 approximated by measure-weighted means over spatial windows of fixed
 physical size at the finest refinement level.  The same windows feed the
-relaxation formulas and the Young-measure estimator.
+relaxation formulas and the Young-measure estimator.  Omega_0 is a
+property of the coefficients (`energy.CoefficientSet.omega0`); the window
+partition holds per-window sets only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy
 from .mesh import window_average, window_expand
 
 
@@ -29,7 +30,7 @@ class LimitBundle:
 
 @dataclass
 class PartitionMasks:
-    omega0_elem: np.ndarray     # per element: a == b
+    """Per-window sets: Omega_0's windows and the purity sets."""
     omega0_window: np.ndarray   # window fully inside Omega_0
     w0_plus: np.ndarray         # per window: psi_avg >= 1 - 2 eta
     w0_minus: np.ndarray        # per window: psi_avg <= -1 + 2 eta
@@ -51,24 +52,23 @@ def estimate_limits(mesh, windows, strain, p, chi):
 
 
 def partition_masks(mesh, coeffs, bundle, eta=0.05):
-    """Omega_0 (equal moduli, per element) and the purity sets (per
-    window, threshold eta on the limiting phase fractions)."""
-    omega0 = energy.omega0_mask(coeffs)
+    """The windows that lie inside the coefficients' Omega_0, and the
+    purity sets (threshold eta on the limiting phase fractions)."""
     w = bundle.windows
     om0_w = np.ones(w.n_windows, dtype=bool)
-    np.minimum.at(om0_w, w.elem_window, omega0)
+    np.minimum.at(om0_w, w.elem_window, coeffs.omega0)
     plus = bundle.psi_avg >= 1.0 - 2.0 * eta
     minus = bundle.psi_avg <= -1.0 + 2.0 * eta
     union = np.minimum(bundle.chia_avg, bundle.chib_avg) <= eta
-    return PartitionMasks(omega0, om0_w, plus, minus, union)
+    return PartitionMasks(om0_w, plus, minus, union)
 
 
-def gap_d(mesh, coeffs, bundle, masks):
+def gap_d(mesh, coeffs, bundle):
     """Oscillation gap over Omega_0: second moments minus squared means.
 
     Nonnegative up to tolerance (Jensen per window).
     """
-    om0 = masks.omega0_elem
+    om0 = coeffs.omega0
     sec = mesh.frob_norm2(bundle.eps_raw)
     mean2 = mesh.frob_norm2(window_expand(bundle.eps_avg, bundle.windows))
     d = float((mesh.measures * coeffs.a * (sec - mean2) * om0).sum())

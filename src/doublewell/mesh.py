@@ -34,6 +34,14 @@ class StructuredMesh:
     grad: np.ndarray               # (n_elem, n_comp, (dim+1)*dim)
     frob_w: np.ndarray             # Frobenius weights per packed component
 
+    def __post_init__(self):
+        if not (np.all((self.measures > 0) & (self.measures < np.inf))
+                and np.isfinite(self.grad).all()):
+            raise ConfigurationError(
+                f"extents {self.extents.tolist()} over {self.shape.tolist()}"
+                " cells give element measures or strain gradients that "
+                "float64 cannot hold")
+
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
@@ -205,6 +213,8 @@ class StructuredMesh:
         return 2 * quad + tri
 
 
+# extents that float64 cannot mesh overflow here; StructuredMesh rejects them
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def build_mesh(extents, resolution, dim):
     """Uniform mesh of an interval (1D) or a rectangle split into right
     triangles (2D)."""
@@ -336,7 +346,7 @@ def build_windows(mesh, window_size):
     if np.any(mesh.shape % window_size != 0):
         raise ConfigurationError(
             f"window size {window_size} does not divide element counts "
-            f"{tuple(mesh.shape)}")
+            f"{tuple(mesh.shape.tolist())}")
     wshape = mesh.shape // window_size
     wcell = (mesh.centers / (mesh.extents / mesh.shape)).astype(int) \
         // window_size

@@ -9,7 +9,8 @@ reproduce it byte for byte; they go to a separate timing file.
 
 `finest_analysis` is the one builder of the finest-level report blocks.
 The run calls it on its best state; `verify_run` calls it on the dumped
-state and compares every leaf it rebuilds with report.json.
+state and compares every leaf it rebuilds with report.json.  Omega_0
+comes with the coefficients; only the finest level builds purity sets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import (config as configmod, descent, limits as limitsmod,
                mesh as meshmod, relaxation, subproblem, youngmeasure)
 from . import __version__ as VERSION
-from .errors import ContractViolation, VerificationError
+from .errors import ConfigurationError, ContractViolation, VerificationError
 
 
 @dataclass
@@ -49,22 +50,18 @@ def _trace_record(trace):
     }
 
 
-def window_analysis(cfg, mesh, coeffs, eps, p, chi):
-    """Window means of a state (strain eps, dual field p, phases chi) and
-    the partition they induce."""
+def window_analysis(cfg, mesh, eps, p, chi):
+    """Window means of a state (strain eps, dual field p, phases chi)."""
     windows = meshmod.build_windows(mesh, cfg.window)
-    bundle = limitsmod.estimate_limits(mesh, windows, eps, p, chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
-    return bundle, masks
+    return limitsmod.estimate_limits(mesh, windows, eps, p, chi)
 
 
 def _theta_for_level(cfg, mesh, coeffs, trace):
     """Per-level theta estimate for the refinement plot."""
     if np.any(mesh.shape % cfg.window != 0):
         return None
-    bundle, masks = window_analysis(cfg, mesh, coeffs, trace.eps, trace.p,
-                                    trace.chi)
-    return relaxation.gap_theta(mesh, coeffs, bundle, masks)["theta_coeff1"]
+    bundle = window_analysis(cfg, mesh, trace.eps, trace.p, trace.chi)
+    return relaxation.gap_theta(mesh, coeffs, bundle)["theta_coeff1"]
 
 
 def finest_analysis(cfg, problem, eps, p, alpha):
@@ -74,7 +71,8 @@ def finest_analysis(cfg, problem, eps, p, alpha):
     value alpha, from the convex problem of its phase field (never solved
     here).  Returns the window bundle and the blocks."""
     mesh, coeffs = problem.mesh, problem.coeffs
-    bundle, masks = window_analysis(cfg, mesh, coeffs, eps, p, problem.chi)
+    bundle = window_analysis(cfg, mesh, eps, p, problem.chi)
+    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
     alpha = float(alpha)
     ortho = subproblem.orthogonality_residual(problem, eps, p)
     return bundle, {
@@ -83,15 +81,14 @@ def finest_analysis(cfg, problem, eps, p, alpha):
             "duality": {**subproblem.duality_report(problem, p, alpha),
                         "orthogonality_residual": float(ortho)},
             "algebraic_representations": subproblem.alpha_representations(
-                problem, eps, p, masks.omega0_elem),
+                problem, eps, p),
         },
         "limits": {
             "n_windows": int(bundle.windows.n_windows),
             "psi_range": [float(bundle.psi_avg.min()),
                           float(bundle.psi_avg.max())],
             "partition": {
-                "omega0_measure": float(
-                    mesh.measures[masks.omega0_elem].sum()),
+                "omega0_measure": float(mesh.measures[coeffs.omega0].sum()),
                 "omega0_windows": int(masks.omega0_window.sum()),
                 "w0_windows": int(masks.w0.sum()),
                 "w0_plus_windows": int(masks.w0_plus.sum()),
@@ -99,14 +96,15 @@ def finest_analysis(cfg, problem, eps, p, alpha):
             },
         },
         "relaxation": relaxation.relaxation_section(mesh, coeffs, bundle,
-                                                    masks, alpha),
+                                                    alpha),
         "young_measure": youngmeasure.young_measure_block(
             mesh, coeffs, bundle, masks, alpha),
     }
 
 
 def run_experiment(cfg):
-    """Full pipeline for one configuration; returns a RunResult."""
+    """Full pipeline for one configuration; returns a RunResult.  A report
+    leaf that is not finite is a ConfigurationError naming it."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     meshes = cfg.build_meshes()
@@ -145,6 +143,10 @@ def run_experiment(cfg):
     report = {"version": VERSION, "config": cfg.echo(),
               "levels": level_blocks, **blocks,
               "pairing_diagnostic": pairing}
+    for path, leaf in _flatten(report):
+        if isinstance(leaf, float) and not np.isfinite(leaf):
+            raise ConfigurationError(
+                f"the run's numbers overflow float64: {path} is {leaf}")
     t_end = time.perf_counter()
     timings = {"descent_seconds": t_descent - t0,
                "analysis_seconds": t_end - t_descent,
@@ -176,7 +178,7 @@ def emit_outputs(result, outdir):
     with open(path("config.txt"), "w") as fh:
         fh.write("\n".join(result.cfg.raw_lines) + "\n")
     with open(path("report.json"), "w") as fh:
-        fh.write(json.dumps(result.report, indent=2) + "\n")
+        fh.write(json.dumps(result.report, indent=2, allow_nan=False) + "\n")
     with open(path("timing.txt"), "w") as fh:
         # fixed width, so that the file's size does not vary with the times
         for k, v in result.timings.items():

@@ -9,7 +9,8 @@ is reported under both readings, and the verdict names the one in [0, 1]
 (coefficient-1 on the analytic 1D laminates); `gap_theta` is the one
 path from a state to d, den and theta, at every level.  The integrals are
 evaluated once per report by `relaxation_pieces`, the Omega_0-split ones
-by `energy.omega0_pieces`; the formulas are pure functions of them.
+by `energy.omega0_pieces`; the formulas are pure functions of them, and
+Omega_0 and its guard zone are the coefficients'.
 """
 
 from __future__ import annotations
@@ -41,51 +42,48 @@ def theta_estimate(d, den, tol):
     }
 
 
-def gap_denominator(mesh, coeffs, bundle, masks):
+def gap_denominator(mesh, coeffs, bundle):
     """int over Omega_0 of  chia chib a |C - D|^2  (window fractions)."""
-    om0 = masks.omega0_elem
+    om0 = coeffs.omega0
     chia = window_expand(bundle.chia_avg, bundle.windows)
     chib = window_expand(bundle.chib_avg, bundle.windows)
     cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
     return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
 
 
-def gap_theta(mesh, coeffs, bundle, masks, den=None):
+def gap_theta(mesh, coeffs, bundle, den=None):
     """The gap d (`limits.gap_d`), its denominator den (`gap_denominator`,
     unless the caller has it) and the six theta leaves of
     `theta_estimate`, whose zero branch is den <= 1e-12 int a |C - D|^2:
     the leading leaves of the relaxation block, in report order, and the
     per-level theta of the refinement plot."""
     if den is None:
-        den = gap_denominator(mesh, coeffs, bundle, masks)
-    d = limits.gap_d(mesh, coeffs, bundle, masks)
+        den = gap_denominator(mesh, coeffs, bundle)
+    d = limits.gap_d(mesh, coeffs, bundle)
     cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
     tol = 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
     return {"d": float(d), "denominator": float(den),
             **theta_estimate(d, den, tol)}
 
 
-def _tilt_sq_over_a(mesh, coeffs, omega0, psi):
-    a = coeffs.a
-    Ap = (a[:, None] * (coeffs.C + coeffs.D)) / 2.0
-    Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
-    dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
-            + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
-    return float((mesh.measures * dens * omega0).sum())
-
-
-def relaxation_pieces(mesh, coeffs, bundle, masks):
+def relaxation_pieces(mesh, coeffs, bundle):
     """Every integral the relaxation formulas combine, each evaluated once
     on the window means expanded to elements: the Omega_0 integrals and
-    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt term of the
-    inequality chain and the gap denominator.
+    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt terms of the
+    main formula and of the inequality chain, and the gap denominator.
     """
-    om0 = masks.omega0_elem
+    w, a, om0 = mesh.measures, coeffs.a, coeffs.omega0
     eps, p, psi = (window_expand(avg, bundle.windows) for avg in
                    (bundle.eps_avg, bundle.p_avg, bundle.psi_avg))
-    pieces = energy.omega0_pieces(coeffs, om0, eps, p, psi)
-    pieces["tilt_sq_over_a"] = _tilt_sq_over_a(mesh, coeffs, om0, psi)
-    pieces["den"] = gap_denominator(mesh, coeffs, bundle, masks)
+    pieces = energy.omega0_pieces(coeffs, eps, p, psi)
+    Ap = (a[:, None] * (coeffs.C + coeffs.D)) / 2.0
+    Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
+    pieces["tilt_eps"] = float(
+        (w * mesh.frob_dot(Ap + psi[:, None] * Am, eps) * om0).sum())
+    dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
+            + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
+    pieces["tilt_sq_over_a"] = float((w * dens * om0).sum())
+    pieces["den"] = gap_denominator(mesh, coeffs, bundle)
     return pieces
 
 
@@ -254,10 +252,10 @@ def dual_lower_bound(mesh, coeffs):
     return {"bound": float(val_best), "q": [float(v) for v in q_best]}
 
 
-def relaxation_section(mesh, coeffs, bundle, masks, alpha_scheme):
+def relaxation_section(mesh, coeffs, bundle, alpha_scheme):
     """Assemble the full relaxation block of the run report."""
-    pieces = relaxation_pieces(mesh, coeffs, bundle, masks)
-    theta = gap_theta(mesh, coeffs, bundle, masks, pieces["den"])
+    pieces = relaxation_pieces(mesh, coeffs, bundle)
+    theta = gap_theta(mesh, coeffs, bundle, pieces["den"])
     main = eval_limit_formula(pieces, theta["theta_coeff1"])
     bnd = dual_lower_bound(mesh, coeffs)
     return {

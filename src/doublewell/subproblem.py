@@ -256,7 +256,7 @@ def orthogonality_residual(problem, eps, p):
     return val / denom if denom > 0 else 0.0
 
 
-def alpha_representations(problem, eps, p, omega0):
+def alpha_representations(problem, eps, p):
     """Algebraic re-expressions of the optimal value from one solve, read
     from its strain eps = eps(u) and dual field p.
 
@@ -277,8 +277,7 @@ def alpha_representations(problem, eps, p, omega0):
     rhs = float((w * (mesh.frob_norm2(E) / m)).sum())
     ident_res = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
 
-    split = energy.omega0_pieces(problem.coeffs, omega0, eps, p,
-                                 problem.chi.psi)
+    split = energy.omega0_pieces(problem.coeffs, eps, p, problem.chi.psi)
     off_part = 0.5 * split["I"]["value"]
     alpha_16 = (off_part + 0.5 * (split["B0"] - split["a_eps2"])
                 + 0.5 * split["p_eps"])

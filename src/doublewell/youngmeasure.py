@@ -48,13 +48,13 @@ def ym_energy_check(moments, windows, alpha_scheme):
             "residual": float(abs(total - alpha_scheme))}
 
 
-def second_moment_check(mesh, coeffs, bundle, masks):
+def second_moment_check(mesh, coeffs, bundle):
     """Second moments vs squared means of the strain over Omega_0.
 
     The difference is the oscillation gap d by construction (identical
     data, two summation orders).
     """
-    om0 = masks.omega0_elem
+    om0 = coeffs.omega0
     sec = float((mesh.measures * coeffs.a
                  * mesh.frob_norm2(bundle.eps_raw) * om0).sum())
     mean2 = float((mesh.measures * coeffs.a
@@ -110,7 +110,7 @@ def young_measure_block(mesh, coeffs, bundle, masks, alpha_scheme):
     moments = estimate_ym(mesh, coeffs, bundle)
     return {
         "energy": ym_energy_check(moments, bundle.windows, alpha_scheme),
-        "second_moment": second_moment_check(mesh, coeffs, bundle, masks),
+        "second_moment": second_moment_check(mesh, coeffs, bundle),
         "dirac": dirac_check(moments, masks),
         "two_point_variance": two_point_variance_check(
             mesh, coeffs, bundle, moments),

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from doublewell import cli, config as configmod, descent, \
-    mesh as meshmod, pipeline, relaxation, subproblem
+    limits as limitsmod, mesh as meshmod, pipeline, relaxation, subproblem
 from doublewell.errors import ConfigurationError, SolverError
+
+from conftest import make_coeffs, make_mesh_1d
 
 SYM_CFG = """
 [mesh]
@@ -242,16 +244,19 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
         "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4\n[run]\nwindow = 4\n")
-    calls = {"window_analysis": 0, "gap_denominator": 0}
+    calls = {"window_analysis": 0, "gap_denominator": 0,
+             "partition_masks": 0}
     for module, name in ((pipeline, "window_analysis"),
-                         (relaxation, "gap_denominator")):
+                         (relaxation, "gap_denominator"),
+                         (limitsmod, "partition_masks")):
         def counted(*args, _orig=getattr(module, name), _name=name,
                     **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     result = pipeline.run_experiment(cfg)
-    assert calls == {"window_analysis": 3, "gap_denominator": 3}
+    assert calls == {"window_analysis": 3, "gap_denominator": 3,
+                     "partition_masks": 1}
     relax = result.report["relaxation"]
     assert len(relax["theta_by_level"]) == 3
     assert relax["theta_by_level"][-1] == relax["theta_coeff1"]
@@ -448,6 +453,59 @@ def test_where_guards_a_branch_that_is_not_finite():
     x = mesh.centers[:, 0]
     assert np.array_equal(cfg.build_coeffs(mesh).b, 1.0 + np.where(
         x > 0.5, np.sqrt(np.abs(x - 0.5)), 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_whose_numbers_overflow_writes_no_report(tmp_path, capsys):
+    # wells of 1e200 overflow the energies: exit 2, naming the first leaf
+    # of the report that is not finite, before anything is written
+    path = tmp_path / "overflow.cfg"
+    path.write_text(SYM_CFG.replace("C = 1.0\nD = -1.0",
+                                    "C = 1e200\nD = -1e200"))
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", str(path), "--outdir", str(out_dir)]) == 2
+    assert ("the run's numbers overflow float64: levels[0].best_alpha is "
+            "nan") in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_report_json_is_never_written_with_nan(tmp_path):
+    result = pipeline.run_experiment(configmod.parse_config_text(SYM_CFG))
+    with pytest.raises(ValueError):
+        pipeline.emit_outputs(
+            dataclasses.replace(result, report={"alpha": math.nan}),
+            tmp_path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim, extents", [(1, "1e-320"), (2, "1e-200"),
+                                          (2, "1e200")])
+def test_extents_float64_cannot_mesh_are_a_config_error(tmp_path, capsys,
+                                                        dim, extents):
+    # 1e-320 over 32 cells gives infinite gradients; 1e-200 and 1e200
+    # in 2D give element measures of 0 and inf
+    path = tmp_path / "tiny.cfg"
+    path.write_text(f"[mesh]\ndim = {dim}\nresolution = 32\n"
+                    f"extents = {extents}\n[strategy]\nseeds = zero\n")
+    assert cli.main(["solve", str(path), "--outdir",
+                     str(tmp_path / "out")]) == 2
+    assert ("element measures or strain gradients that float64 cannot "
+            "hold") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda mesh: configmod.parse_config_text(
+        "[mesh]\nresolution = 10\n").build_finest_mesh(),
+     "window 8 does not divide the finest element counts (10,)"),
+    (lambda mesh: meshmod.build_windows(mesh, 8),
+     "window size 8 does not divide element counts (10,)"),
+    (lambda mesh: descent.laminate_seed(mesh, make_coeffs(mesh), 4),
+     "laminate period 4 does not divide the element counts (10,)")],
+    ids=["config", "windows", "laminate"])
+def test_shape_messages_print_plain_ints(build, message):
+    with pytest.raises(ConfigurationError) as exc:
+        build(make_mesh_1d(10))
+    assert str(exc.value) == message
 
 
 def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,

@@ -76,5 +76,16 @@ def test_omega0_mask_piecewise():
     mesh = make_mesh_1d(10)
     b = np.where(mesh.centers[:, 0] < 0.5, 1.0, 2.0)
     coeffs = energy.CoefficientSet(mesh, 1.0, b, [1.0], [-1.0])
-    mask = energy.omega0_mask(coeffs)
-    assert np.array_equal(mask, mesh.centers[:, 0] < 0.5)
+    assert np.array_equal(coeffs.omega0, mesh.centers[:, 0] < 0.5)
+    assert not coeffs.guard.any()
+
+
+def test_guard_zone_lies_between_omega0_and_the_rest():
+    # |b - a| of 1e-13, 1e-10 and 1e-6 times (max a + max b), which is 2
+    # to within 1e-5: in Omega_0, in the guard zone and in neither
+    mesh = make_mesh_1d(4)
+    a = np.full(mesh.n_elem, 1.0)
+    b = a + np.array([0.0, 1e-13, 1e-10, 1e-6]) * 2.0
+    coeffs = energy.CoefficientSet(mesh, a, b, [1.0], [-1.0])
+    assert coeffs.omega0.tolist() == [True, True, False, False]
+    assert coeffs.guard.tolist() == [False, False, True, False]

@@ -31,7 +31,7 @@ def test_symmetric_laminate_averages_vanish():
 def test_partition_masks_symmetric_laminate():
     mesh, coeffs, trace, windows, bundle = laminate_run()
     masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=0.05)
-    assert masks.omega0_elem.all()            # a = b everywhere
+    assert coeffs.omega0.all()                # a = b everywhere
     assert masks.omega0_window.all()
     assert not masks.w0.any()                 # every window fully mixed
     assert not masks.w0_plus.any()
@@ -48,7 +48,7 @@ def test_partition_masks_two_region():
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(mesh, windows, eps, eps.copy(), chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
-    assert np.array_equal(masks.omega0_elem, mesh.centers[:, 0] < 0.5)
+    assert np.array_equal(coeffs.omega0, mesh.centers[:, 0] < 0.5)
     assert masks.omega0_window.sum() == 4
     assert masks.w0.all()                     # pure phase a everywhere
     assert masks.w0_minus.all()
@@ -57,8 +57,7 @@ def test_partition_masks_two_region():
 
 def test_gap_d_symmetric_laminate_equals_one():
     mesh, coeffs, trace, windows, bundle = laminate_run()
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
+    d = limitsmod.gap_d(mesh, coeffs, bundle)
     # strains at +-1, means 0:  d = int a |eps|^2 = 1
     assert np.isclose(d, 1.0, atol=1e-10)
     assert d >= -1e-12                        # Jensen
@@ -72,9 +71,8 @@ def test_gap_d_zero_without_oscillation():
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
                                        trace.chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     # convex problem: the solution strain is constant per window
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
+    d = limitsmod.gap_d(mesh, coeffs, bundle)
     assert abs(d) <= 1e-10
 
 
@@ -105,7 +103,7 @@ def test_gap_d_is_the_omega0_window_variance(dim, window, blocks, spread,
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     assert np.array_equal(masks.omega0_window, a_w == b_w)
 
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
+    d = limitsmod.gap_d(mesh, coeffs, bundle)
     scale = 1.0 + float((mesh.measures * coeffs.a
                          * mesh.frob_norm2(eps)).sum())
     assert d >= -1e-12 * scale

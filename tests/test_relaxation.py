@@ -27,14 +27,13 @@ def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
                                        trace.chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
-    d = limitsmod.gap_d(mesh, coeffs, bundle, masks)
-    return mesh, coeffs, trace, bundle, masks, d
+    d = limitsmod.gap_d(mesh, coeffs, bundle)
+    return mesh, coeffs, trace, bundle, d
 
 
 def test_theta_symmetric_laminate():
-    mesh, coeffs, trace, bundle, masks, d = analysis()
-    den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
+    mesh, coeffs, trace, bundle, d = analysis()
+    den = relaxation.gap_denominator(mesh, coeffs, bundle)
     assert np.isclose(den, 1.0)
     est = relaxation.theta_estimate(d, den, 1e-12)
     assert np.isclose(est["theta_coeff1"], 1.0, atol=1e-10)
@@ -44,9 +43,9 @@ def test_theta_symmetric_laminate():
 
 
 def test_theta_zero_branch_for_convex_case():
-    mesh, coeffs, trace, bundle, masks, d = analysis(C=1.0, D=1.0,
-                                                     seed_kind="zero")
-    den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
+    mesh, coeffs, trace, bundle, d = analysis(C=1.0, D=1.0,
+                                              seed_kind="zero")
+    den = relaxation.gap_denominator(mesh, coeffs, bundle)
     est = relaxation.theta_estimate(d, den, 1e-12)
     assert est["theta_zero_branch"]
     assert est["theta_coeff1"] == 0.0
@@ -54,10 +53,10 @@ def test_theta_zero_branch_for_convex_case():
 
 def test_formula_matches_scheme_on_laminates():
     for C, D in ((1.0, -1.0), (1.0, -3.0)):
-        mesh, coeffs, trace, bundle, masks, d = analysis(C=C, D=D)
-        den = relaxation.gap_denominator(mesh, coeffs, bundle, masks)
+        mesh, coeffs, trace, bundle, d = analysis(C=C, D=D)
+        den = relaxation.gap_denominator(mesh, coeffs, bundle)
         theta = d / den
-        pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
+        pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle)
         val = relaxation.eval_limit_formula(pieces, theta)
         assert abs(val - trace.alpha) <= 1e-10
         reps = relaxation.eval_representations(pieces, theta)
@@ -66,9 +65,9 @@ def test_formula_matches_scheme_on_laminates():
 
 
 def test_formula_matches_scheme_on_convex_case():
-    mesh, coeffs, trace, bundle, masks, d = analysis(C=1.0, D=1.0,
-                                                     seed_kind="zero")
-    pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)
+    mesh, coeffs, trace, bundle, d = analysis(C=1.0, D=1.0,
+                                              seed_kind="zero")
+    pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle)
     val = relaxation.eval_limit_formula(pieces, 0.0)
     assert abs(val - 0.5) <= 1e-10
     reps = relaxation.eval_representations(pieces, 0.0)
@@ -87,12 +86,11 @@ def test_eval_I_two_region_quadrature():
     windows = meshmod.build_windows(mesh, 8)
     bundle = limitsmod.estimate_limits(
         mesh, windows, eps, np.zeros((mesh.n_elem, 1)), chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
-    out = relaxation.relaxation_pieces(mesh, coeffs, bundle, masks)["I"]
+    out = relaxation.relaxation_pieces(mesh, coeffs, bundle)["I"]
     # psi = -1, C = D = 1:  density = ab(|C|^2-|D|^2)/(2(b-a))
     #                                + ab|C-D|^2/(2(b-a)) = 0 ... plus the
     # p and eps terms vanish; direct quadrature over [0.5, 1]:
-    guard = ~masks.omega0_elem
+    guard = ~coeffs.omega0
     dens = np.zeros(mesh.n_elem)
     assert np.isclose(out["value"],
                       float((mesh.measures * dens * guard).sum()))
@@ -100,9 +98,9 @@ def test_eval_I_two_region_quadrature():
 
 
 def test_inequality_chain_half_variant_holds():
-    mesh, coeffs, trace, bundle, masks, d = analysis()
+    mesh, coeffs, trace, bundle, d = analysis()
     chain = relaxation.inequality_chain(
-        relaxation.relaxation_pieces(mesh, coeffs, bundle, masks),
+        relaxation.relaxation_pieces(mesh, coeffs, bundle),
         trace.alpha)
     assert chain["half_violation"] <= 1e-10
 
@@ -279,9 +277,8 @@ def test_lower_bound_piecewise_matches_per_element_sum(case):
 
 
 def test_relaxation_section_assembles():
-    mesh, coeffs, trace, bundle, masks, d = analysis()
-    out = relaxation.relaxation_section(mesh, coeffs, bundle, masks,
-                                        trace.alpha)
+    mesh, coeffs, trace, bundle, d = analysis()
+    out = relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
     assert out["convention_verdict"] == "coefficient-1"
     assert out["alpha_residual_coefficient_1"] <= 1e-10
     assert not out["stuck_suspected"]
@@ -289,9 +286,9 @@ def test_relaxation_section_assembles():
 
 
 def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
-    mesh, coeffs, trace, bundle, masks, d = analysis()
-    names = ((energy, "omega0_pieces"), (relaxation, "_tilt_sq_over_a"),
-             (relaxation, "gap_denominator"), (limitsmod, "gap_d"))
+    mesh, coeffs, trace, bundle, d = analysis()
+    names = ((energy, "omega0_pieces"), (relaxation, "gap_denominator"),
+             (limitsmod, "gap_d"))
     calls = dict.fromkeys((name for _, name in names), 0)
     for module, name in names:
         def counted(*args, _orig=getattr(module, name), _name=name,
@@ -299,5 +296,5 @@ def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    relaxation.relaxation_section(mesh, coeffs, bundle, masks, trace.alpha)
+    relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
     assert calls == dict.fromkeys(calls, 1)

@@ -131,8 +131,7 @@ def test_energy_identity_and_representations():
     u, rep = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
     p = subproblem.dual_variable(problem, eps)
-    omega0 = energy.omega0_mask(coeffs)
-    out = subproblem.alpha_representations(problem, eps, p, omega0)
+    out = subproblem.alpha_representations(problem, eps, p)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_rep_bulk"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_rep_tilt"] - out["alpha_direct"]) <= 1e-8 * scale
@@ -152,9 +151,8 @@ def test_split_representations_with_equal_moduli_region():
     u, rep = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
     p = subproblem.dual_variable(problem, eps)
-    omega0 = energy.omega0_mask(coeffs)
-    assert 0 < omega0.sum() < mesh.n_elem
-    out = subproblem.alpha_representations(problem, eps, p, omega0)
+    assert 0 < coeffs.omega0.sum() < mesh.n_elem
+    out = subproblem.alpha_representations(problem, eps, p)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_split_dual"] - out["alpha_direct"]) <= 1e-8 * scale
@@ -182,8 +180,7 @@ def test_split_representations_match_direct_energy(dim, n, share, seed):
     u, _ = subproblem.solve(problem)
     eps = mesh.symmetrized_gradient(u)
     p = subproblem.dual_variable(problem, eps)
-    out = subproblem.alpha_representations(problem, eps, p,
-                                           energy.omega0_mask(coeffs))
+    out = subproblem.alpha_representations(problem, eps, p)
     scale = 1.0 + abs(out["alpha_direct"])
     assert abs(out["alpha_split_primal"] - out["alpha_direct"]) <= 1e-8 * scale
     assert abs(out["alpha_split_dual"] - out["alpha_direct"]) <= 1e-8 * scale
