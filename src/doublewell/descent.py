@@ -75,15 +75,16 @@ def alternate(mesh, coeffs, chi, budget=50, tol=1e-10, level=0,
               seed_label="init"):
     """Alternating minimization from the phase field chi: solve for the
     frozen phases, reassign each element to its cheaper phase, repeat
-    until no element flips or `budget` steps are spent.  A failed linear
-    solve is re-raised as a SolverError that names the level, the seed
-    and the step.
+    until no element flips or `budget` steps are spent.  Each solve after
+    the first may start CG from the previous step's u
+    (`subproblem.solve`).  A failed linear solve is re-raised as a
+    SolverError that names the level, the seed and the step.
     """
     trace = RunTrace(seed_label=seed_label)
     for step in range(budget):
         problem = subproblem.assemble(mesh, coeffs, chi)
         try:
-            u, srep = subproblem.solve(problem, tol=tol)
+            u, srep = subproblem.solve(problem, tol=tol, u0=trace.u)
         except SolverError as exc:
             raise SolverError(
                 f"level {level}, seed {seed_label!r}, step {step}: {exc}",

@@ -10,15 +10,17 @@ all piecewise constant per element.  Matrices use the packed storage and
 Frobenius weights of the owning mesh (`subproblem.assemble` evaluates
 the terms m, E and B of one phase field's convex problem).  The moduli
 alone fix Omega_0 = {a = b} and its guard zone, where b - a is too small
-to divide by: `CoefficientSet` decides both once.  The Omega_0-split
-integrals (`omega0_pieces`, with the guarded off-Omega_0 integral I) are
-written once: the split representations of one solve evaluate them on
-its own fields, the relaxation formulas on the window means.
+to divide by: `CoefficientSet` decides both once, and keeps |C - D|^2
+once it is first read.  The Omega_0-split integrals (`omega0_pieces`,
+with the guarded off-Omega_0 integral I) are written once: the split
+representations of one solve evaluate them on its own fields, the
+relaxation formulas on the window means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +54,26 @@ class CoefficientSet:
             raise ContractViolation(
                 f"phase moduli must be finite and satisfy a, b >= "
                 f"{MODULUS_FLOOR:g}")
-        if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.D))):
-            raise ContractViolation("tilt matrices must be finite")
+        # squares that overflow would only show as NaN after the descent;
+        # a|C|^2 and b|D|^2 are finite only where |C|^2 and |D|^2 are
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = (self.a * m.frob_norm2(self.C),
+                       self.b * m.frob_norm2(self.D),
+                       m.frob_norm2(self.C - self.D))
+        if not all(np.isfinite(sq).all() for sq in squares):
+            raise ContractViolation(
+                "tilt matrices must be finite, and so must |C|^2, |D|^2, "
+                "|C - D|^2, a|C|^2 and b|D|^2")
         gap = np.abs(self.a - self.b)
         scale = self.a.max() + self.b.max()
         self.omega0 = gap <= 1e-12 * scale
         self.guard = ~self.omega0 & (gap < 1e-8 * scale)
+
+    @cached_property
+    def cd2(self):
+        """|C - D|^2 per element, computed on first use: the descent never
+        reads it, so a level's solves run without it in memory."""
+        return self.mesh.frob_norm2(self.C - self.D)
 
     def constant_values(self):
         """(a, b, C, D) when spatially constant, else raises."""
@@ -105,12 +121,12 @@ def omega0_pieces(coeffs, eps, p, psi):
     if rest.any():
         ab_ = a * b
         dba = np.where(rest, b - a, 1.0)
-        CD = coeffs.C - coeffs.D
-        dens = (m.frob_dot((ab_ / dba)[:, None] * CD, eps)
+        dens = (m.frob_dot((ab_ / dba)[:, None] * (coeffs.C - coeffs.D),
+                           eps)
                 + m.frob_dot((b[:, None] * coeffs.D
                               - a[:, None] * coeffs.C) / dba[:, None], p)
                 + ab_ * (C2 - D2) / (2.0 * dba)
-                - psi * ab_ * m.frob_norm2(CD) / (2.0 * dba))
+                - psi * ab_ * coeffs.cd2 / (2.0 * dba))
         value = float((w * dens * rest).sum())
     return {
         "B0": float((w * B0 * omega0).sum()),

@@ -21,6 +21,35 @@ import scipy.sparse as sp
 from .errors import ConfigurationError, ContractViolation
 
 
+@dataclass(frozen=True)
+class StencilPlan:
+    """The interior-dof stiffness of a structured mesh as a stencil.  Its
+    entries e = (a, s, b) run in (a, s, b) order: row (r, a) of K, for
+    interior node r and component a, holds entry e in the column of
+    component b of the neighbour r + offset s, wherever that neighbour is
+    interior.  The offsets are sorted, so a row's entries run in column
+    order.
+
+    terms: per entry, its element contributions in a fixed order, each
+        (index, value): the element weights, as an array over the cells
+        and orientations, read at `index` (one per interior node) times
+        the template value.
+    slot: (entries,) the offset s of each entry.
+    components: per component a, the slice of its entries.
+    cols: (entries,) int32, each entry's column less its row node's
+        first dof.
+    interior: (nodes...) bool, the interior nodes of the node grid.
+    windows: per offset s, the index of `interior` that reads it at
+        r + offset s for every interior node r.
+    """
+    terms: tuple
+    slot: np.ndarray
+    components: tuple
+    cols: np.ndarray
+    interior: np.ndarray
+    windows: tuple
+
+
 @dataclass
 class StructuredMesh:
     dim: int
@@ -152,23 +181,85 @@ class StructuredMesh:
         return np.sqrt(self.strain_matrix.power(2).T
                        @ (self.measures[:, None] * self.frob_w).ravel())
 
+    @cached_property
+    def stencil_plan(self):
+        """The fixed part of every `stiffness` of this mesh, built on first
+        use.  Every element of one orientation (one in 1D, two in 2D) is a
+        translate of the first cell's, so its local matrix is its weight
+        times that element's template."""
+        cells = tuple(self.shape[::-1].tolist())   # array axes, x last
+        inner = tuple(n - 1 for n in cells)        # interior node grid
+        n_orient = self.n_elem // int(np.prod(cells))
+        # local node offsets (n_orient, dim + 1, dim) on the node grid: the
+        # first cell's lower corner is node 0
+        offsets = np.stack(np.unravel_index(
+            self.elements[:n_orient], tuple(n + 1 for n in cells)), axis=-1)
+        slots = np.unique((offsets[:, None] - offsets[:, :, None])
+                          .reshape(-1, self.dim), axis=0)
+        slot_of = {tuple(d): s for s, d in enumerate(slots.tolist())}
+        g = self.grad[:n_orient]
+        templates = ((g[:, :, :, None] * self.frob_w[:, None, None])
+                     * g[:, :, None, :]).sum(axis=1).reshape(
+            n_orient, self.dim + 1, self.dim, self.dim + 1, self.dim)
+        terms = {}
+        for o, local in enumerate(offsets.tolist()):
+            for k, off_k in enumerate(local):
+                # the cells whose local node k is interior, row by row
+                index = tuple(slice(1 - d, n - d)
+                              for d, n in zip(off_k, cells)) + (o,)
+                for l, off_l in enumerate(local):
+                    s = slot_of[tuple(q - p for p, q in zip(off_k, off_l))]
+                    block = templates[o, k, :, l, :]
+                    for a, b in np.argwhere(block).tolist():
+                        terms.setdefault((a, s, b), []).append(
+                            (index, block[a, b]))
+        keys = sorted(terms)
+        comp, slot, col_comp = np.array(keys).T
+        strides = [int(np.prod(inner[ax + 1:])) for ax in range(self.dim)]
+        bounds = np.searchsorted(comp, np.arange(self.dim + 1)).tolist()
+        return StencilPlan(
+            tuple(tuple(terms[key]) for key in keys), slot,
+            tuple(map(slice, bounds[:-1], bounds[1:])),
+            ((slots[slot] * strides).sum(axis=1) * self.dim
+             + col_comp).astype(np.int32),
+            ~self.boundary_mask.reshape(tuple(n + 1 for n in cells)),
+            tuple(tuple(slice(1 + d, 1 + d + n) for d, n in zip(ds, inner))
+                  for ds in slots.tolist()))
+
     def stiffness(self, w):
         """The interior-dof stiffness G^T diag(w (x) frob_w) G of per-element
         weights w = |T| m, for G the `strain_matrix`: every multigrid
         level's operator.
 
-        One CSR product G^T G_w, for G_w the rows of G scaled by their
-        weights: no diagonal matrix and no CSC product to convert.  Each
-        entry sums the same products in the same order as the triple
-        product, so K is the same bit for bit.  G^T is built anew per
-        call, not kept: it is as large as G."""
-        G = self.strain_matrix
-        G_w = sp.csr_matrix(
-            (G.data * np.repeat((w[:, None] * self.frob_w).ravel(),
-                                np.diff(G.indptr)), G.indices, G.indptr),
-            shape=G.shape)
-        K = G.T.tocsr() @ G_w
-        K.sort_indices()
+        Built from `stencil_plan`: each entry of the stencil is the sum of
+        its element contributions, in the plan's fixed order, for every
+        interior node at once; one masked gather reads K's CSR data off
+        the stencil.  No sparse product and no index sort.  Each call
+        builds its own CSR arrays, so no K shares one with the plan or
+        with another K."""
+        plan = self.stencil_plan
+        w = np.asarray(w).reshape(*self.shape[::-1], -1)
+        # the entries K holds: those whose neighbour is interior
+        mask = np.stack([plan.interior[window] for window in plan.windows],
+                        axis=-1)[..., plan.slot]
+        inner = mask.shape[:-1]
+        # the index arrays before the stencil: built after it, they left
+        # the allocator holding about 2 MiB more at the finest solve
+        n_dof = self.n_free_dof
+        first_dof = np.arange(0, n_dof, self.dim, dtype=np.int32)
+        indices = (first_dof.reshape(inner)[..., None] + plan.cols)[mask]
+        indptr = np.zeros(n_dof + 1, dtype=np.int32)
+        np.cumsum(np.stack([mask[..., entries].sum(axis=-1, dtype=np.int32)
+                            for entries in plan.components], axis=-1),
+                  out=indptr[1:])
+        stencil = np.empty((len(plan.terms), *inner))
+        for e, ((index, value), *rest) in enumerate(plan.terms):
+            np.multiply(w[index], value, out=stencil[e])
+            for index, value in rest:
+                stencil[e] += w[index] * value
+        data = np.moveaxis(stencil, 0, -1)[mask]
+        K = sp.csr_matrix((data, indices, indptr), shape=(n_dof, n_dof))
+        K.has_sorted_indices = True
         return K
 
     @cached_property
@@ -265,23 +356,26 @@ def build_mesh(extents, resolution, dim):
     tris[1::2] = np.stack([n00, n11, n01], axis=1)
 
     p0, p1, p2 = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-    measures = 0.5 * np.abs(det)
     centers = (p0 + p1 + p2) / 3.0
 
-    # P1 barycentric gradients
+    # every element is a translate of one of the first quad's two
+    # triangles and takes its measure and P1 barycentric gradients bit for
+    # bit (node differences elsewhere would round differently)
+    p0, p1, p2 = p0[:2], p1[:2], p2[:2]
+    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    measures = np.tile(0.5 * np.abs(det), nx * ny)
     dldx = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1],
                      p0[:, 1] - p1[:, 1]], axis=1) / det[:, None]
     dldy = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0],
                      p1[:, 0] - p0[:, 0]], axis=1) / det[:, None]
-    n_elem = tris.shape[0]
-    grad = np.zeros((n_elem, 3, 6))
+    grad = np.zeros((2, 3, 6))
     for k in range(3):
         grad[:, 0, 2 * k] = dldx[:, k]                  # eps_xx
         grad[:, 1, 2 * k] = 0.5 * dldy[:, k]            # eps_xy
         grad[:, 1, 2 * k + 1] = 0.5 * dldx[:, k]
         grad[:, 2, 2 * k + 1] = dldy[:, k]              # eps_yy
+    grad = np.tile(grad, (nx * ny, 1, 1))
     boundary = ((np.isclose(nodes[:, 0], 0.0)) | (np.isclose(nodes[:, 0], lx))
                 | (np.isclose(nodes[:, 1], 0.0))
                 | (np.isclose(nodes[:, 1], ly)))

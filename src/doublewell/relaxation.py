@@ -47,8 +47,8 @@ def gap_denominator(mesh, coeffs, bundle):
     om0 = coeffs.omega0
     chia = window_expand(bundle.chia_avg, bundle.windows)
     chib = window_expand(bundle.chib_avg, bundle.windows)
-    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-    return float((mesh.measures * chia * chib * coeffs.a * cd2 * om0).sum())
+    return float((mesh.measures * chia * chib * coeffs.a * coeffs.cd2
+                  * om0).sum())
 
 
 def gap_theta(mesh, coeffs, bundle, den=None):
@@ -60,8 +60,7 @@ def gap_theta(mesh, coeffs, bundle, den=None):
     if den is None:
         den = gap_denominator(mesh, coeffs, bundle)
     d = limits.gap_d(mesh, coeffs, bundle)
-    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
-    tol = 1e-12 * float((mesh.measures * coeffs.a * cd2).sum())
+    tol = 1e-12 * float((mesh.measures * coeffs.a * coeffs.cd2).sum())
     return {"d": float(d), "denominator": float(den),
             **theta_estimate(d, den, tol)}
 

@@ -88,7 +88,7 @@ def two_point_variance_check(mesh, coeffs, bundle, moments):
     windows = bundle.windows
     ew = windows.elem_window
     eps = bundle.eps_raw
-    cd2 = mesh.frob_norm2(coeffs.C - coeffs.D)
+    cd2 = coeffs.cd2
     cd2_max = np.zeros(windows.n_windows)
     np.maximum.at(cd2_max, ew, cd2)
     tol = window_expand(1e-3 * (1.0 + np.sqrt(cd2_max)), windows)

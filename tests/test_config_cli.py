@@ -457,15 +457,34 @@ def test_where_guards_a_branch_that_is_not_finite():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_run_whose_numbers_overflow_writes_no_report(tmp_path, capsys):
-    # wells of 1e200 overflow the energies: exit 2, naming the first leaf
-    # of the report that is not finite, before anything is written
+    # moduli of 1e300 pass the coefficient checks but overflow the
+    # descent's gaps: exit 2, naming the first leaf of the report that is
+    # not finite, before anything is written
+    path = tmp_path / "overflow.cfg"
+    path.write_text(SYM_CFG.replace("C = 1.0\nD = -1.0",
+                                    "a = 1e300\nb = 1e300\nC = 1.0\n"
+                                    "D = -1.0"))
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", str(path), "--outdir", str(out_dir)]) == 2
+    assert ("the run's numbers overflow float64: levels[0].traces[0]."
+            "steps[0].gap is inf") in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wells_whose_squares_overflow_are_rejected_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # |C|^2 of 1e400: exit 2 from the coefficients, silently, before the
+    # descent solves anything
+    def solve(*args, **kwargs):
+        raise AssertionError("the run reached a solve")
+    monkeypatch.setattr(subproblem, "solve", solve)
     path = tmp_path / "overflow.cfg"
     path.write_text(SYM_CFG.replace("C = 1.0\nD = -1.0",
                                     "C = 1e200\nD = -1e200"))
     out_dir = tmp_path / "out"
     assert cli.main(["solve", str(path), "--outdir", str(out_dir)]) == 2
-    assert ("the run's numbers overflow float64: levels[0].best_alpha is "
-            "nan") in capsys.readouterr().err
+    assert "and so must |C|^2, |D|^2, |C - D|^2" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 

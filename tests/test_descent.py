@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from doublewell import descent, energy, mesh as meshmod, oracles
+from doublewell import descent, energy, mesh as meshmod, oracles, pipeline
 from doublewell.errors import ConfigurationError
 
-from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
+from conftest import config_from, make_coeffs, make_mesh_1d, make_mesh_2d
 
 
 def test_phase_assignment_ties_go_to_a():
@@ -245,3 +245,23 @@ def test_laminate_layer_normal_prefers_the_closest_axis(C, D, direction):
     coeffs = make_coeffs(mesh, C=C, D=D)
     _, _, info = descent.laminate_seed(mesh, coeffs, 4)
     assert info["direction"] == direction
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, D", [
+    # step 1's load has entries of about 5.6e-17, so 2^s is about 2^53:
+    # CG from the scaled u0 would fail (residual 9.332e-01 after 2
+    # iterations)
+    (2.5980134050795503, "0.0 ; 0.25 ; 1.0"),
+    # a load below 2^-1024 scales u0 past the largest float64
+    (1.0, "0.0 ; 0.5 ; 2.225073858507e-311")])
+def test_a_round_off_load_starts_cg_from_zero(a, D):
+    # the previous step's u is no start for a load at round-off size: the
+    # guard turns it down, and the run completes without a warning
+    cfg = config_from(
+        f"[mesh]\ndim = 2\nresolution = 4\n[coefficients]\na = {a!r}\n"
+        f"b = {a!r}\nC = 0.0 ; 0.0 ; 2.0\nD = {D}\n[strategy]\n"
+        "seeds = laminate:4 laminate random\n[run]\nwindow = 4\n")
+    report = pipeline.run_experiment(cfg).report
+    assert any(len(trace["steps"]) > 1
+               for trace in report["levels"][0]["traces"])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doublewell import descent, mesh as meshmod, subproblem
 from doublewell.errors import ConfigurationError, ContractViolation
@@ -128,22 +128,111 @@ def test_strain_matrix_is_the_coo_build(dim, n):
     assert _same_csr(G, ref)
 
 
+def _triple_product(mesh, w):
+    """The reference stiffness G^T diag(w (x) frob_w) G, as SciPy's CSR
+    products form it."""
+    G = mesh.strain_matrix
+    return (G.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel()) @ G)).tocsr()
+
+
 @pytest.mark.parametrize("dim, n", OPERATOR_MESHES)
 @pytest.mark.parametrize("zeros", [0.0, 0.3, 1.0])
 def test_stiffness_is_the_triple_product_bit_for_bit(dim, n, zeros):
-    # one CSR product sums the same products in the same order as
-    # G^T (diag(w (x) frob_w) G): the same arrays, no tolerance, also
-    # where weights are exactly zero (a share `zeros` of the elements)
-    mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
+    # dyadic extents (rectangular cells in 2D), power-of-two cell counts
+    # and weights that are small integers times the measures, a share
+    # `zeros` of them 0: every product and sum is exact, so the stencil
+    # sums give the triple product's arrays.  K also stores the entries
+    # that only zero weights reach, as explicit zeros; the product drops
+    # them
+    mesh = meshmod.build_mesh((2.0, 0.25)[:dim], (n,) * dim, dim)
     rng = np.random.default_rng(n)
+    w = mesh.measures * rng.integers(1, 8, mesh.n_elem)
+    w[rng.random(mesh.n_elem) < zeros] = 0.0
+    K, ref = mesh.stiffness(w), _triple_product(mesh, w)
+    assert K.shape == ref.shape == (mesh.n_free_dof,) * 2
+    K.eliminate_zeros()
+    assert _same_csr(K, ref)
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit round-off."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+# Entry by entry, K and the triple product each lie within gamma_n S of
+# the exact sum, S = |G^T| diag|w (x) frob_w| |G|.  The triple product sums
+# at most 8 products (4 elements with a nonzero x-derivative of the row's
+# basis function, 4 with a nonzero y-derivative), each rounded twice:
+# gamma_9.  The stencil rounds each template entry twice (at most two
+# products with the Frobenius weight, a power of two, and their sum), then
+# its product with the weight, and sums at most 6 elements: gamma_8.  S
+# itself is summed with at most gamma_9 error, from below.
+STIFFNESS_ROUND_OFF = (_gamma(8) + _gamma(9)) / (1 - _gamma(9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(1, 40)),
+                       st.tuples(st.integers(1, 12), st.integers(1, 12))),
+       extents=st.lists(st.sampled_from([1.0, 3.0, 0.7, 0.1, 2.5, 1e-3]),
+                        min_size=2, max_size=2),
+       zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**16))
+@example(shape=(8, 8), extents=[3.0, 0.7], zeros=0.0, seed=0)
+@example(shape=(1, 2), extents=[1.0, 1.0], zeros=0.3, seed=1)
+def test_stiffness_is_the_triple_product_to_round_off(shape, extents, zeros,
+                                                      seed):
+    # any extents and cell counts, weights random positive or exactly
+    # zero: the stencil sums differ from the triple product by round-off
+    # alone, within the bound above, and with positive weights K holds
+    # the triple product's pattern
+    dim = len(shape)
+    mesh = meshmod.build_mesh(extents[:dim], shape, dim)
+    rng = np.random.default_rng(seed)
     w = mesh.measures * np.exp(rng.standard_normal(mesh.n_elem))
     w[rng.random(mesh.n_elem) < zeros] = 0.0
-    G = mesh.strain_matrix
-    ref = (G.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel())
-                  @ G)).tocsr()
-    K = mesh.stiffness(w)
+    K, ref = mesh.stiffness(w), _triple_product(mesh, w)
     assert K.shape == ref.shape == (mesh.n_free_dof,) * 2
-    assert _same_csr(K, ref)
+    if zeros == 0.0:
+        assert all(np.array_equal(getattr(K, k), getattr(ref, k))
+                   for k in ("indptr", "indices"))
+    absG = abs(mesh.strain_matrix)
+    S = absG.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel()) @ absG)
+    assert np.all(abs(K - ref).toarray()
+                  <= STIFFNESS_ROUND_OFF * S.toarray())
+
+
+def test_each_stiffness_owns_its_arrays():
+    # a K changed in place (its data, its index order) leaves the plan,
+    # and so the next K, as they were
+    mesh = make_mesh_2d(8)
+    w = mesh.measures * np.exp(np.random.default_rng(0)
+                               .standard_normal(mesh.n_elem))
+    K = mesh.stiffness(w)
+    first = K.copy()
+    K.data *= -2.0
+    K.indices[:] = K.indices[::-1]
+    K.indptr[1:] = 0
+    K.has_sorted_indices = False
+    K.sort_indices()
+    again = mesh.stiffness(w)
+    assert _same_csr(again, first)
+    assert not any(np.shares_memory(getattr(again, k), getattr(K, k))
+                   for k in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("dim, shape, extents", [
+    (1, (7,), (0.7,)), (2, (5, 3), (3.0, 0.7)), (2, (10, 10), (0.3, 0.3))])
+def test_elements_of_one_orientation_share_measure_and_gradient(dim, shape,
+                                                                extents):
+    # the stiffness templates rest on this: every element is a translate of
+    # one of the first cell's, with its measure and gradient bit for bit,
+    # also where node differences round differently from cell to cell
+    mesh = meshmod.build_mesh(extents, shape, dim)
+    n_orient = mesh.n_elem // np.prod(shape)
+    for o in range(n_orient):
+        assert np.unique(mesh.measures[o::n_orient]).size == 1
+        assert np.unique(mesh.grad[o::n_orient], axis=0).shape[0] == 1
+    assert np.isclose(mesh.measures.sum(), np.prod(extents), rtol=1e-14)
 
 
 def test_strain_adjoint_vanishes_for_constant_dual_field():

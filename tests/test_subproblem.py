@@ -326,30 +326,61 @@ def test_system_at_most_the_coarsest_size_is_solved_directly():
     assert rep.iterations == 1
 
 
-@pytest.mark.parametrize("dim, n, contrast", [(1, 256, 1.0), (2, 16, 30.0),
-                                              (2, 32, 100.0)])
-def test_cg_takes_scipys_steps(dim, n, contrast):
+@pytest.mark.parametrize("dim, n, contrast, warm", [
+    pytest.param(*case, warm, id="-".join(map(str, case)) + tag)
+    for case in [(1, 256, 1.0), (2, 16, 30.0), (2, 32, 100.0)]
+    for warm, tag in [(False, ""), (True, "-warm")]])
+def test_cg_takes_scipys_steps(dim, n, contrast, warm):
     # the package's preconditioned CG against scipy.sparse.linalg.cg with
     # the same V-cycle and the same scaled load: the same solution, bit
-    # for bit, in as many iterations
+    # for bit, in as many iterations.  Warm, both start from the solution
+    # for the phases before one element in 50 flipped, scaled as the load
+    # is
     mesh = make_mesh_1d(n) if dim == 1 else make_mesh_2d(n)
     coeffs = make_coeffs(mesh, a=1.0, b=contrast,
                          C=[0.3, 0.5, -0.2][:mesh.n_comp],
                          D=[-0.1, -0.5, 0.4][:mesh.n_comp])
-    chi = descent.PhaseField.from_a_indicator(
-        np.random.default_rng(n).random(mesh.n_elem) < 0.5)
+    rng = np.random.default_rng(n)
+    is_a = rng.random(mesh.n_elem) < 0.5
+    u0 = None
+    if warm:
+        before = descent.PhaseField.from_a_indicator(is_a)
+        u0, _ = subproblem.solve(subproblem.assemble(mesh, coeffs, before))
+        flips = rng.choice(mesh.n_elem, mesh.n_elem // 50, replace=False)
+        is_a[flips] = ~is_a[flips]
+    chi = descent.PhaseField.from_a_indicator(is_a)
     problem = subproblem.assemble(mesh, coeffs, chi)
-    u, rep = subproblem.solve(problem)
+    u, rep = subproblem.solve(problem, u0=u0)
 
     s = -np.frexp(np.abs(problem.f).max())[1]
+    f = np.ldexp(problem.f, s)
+    x0 = None if u0 is None else np.ldexp(problem.to_interior(u0), s)
+    if warm:   # the start passes the guard
+        assert np.linalg.norm(problem.K @ x0 + f) < np.linalg.norm(f)
     levels, lu = subproblem._galerkin_levels(problem)
     precond = spla.LinearOperator(
         problem.K.shape, dtype=float,
         matvec=lambda r: subproblem._v_cycle(levels, lu, r))
     steps = []
-    x, info = spla.cg(problem.K, -np.ldexp(problem.f, s), rtol=1e-10,
-                      atol=0.0, maxiter=20 * problem.n_dof, M=precond,
+    x, info = spla.cg(problem.K, -f, x0=x0, rtol=1e-10, atol=0.0,
+                      maxiter=20 * problem.n_dof, M=precond,
                       callback=steps.append)
     assert info == 0 and len(steps) > 1
     assert rep.iterations == len(steps)
     assert problem.to_interior(u).tobytes() == np.ldexp(x, -s).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_start_worse_than_zero_is_not_taken(dim):
+    # three times the solution leaves a residual of about 2|f|, above the
+    # |f| of x = 0: the solve is the cold one, byte for byte
+    mesh = make_mesh_1d(64) if dim == 1 else make_mesh_2d(16)
+    coeffs = make_coeffs(mesh, a=1.0, b=10.0, C=[0.3, 0.5, -0.2][:mesh.n_comp],
+                         D=[-0.1, -0.5, 0.4][:mesh.n_comp])
+    chi = descent.PhaseField.from_a_indicator(
+        np.random.default_rng(dim).random(mesh.n_elem) < 0.5)
+    problem = subproblem.assemble(mesh, coeffs, chi)
+    u, rep = subproblem.solve(problem)
+    u_warm, rep_warm = subproblem.solve(problem, u0=3.0 * u)
+    assert u_warm.tobytes() == u.tobytes()
+    assert rep_warm == rep
