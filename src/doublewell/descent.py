@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy, subproblem
+from . import energy, parallel, subproblem
 from .errors import ConfigurationError, SolverError
 
 
@@ -259,20 +259,36 @@ def build_seed(mesh, coeffs, spec, rng):
 
 
 def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
-               tol=1e-10, level=0):
+               tol=1e-10, level=0, coarser=()):
     """Run `alternate` from every seed in spec order, then from
     `continued`, the phases carried from the coarser level (none at the
     coarsest), labelled 'continued'.  Returns every trace, sorted by
-    final alpha: the first is the best, and ties keep the start order."""
+    final alpha: the first is the best, and ties keep the start order.
+
+    The seeds are drawn from rng first; the traces are then independent
+    and run one process per core (`parallel.imap`), on mesh caches built
+    here so that every process shares them.  The longest start goes
+    first, as far as `coarser`, the coarser level's traces, can tell:
+    the starts are handed out by the steps of its trace of the same
+    label, most first (a label it lacks counts 0)."""
     if not seed_specs:
         raise ConfigurationError("at least one seed is required")
     starts = [(spec, build_seed(mesh, coeffs, spec, rng))
               for spec in seed_specs]
     if continued is not None:
         starts.append(("continued", continued))
-    return sorted((alternate(mesh, coeffs, chi, budget=budget, tol=tol,
-                             level=level, seed_label=label)
-                   for label, chi in starts), key=lambda t: t.alpha)
+    subproblem.build_caches(mesh)
+
+    def run(k):
+        label, chi = starts[k]
+        return alternate(mesh, coeffs, chi, budget=budget, tol=tol,
+                         level=level, seed_label=label)
+    steps = {t.seed_label: len(t.steps) for t in coarser}
+    order = sorted(range(len(starts)),
+                   key=lambda k: -steps.get(starts[k][0], 0))
+    traces = dict(zip(order, parallel.imap(run, order)))
+    return sorted((traces[k] for k in range(len(starts))),
+                  key=lambda t: t.alpha)
 
 
 def refine_continue(fine_mesh, trace):

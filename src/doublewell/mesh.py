@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 from .errors import ConfigurationError, ContractViolation
 
 
@@ -506,8 +507,8 @@ def default_test_functions(mesh):
 
 # -- CSV dumps ------------------------------------------------------------
 
-# Rows that `write_csv` formats at once: the text of one block is all it
-# holds, whatever the table's length.
+# Rows that `write_csv` formats at once: the text of a few blocks is all
+# it holds, whatever the table's length.
 CSV_BLOCK_ROWS = 4096
 
 
@@ -515,19 +516,22 @@ def write_csv(path, header, columns):
     """Write equal-length float columns as CSV under a one-line header.
 
     Each value is written as the shortest text that reads back to the
-    same float (`repr`).  Lines end in CRLF.  Rows are formatted and
-    written CSV_BLOCK_ROWS at a time, so the whole table never exists as
-    Python floats or strings at once.
+    same float (`repr`).  Lines end in CRLF.  Rows are formatted
+    CSV_BLOCK_ROWS at a time, one process per core (`parallel.imap`),
+    and each block is written as it arrives in order, so the whole table
+    never exists as Python floats or strings at once.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     n_rows = max((col.size for col in columns), default=0)
+
+    def block(start):
+        cells = [map(repr, col[start:start + CSV_BLOCK_ROWS].tolist())
+                 for col in columns]
+        return "".join(",".join(row) + "\r\n"
+                       for row in zip(*cells, strict=True))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            cells = [map(repr, col[start:start + CSV_BLOCK_ROWS].tolist())
-                     for col in columns]
-            fh.writelines(",".join(row) + "\r\n"
-                          for row in zip(*cells, strict=True))
+        fh.writelines(parallel.imap(block, range(0, n_rows, CSV_BLOCK_ROWS)))
 
 
 def read_csv(path, names):

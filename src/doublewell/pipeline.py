@@ -117,7 +117,8 @@ def run_experiment(cfg):
                      if lvl else None)
         traces = descent.multistart(mesh, coeffs, cfg.seeds, rng, continued,
                                     budget=cfg.budget, tol=cfg.solver_tol,
-                                    level=lvl)
+                                    level=lvl,
+                                    coarser=traces_by_level[-1] if lvl else ())
         best = traces[0]
         traces_by_level.append(traces)
         best_by_level.append(best)

@@ -125,6 +125,19 @@ def _galerkin_levels(problem):
     return levels, spla.splu(A.tocsc())
 
 
+def build_caches(mesh):
+    """Build the caches of `mesh` that `assemble`, `solve` and
+    `duality_report` read, on it and on every coarser multigrid level of
+    `_galerkin_levels`: processes forked afterwards share them."""
+    mesh.basis_strain_norms     # and the strain matrix it is read off
+    while True:
+        mesh.stencil_plan
+        if mesh.prolongation is None:
+            return
+        mesh.parent
+        mesh = mesh.coarse
+
+
 def _smooth(A, dinv, rho, r, x):
     """CHEB_DEGREE Chebyshev steps for A x = r from x (None for zero),
     by the three-term recurrence (Saad, Iterative Methods for Sparse

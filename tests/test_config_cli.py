@@ -274,33 +274,61 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
         == eps.tobytes()
 
 
+class CallLog:
+    """Lines appended by this process and by every process forked from it
+    (the descent's traces run in children), in the order of writing: each
+    line is one append to the file, so lines do not interleave."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def append(self, line):
+        with open(self.path, "a") as fh:
+            fh.write(line + "\n")
+
+    def lines(self):
+        return self.path.read_text().splitlines()
+
+    def clear(self):
+        self.path.write_text("")
+
+
 def test_one_strain_per_solve(tmp_path, monkeypatch):
     cfg = configmod.parse_config_text(
         "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4 random\n[run]\nwindow = 4\n")
-    strains, traces = [], []
+    log = CallLog(tmp_path / "calls.log")
+    mine = []      # the strains of this process: a trace runs in one
     gradient = meshmod.StructuredMesh.symmetrized_gradient
     monkeypatch.setattr(meshmod.StructuredMesh, "symmetrized_gradient",
-                        lambda *a: strains.append(1) or gradient(*a))
+                        lambda *a: mine.append(1) or log.append("strain")
+                        or gradient(*a))
     alternate = descent.alternate
 
     def counted(*args, **kwargs):
-        before = len(strains)
+        before = len(mine)
         trace = alternate(*args, **kwargs)
-        traces.append((len(strains) - before, len(trace.steps),
-                       len(strains)))
+        log.append(f"trace {len(mine) - before} {len(trace.steps)}")
         return trace
     monkeypatch.setattr(descent, "alternate", counted)
     result = pipeline.run_experiment(cfg)
+    strains, traces = [], []
+    for line in log.lines():
+        if line == "strain":
+            strains.append(1)
+        else:
+            n_strains, n_steps = map(int, line.split()[1:])
+            traces.append((n_strains, n_steps, len(strains)))
     # every start is a phase field, so each strain is a step's
     assert len(traces) == 8
     assert all(n_strains == n_steps for n_strains, n_steps, _ in traces)
     assert len(strains) == traces[-1][2]    # none after the last step
     pipeline.emit_outputs(result, tmp_path)
-    del strains[:]
+    log.clear()
     pipeline.verify_run(tmp_path)
-    assert len(strains) == 1
+    assert len(log.lines()) == 1
 
 
 def test_each_phase_field_is_assembled_once(tmp_path, monkeypatch):
@@ -312,21 +340,26 @@ def test_each_phase_field_is_assembled_once(tmp_path, monkeypatch):
         "[mesh]\ndim = 2\nresolution = 16\nlevels = 2\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4 zero\n[run]\nwindow = 8\n")
-    calls = {"stiffness": 0, "assemble": 0, "solve": 0}
-    for owner, name in ((meshmod.StructuredMesh, "stiffness"),
-                        (subproblem, "assemble"), (subproblem, "solve")):
+    log = CallLog(tmp_path / "calls.log")
+    names = ("stiffness", "assemble", "solve")
+    for owner, name in zip((meshmod.StructuredMesh, subproblem, subproblem),
+                           names):
         def counted(*args, _orig=getattr(owner, name), _name=name,
                     **kwargs):
-            calls[_name] += 1
+            log.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
+
+    def calls():
+        lines = log.lines()
+        return {name: lines.count(name) for name in names}
     result = pipeline.run_experiment(cfg)
-    assert calls["stiffness"] == 10
-    assert calls["assemble"] == calls["solve"] + 1
+    assert calls()["stiffness"] == 10
+    assert calls()["assemble"] == calls()["solve"] + 1
     pipeline.emit_outputs(result, tmp_path)
-    calls.update(dict.fromkeys(calls, 0))
+    log.clear()
     pipeline.verify_run(tmp_path)
-    assert calls == {"stiffness": 0, "assemble": 1, "solve": 0}
+    assert calls() == {"stiffness": 0, "assemble": 1, "solve": 0}
 
 
 def test_verify_reports_an_unsigned_zero_excess(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from doublewell import descent, energy, mesh as meshmod, oracles, pipeline
+from doublewell import (descent, energy, mesh as meshmod, oracles, parallel,
+                        pipeline)
 from doublewell.errors import ConfigurationError
 
 from conftest import config_from, make_coeffs, make_mesh_1d, make_mesh_2d
@@ -182,6 +183,33 @@ def test_multistart_runs_continued_last_among_ties():
     assert tied[0].alpha == tied[1].alpha
     assert [t.seed_label for t in better] == ["continued", "zero"]
     assert better[0].alpha < better[1].alpha
+
+
+def test_multistart_hands_out_the_longest_start_first(monkeypatch):
+    # in one process `alternate` runs in the order the starts are handed
+    # out: by the steps of the coarser level's trace of each label, most
+    # first; the traces come back as without that order, the tie of zero
+    # and continued in start order
+    monkeypatch.setattr(parallel, "_cores", lambda: 1)
+    mesh = make_mesh_1d(32)
+    coeffs = make_coeffs(mesh, C=1.0, D=-1.0)
+    zero = descent.build_seed(mesh, coeffs, "zero", None)
+    coarser = [descent.RunTrace(label, steps=[{}] * n) for label, n in
+               (("laminate:4", 1), ("zero", 3), ("random", 2),
+                ("continued", 4))]
+    handed, alternate = [], descent.alternate
+    monkeypatch.setattr(descent, "alternate", lambda *a, **k: (
+        handed.append(k["seed_label"]) or alternate(*a, **k)))
+    runs = [[(t.seed_label, t.alpha) for t in descent.multistart(
+        mesh, coeffs, ["laminate:4", "random", "zero"],
+        np.random.default_rng(0), continued=zero, coarser=c)]
+        for c in ((), coarser)]
+    assert handed == ["laminate:4", "random", "zero", "continued",
+                      "continued", "zero", "random", "laminate:4"]
+    assert runs[0] == runs[1]
+    labels = [label for label, _ in runs[0]]
+    assert labels.index("zero") < labels.index("continued")
+    assert dict(runs[0])["zero"] == dict(runs[0])["continued"]
 
 
 def test_refinement_continuation_prolongs_phases():

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from doublewell import descent, mesh as meshmod, subproblem
+from doublewell import descent, mesh as meshmod, parallel, subproblem
 from doublewell.errors import ConfigurationError, ContractViolation
 
 from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
@@ -453,17 +453,22 @@ def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory,
 
 @pytest.mark.parametrize("n_rows", [0, 1, meshmod.CSV_BLOCK_ROWS - 1,
                                     meshmod.CSV_BLOCK_ROWS,
-                                    meshmod.CSV_BLOCK_ROWS + 1])
-def test_write_csv_blocks_are_the_one_shot_bytes(tmp_path, n_rows):
+                                    meshmod.CSV_BLOCK_ROWS + 1,
+                                    3 * meshmod.CSV_BLOCK_ROWS + 1])
+def test_write_csv_blocks_are_the_one_shot_bytes(tmp_path, monkeypatch,
+                                                 n_rows):
     # on either side of a block boundary, the bytes of the whole table
-    # written at once
+    # written at once, whether one process formats every block or one
+    # process per core shares them out
     rng = np.random.default_rng(n_rows)
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(
         -300, 300, n_rows) for _ in range(3)]
     header = ["x", "y", "z"]
     path = tmp_path / "t.csv"
-    meshmod.write_csv(path, header, columns)
-    assert path.read_bytes() == reference_csv(header, columns)
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        meshmod.write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, columns)
 
 
 def test_write_csv_memory_is_bounded_by_a_block(tmp_path):
