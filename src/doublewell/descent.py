@@ -258,6 +258,14 @@ def build_seed(mesh, coeffs, spec, rng):
     return chi
 
 
+# A level's traces run in forked workers (`parallel.imap`) when their
+# work, in element-steps, reaches this: elements times the steps each
+# start is expected to take, summed over the starts.  One element-step
+# costs about 2.7 us on both benchmark workloads, and two workers save
+# half of that; a fork costs 20-40 ms, repaid from about 15,000-30,000.
+PARALLEL_MIN_WORK = 32768
+
+
 def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
                tol=1e-10, level=0, coarser=()):
     """Run `alternate` from every seed in spec order, then from
@@ -265,28 +273,32 @@ def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
     coarsest), labelled 'continued'.  Returns every trace, sorted by
     final alpha: the first is the best, and ties keep the start order.
 
-    The seeds are drawn from rng first; the traces are then independent
-    and run one process per core (`parallel.imap`), on mesh caches built
-    here so that every process shares them.  The longest start goes
-    first, as far as `coarser`, the coarser level's traces, can tell:
-    the starts are handed out by the steps of its trace of the same
-    label, most first (a label it lacks counts 0)."""
+    The seeds are drawn from rng first; the traces are then independent.
+    `coarser`, the coarser level's traces, tells how many steps each
+    start will take: as many as its trace of the same label (at least
+    one; a label it lacks counts one).  The starts are handed out most
+    steps first, and when the level's work reaches PARALLEL_MIN_WORK
+    they run in worker processes, on mesh caches built here so that
+    every process shares them."""
     if not seed_specs:
         raise ConfigurationError("at least one seed is required")
     starts = [(spec, build_seed(mesh, coeffs, spec, rng))
               for spec in seed_specs]
     if continued is not None:
         starts.append(("continued", continued))
-    subproblem.build_caches(mesh)
 
     def run(k):
         label, chi = starts[k]
         return alternate(mesh, coeffs, chi, budget=budget, tol=tol,
                          level=level, seed_label=label)
-    steps = {t.seed_label: len(t.steps) for t in coarser}
-    order = sorted(range(len(starts)),
-                   key=lambda k: -steps.get(starts[k][0], 0))
-    traces = dict(zip(order, parallel.imap(run, order)))
+    steps = {t.seed_label: max(len(t.steps), 1) for t in coarser}
+    expected = [steps.get(label, 1) for label, _ in starts]
+    order = sorted(range(len(starts)), key=lambda k: -expected[k])
+    run_all = map
+    if mesh.n_elem * sum(expected) >= PARALLEL_MIN_WORK:
+        subproblem.build_caches(mesh)
+        run_all = parallel.imap
+    traces = dict(zip(order, run_all(run, order)))
     return sorted((traces[k] for k in range(len(starts))),
                   key=lambda t: t.alpha)
 

@@ -510,6 +510,9 @@ def default_test_functions(mesh):
 # Rows that `write_csv` formats at once: the text of a few blocks is all
 # it holds, whatever the table's length.
 CSV_BLOCK_ROWS = 4096
+# Blocks from which a table is formatted in forked workers: a fork costs
+# about as much as formatting one or two blocks.
+CSV_PARALLEL_BLOCKS = 4
 
 
 def write_csv(path, header, columns):
@@ -517,9 +520,11 @@ def write_csv(path, header, columns):
 
     Each value is written as the shortest text that reads back to the
     same float (`repr`).  Lines end in CRLF.  Rows are formatted
-    CSV_BLOCK_ROWS at a time, one process per core (`parallel.imap`),
-    and each block is written as it arrives in order, so the whole table
-    never exists as Python floats or strings at once.
+    CSV_BLOCK_ROWS at a time, in worker processes (`parallel.imap`) when
+    there are CSV_PARALLEL_BLOCKS blocks or more, and each block is
+    written in order as it arrives.  The whole table never exists as
+    Python floats or strings at once: this process holds at most
+    2 × parallel.MAX_WORKERS + 1 blocks of text.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     n_rows = max((col.size for col in columns), default=0)
@@ -529,9 +534,11 @@ def write_csv(path, header, columns):
                  for col in columns]
         return "".join(",".join(row) + "\r\n"
                        for row in zip(*cells, strict=True))
+    starts = range(0, n_rows, CSV_BLOCK_ROWS)
+    run_all = parallel.imap if len(starts) >= CSV_PARALLEL_BLOCKS else map
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(parallel.imap(block, range(0, n_rows, CSV_BLOCK_ROWS)))
+        fh.writelines(run_all(block, starts))
 
 
 def read_csv(path, names):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from doublewell import cli, config as configmod, descent, \
-    limits as limitsmod, mesh as meshmod, pipeline, relaxation, subproblem
+    limits as limitsmod, mesh as meshmod, parallel, pipeline, relaxation, \
+    subproblem
 from doublewell.errors import ConfigurationError, SolverError
 
 from conftest import make_coeffs, make_mesh_1d
@@ -274,6 +275,12 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
         == eps.tobytes()
 
 
+def in_workers(monkeypatch):
+    """Run every level's traces in two worker processes, however small."""
+    monkeypatch.setattr(descent, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(parallel, "_cores", lambda: 2)
+
+
 class CallLog:
     """Lines appended by this process and by every process forked from it
     (the descent's traces run in children), in the order of writing: each
@@ -299,6 +306,7 @@ def test_one_strain_per_solve(tmp_path, monkeypatch):
         "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4 random\n[run]\nwindow = 4\n")
+    in_workers(monkeypatch)
     log = CallLog(tmp_path / "calls.log")
     mine = []      # the strains of this process: a trace runs in one
     gradient = meshmod.StructuredMesh.symmetrized_gradient
@@ -340,6 +348,7 @@ def test_each_phase_field_is_assembled_once(tmp_path, monkeypatch):
         "[mesh]\ndim = 2\nresolution = 16\nlevels = 2\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4 zero\n[run]\nwindow = 8\n")
+    in_workers(monkeypatch)
     log = CallLog(tmp_path / "calls.log")
     names = ("stiffness", "assemble", "solve")
     for owner, name in zip((meshmod.StructuredMesh, subproblem, subproblem),

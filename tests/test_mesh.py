@@ -458,22 +458,25 @@ def test_write_csv_matches_csv_writer_and_reads_back(tmp_path_factory,
 def test_write_csv_blocks_are_the_one_shot_bytes(tmp_path, monkeypatch,
                                                  n_rows):
     # on either side of a block boundary, the bytes of the whole table
-    # written at once, whether one process formats every block or one
-    # process per core shares them out
+    # written at once, whether one process formats every block or worker
+    # processes share them out
     rng = np.random.default_rng(n_rows)
     columns = [rng.standard_normal(n_rows) * 10.0 ** rng.integers(
         -300, 300, n_rows) for _ in range(3)]
     header = ["x", "y", "z"]
     path = tmp_path / "t.csv"
+    monkeypatch.setattr(meshmod, "CSV_PARALLEL_BLOCKS", 2)
     for cores in (1, 2):
         monkeypatch.setattr(parallel, "_cores", lambda: cores)
         meshmod.write_csv(path, header, columns)
         assert path.read_bytes() == reference_csv(header, columns)
 
 
-def test_write_csv_memory_is_bounded_by_a_block(tmp_path):
+def test_write_csv_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
     # 200,000 rows x 9 columns: formatting the whole table at once peaks
-    # at 55 MiB of Python floats and strings; one block is about 1 MiB
+    # at 55 MiB of Python floats and strings; one block is about 1 MiB.
+    # The blocks of text this process holds do not grow with the cores.
+    monkeypatch.setattr(parallel, "_cores", lambda: 16)
     rng = np.random.default_rng(0)
     columns = [rng.standard_normal(200_000) for _ in range(9)]
     tracemalloc.start()

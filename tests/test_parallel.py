@@ -1,16 +1,20 @@
-"""One process per core: the same bytes as one process, failures that
-come back whole, no process left behind, and children that build no
-mesh."""
+"""Forked workers: the same bytes as one process, failures that come
+back whole, no process left behind, a bounded number of results held,
+and children that build no mesh."""
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from doublewell import cli, config as configmod, mesh as meshmod, \
-    parallel, pipeline, subproblem
+from doublewell import cli, config as configmod, descent, \
+    mesh as meshmod, parallel, pipeline, subproblem
 from doublewell.errors import SolverError
 
 # the CI 2D smoke config, and a graded one with random and multi-step
@@ -47,8 +51,28 @@ OUTPUTS = ("report.json", "u_finest.csv", "fields_finest.csv",
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Set the core count `parallel.imap` sees."""
+    """Set the core count `parallel.imap` sees, and send every level
+    with two or more starts and every table of two or more blocks to
+    it, however small."""
+    monkeypatch.setattr(descent, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(meshmod, "CSV_PARALLEL_BLOCKS", 2)
     return lambda n: monkeypatch.setattr(parallel, "_cores", lambda: n)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError here after `seconds` rather than wait for ever
+    on a result that will not come (forked children do not inherit the
+    alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_imap_yields_in_order_from_other_processes(cores):
@@ -61,6 +85,42 @@ def test_imap_yields_in_order_from_other_processes(cores):
     cores(1)
     assert {pid for _, pid in parallel.imap(
         lambda k: (k, os.getpid()), range(3))} == {os.getpid()}
+
+
+def test_imap_starts_at_most_max_workers(cores):
+    cores(16)
+    pids = set(parallel.imap(lambda k: os.getpid(), range(40)))
+    assert 1 <= len(pids) <= parallel.MAX_WORKERS == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_imap_holds_a_bounded_number_of_results(tmp_path, cores):
+    # a consumer that stalls after the first result: the workers compute
+    # at most 2 x workers items beyond it, then wait
+    cores(2)
+    log = tmp_path / "computed"
+
+    def compute(k):
+        with open(log, "a") as fh:
+            fh.write(f"{k}\n")
+        return k
+    results = parallel.imap(compute, range(50))
+    with deadline(60):
+        assert next(results) == 0
+    time.sleep(0.5)
+    assert len(log.read_text().split()) <= 2 * 2 + 1
+    results.close()     # stopping early stops the workers
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_and_leaves_no_process(cores):
+    # a child killed outright (the OOM killer, a crash in native code)
+    # raises here rather than leaving the run waiting for its result
+    cores(2)
+    with deadline(60), pytest.raises(BrokenProcessPool):
+        list(parallel.imap(lambda k: os._exit(1) if k == 3 else k,
+                           range(8)))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("text", [SMOKE2D, GRADED2D],
