@@ -29,7 +29,6 @@ def _cmd_solve(args):
     rep = result.report
     print(f"alpha_scheme = {rep['final']['alpha_scheme']!r}")
     print(f"theta_coeff1 = {rep['relaxation']['theta_coeff1']!r}")
-    print(f"convention   = {rep['relaxation']['convention_verdict']}")
     print(f"outputs in   {args.outdir}")
     return EXIT_OK
 
@@ -93,8 +92,6 @@ def _cmd_report(args):
         ("d", "relaxation.d", float),
         ("denominator", "relaxation.denominator", float),
         ("theta_coeff1", "relaxation.theta_coeff1", float),
-        ("theta_half", "relaxation.theta_half", float),
-        ("convention", "relaxation.convention_verdict", str),
         ("alpha_formula_coeff1", "relaxation.alpha_formula_coefficient_1",
          float),
         ("lower_bound", "relaxation.lower_bound.bound", float),

@@ -216,8 +216,8 @@ def load_report(run_dir):
 
 def report_leaf(report, path, kind=float):
     """The leaf at a dotted path of a loaded report.json, of `kind`: float
-    (any JSON number), bool or str.  A missing path or a leaf of another
-    kind is a VerificationError naming the path."""
+    (any JSON number) or bool.  A missing path or a leaf of another kind
+    is a VerificationError naming the path."""
     leaf = report
     for key in path.split("."):
         if not isinstance(leaf, dict) or key not in leaf:

@@ -3,13 +3,11 @@
 All formulas express the nonconvex infimum through the weak limits
 (window averages) of the minimizing sequence, its dual fields and phase
 fractions, plus the scalar oscillation gap d.  The gap term is
--theta den with theta = d / den; reading it as -theta/2 with
-theta = 2 d / den gives the same formula, so it is evaluated once.  theta
-is reported under both readings, and the verdict names the one in [0, 1]
-(coefficient-1 on the analytic 1D laminates); `gap_theta` is the one
-path from a state to d, den and theta, at every level.  The integrals are
-evaluated once per report by `relaxation_pieces`, the Omega_0-split ones
-by `energy.omega0_pieces`; the formulas are pure functions of them, and
+-theta den with the volume fraction theta = d / den, in [0, 1] on the
+analytic 1D laminates; `gap_theta` is the one path from a state to d,
+den and theta, at every level.  The integrals are evaluated once per
+report by `relaxation_pieces`, the Omega_0-split ones by
+`energy.omega0_pieces`; the formulas are pure functions of them, and
 Omega_0 and its guard zone are the coefficients'.
 """
 
@@ -19,27 +17,6 @@ import numpy as np
 
 from . import energy, limits
 from .mesh import window_expand
-
-
-def theta_estimate(d, den, tol):
-    """The six theta leaves of the relaxation block, in report order:
-    theta = 2 d / den (kappa = -theta/2 reading) and d / den, both 0 on
-    the zero branch den <= tol; whether each lies in [0, 1]; and the
-    verdict naming the one that does, coefficient-1 first."""
-    zero = den <= tol
-    half, coeff1 = (0.0, 0.0) if zero else (2.0 * d / den, d / den)
-    half_in, coeff1_in = (bool(-1e-10 <= t <= 1.0 + 1e-10)
-                          for t in (half, coeff1))
-    return {
-        "theta_half": float(half),
-        "theta_coeff1": float(coeff1),
-        "theta_zero_branch": bool(zero),
-        "theta_half_in_range": half_in,
-        "theta_coeff1_in_range": coeff1_in,
-        "convention_verdict": ("coefficient-1" if coeff1_in
-                               else "coefficient-half" if half_in
-                               else "none"),
-    }
 
 
 def gap_denominator(mesh, coeffs, bundle):
@@ -53,16 +30,19 @@ def gap_denominator(mesh, coeffs, bundle):
 
 def gap_theta(mesh, coeffs, bundle, den=None):
     """The gap d (`limits.gap_d`), its denominator den (`gap_denominator`,
-    unless the caller has it) and the six theta leaves of
-    `theta_estimate`, whose zero branch is den <= 1e-12 int a |C - D|^2:
-    the leading leaves of the relaxation block, in report order, and the
+    unless the caller has it), theta = d / den, 0 on the zero branch
+    den <= 1e-12 int a |C - D|^2, and whether theta lies in [0, 1]: the
+    leading leaves of the relaxation block, in report order, and the
     per-level theta of the refinement plot."""
     if den is None:
         den = gap_denominator(mesh, coeffs, bundle)
     d = limits.gap_d(mesh, coeffs, bundle)
-    tol = 1e-12 * float((mesh.measures * coeffs.a * coeffs.cd2).sum())
+    zero = den <= 1e-12 * float((mesh.measures * coeffs.a
+                                 * coeffs.cd2).sum())
+    theta = 0.0 if zero else d / den
     return {"d": float(d), "denominator": float(den),
-            **theta_estimate(d, den, tol)}
+            "theta_coeff1": float(theta), "theta_zero_branch": bool(zero),
+            "theta_coeff1_in_range": bool(-1e-10 <= theta <= 1.0 + 1e-10)}
 
 
 def relaxation_pieces(mesh, coeffs, bundle):

@@ -422,10 +422,20 @@ def test_cli_solve_verify_report(tmp_path, capsys):
                      "--outdir", str(out_dir)]) == 0
     assert (out_dir / "report.json").exists()
     assert (out_dir / "u_finest.csv").exists()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"alpha_scheme = {report['final']['alpha_scheme']!r}",
+        f"theta_coeff1 = {report['relaxation']['theta_coeff1']!r}",
+        f"outputs in   {out_dir}"]
     assert cli.main(["verify", str(out_dir)]) == 0
+    capsys.readouterr()
     assert cli.main(["report", str(out_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "alpha_scheme" in out
+    keys = [line.split(" = ")[0]
+            for line in capsys.readouterr().out.splitlines()]
+    assert keys == ["alpha_scheme", "duality_gap", "ker_residual", "d",
+                    "denominator", "theta_coeff1", "alpha_formula_coeff1",
+                    "lower_bound", "stuck_suspected", "ym_energy_residual",
+                    "dirac_all_passed"]
 
 
 @pytest.mark.parametrize("args", [["ym"], ["report", "--full"],
@@ -631,7 +641,7 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("final.algebraic_representations.energy_identity_residual", 1.0),
     ("young_measure.energy.residual", 1.0),
     ("limits.n_windows", 5),
-    ("relaxation.convention_verdict", "coefficient-1/2"),
+    ("relaxation.theta_coeff1_in_range", False),
     ("young_measure.dirac.windows", lambda windows: windows + [0]),
     ("final.fixed_point", False),
     ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5]),

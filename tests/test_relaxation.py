@@ -33,22 +33,31 @@ def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
 
 def test_theta_symmetric_laminate():
     mesh, coeffs, trace, bundle, d = analysis()
-    den = relaxation.gap_denominator(mesh, coeffs, bundle)
-    assert np.isclose(den, 1.0)
-    est = relaxation.theta_estimate(d, den, 1e-12)
+    est = relaxation.gap_theta(mesh, coeffs, bundle)
+    assert est["d"] == d
+    assert np.isclose(est["denominator"], 1.0)
     assert np.isclose(est["theta_coeff1"], 1.0, atol=1e-10)
-    assert np.isclose(est["theta_half"], 2.0, atol=1e-10)
-    assert est["theta_coeff1_in_range"] and not est["theta_half_in_range"]
-    assert est["convention_verdict"] == "coefficient-1"
+    assert est["theta_coeff1_in_range"] and not est["theta_zero_branch"]
 
 
 def test_theta_zero_branch_for_convex_case():
     mesh, coeffs, trace, bundle, d = analysis(C=1.0, D=1.0,
                                               seed_kind="zero")
-    den = relaxation.gap_denominator(mesh, coeffs, bundle)
-    est = relaxation.theta_estimate(d, den, 1e-12)
+    est = relaxation.gap_theta(mesh, coeffs, bundle)
     assert est["theta_zero_branch"]
     assert est["theta_coeff1"] == 0.0
+
+
+def test_relaxation_block_leaves_in_report_order():
+    # theta is one number: d / den, its zero branch and its range test
+    mesh, coeffs, trace, bundle, d = analysis()
+    out = relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
+    assert list(out) == [
+        "d", "denominator", "theta_coeff1", "theta_zero_branch",
+        "theta_coeff1_in_range", "I_term", "inequality_chain",
+        "lower_bound", "alpha_formula_coefficient_1",
+        "alpha_residual_coefficient_1", "representations_coefficient_1",
+        "lower_bound_gap", "stuck_suspected"]
 
 
 def test_formula_matches_scheme_on_laminates():
@@ -279,7 +288,7 @@ def test_lower_bound_piecewise_matches_per_element_sum(case):
 def test_relaxation_section_assembles():
     mesh, coeffs, trace, bundle, d = analysis()
     out = relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
-    assert out["convention_verdict"] == "coefficient-1"
+    assert out["theta_coeff1_in_range"]
     assert out["alpha_residual_coefficient_1"] <= 1e-10
     assert not out["stuck_suspected"]
     assert out["lower_bound_gap"] <= 1e-10
