@@ -17,7 +17,6 @@ Sections and keys (all optional, defaults in parentheses):
                    resolution (64), levels (1)
     [coefficients] a ("1.0"), b ("1.0"), C ("0.0"), D ("0.0")
     [strategy]     seeds ("laminate zero"), budget (50)
-    [tolerances]   solver_tol (1e-10), eta (0.05)
     [run]          window (8), seed (0)
 
 The output directory is not a key: `doublewell solve --outdir` names it,
@@ -56,8 +55,6 @@ class RunConfig:
     D_expr: str = "0.0"
     seeds: tuple = ("laminate", "zero")
     budget: int = 50
-    solver_tol: float = 1e-10
-    eta: float = 0.05
     window: int = 8
     seed: int = 0
     raw_lines: tuple = field(default_factory=tuple, repr=False)
@@ -158,27 +155,15 @@ def _eval_matrix(expr, mesh, key):
     return np.stack(cols, axis=1)
 
 
-def _parse_int(text, key, line_no, minimum=None):
+def _parse_int(text, key, line_no, minimum):
     try:
         val = int(text)
     except ValueError:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be an integer, got {text!r}")
-    if minimum is not None and val < minimum:
+    if val < minimum:
         raise ConfigurationError(
             f"line {line_no}: {key!r} must be >= {minimum}, got {val}")
-    return val
-
-
-def _parse_positive(text, key, line_no):
-    try:
-        val = float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"line {line_no}: {key!r} must be a number, got {text!r}")
-    if not 0 < val < np.inf:
-        raise ConfigurationError(
-            f"line {line_no}: {key!r} must be positive and finite, got {val}")
     return val
 
 
@@ -218,10 +203,6 @@ _SCHEMA = {
     "strategy": {
         "seeds": lambda t, ln: _parse_seeds(t, "seeds", ln),
         "budget": lambda t, ln: _parse_int(t, "budget", ln, 1),
-    },
-    "tolerances": {
-        "solver_tol": lambda t, ln: _parse_positive(t, "solver_tol", ln),
-        "eta": lambda t, ln: _parse_positive(t, "eta", ln),
     },
     "run": {
         "window": lambda t, ln: _parse_int(t, "window", ln, 1),

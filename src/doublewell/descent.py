@@ -71,35 +71,43 @@ def assign_phases(coeffs, strain):
     return PhaseField.from_a_indicator(ea <= eb)
 
 
-def alternate(mesh, coeffs, chi, budget=50, tol=1e-10, level=0,
-              seed_label="init"):
+def alternate(mesh, coeffs, chi, budget=50, level=0, seed_label="init"):
     """Alternating minimization from the phase field chi: solve for the
     frozen phases, reassign each element to its cheaper phase, repeat
     until no element flips or `budget` steps are spent.  Each solve after
     the first may start CG from the previous step's u
     (`subproblem.solve`).  A failed linear solve is re-raised as a
-    SolverError that names the level, the seed and the step.
+    SolverError, and a step record that holds a number that is not
+    finite raises a ConfigurationError, without a NumPy warning and
+    before the next solve; each names the level, the seed and the step.
     """
     trace = RunTrace(seed_label=seed_label)
     for step in range(budget):
+        where = f"level {level}, seed {seed_label!r}, step {step}"
         problem = subproblem.assemble(mesh, coeffs, chi)
         try:
-            u, srep = subproblem.solve(problem, tol=tol, u0=trace.u)
+            u, srep = subproblem.solve(problem, u0=trace.u)
         except SolverError as exc:
-            raise SolverError(
-                f"level {level}, seed {seed_label!r}, step {step}: {exc}",
-                residual=exc.residual, iterations=exc.iterations) from exc
+            raise SolverError(f"{where}: {exc}", residual=exc.residual,
+                              iterations=exc.iterations) from exc
         eps = mesh.symmetrized_gradient(u)
         p = subproblem.dual_variable(problem, eps)
         new_chi = assign_phases(coeffs, eps)
         flips = chi.flips(new_chi)
-        trace.steps.append({
-            "alpha": srep.alpha,
-            **subproblem.duality_report(problem, p, srep.alpha),
-            "flips": flips,
-            "cg_iterations": srep.iterations,
-            "cg_residual": srep.residual,
-        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = {
+                "alpha": srep.alpha,
+                **subproblem.duality_report(problem, p, srep.alpha),
+                "flips": flips,
+                "cg_iterations": srep.iterations,
+                "cg_residual": srep.residual,
+            }
+        for key, val in record.items():
+            if not np.isfinite(val):
+                raise ConfigurationError(
+                    f"the run's numbers overflow float64: {where}: "
+                    f"{key} is {val}")
+        trace.steps.append(record)
         trace.u, trace.eps, trace.chi, trace.p = u, eps, chi, p
         if flips == 0:
             trace.fixed_point = True
@@ -267,11 +275,12 @@ PARALLEL_MIN_WORK = 32768
 
 
 def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
-               tol=1e-10, level=0, coarser=()):
-    """Run `alternate` from every seed in spec order, then from
+               level=0, coarser=()):
+    """Run `alternate` from every seed of `seed_specs` and from
     `continued`, the phases carried from the coarser level (none at the
     coarsest), labelled 'continued'.  Returns every trace, sorted by
-    final alpha: the first is the best, and ties keep the start order.
+    final alpha: the first is the best, and ties keep the start order,
+    the seeds in spec order and `continued` last.
 
     The seeds are drawn from rng first; the traces are then independent.
     `coarser`, the coarser level's traces, tells how many steps each
@@ -289,8 +298,8 @@ def multistart(mesh, coeffs, seed_specs, rng, continued=None, budget=50,
 
     def run(k):
         label, chi = starts[k]
-        return alternate(mesh, coeffs, chi, budget=budget, tol=tol,
-                         level=level, seed_label=label)
+        return alternate(mesh, coeffs, chi, budget=budget, level=level,
+                         seed_label=label)
     steps = {t.seed_label: max(len(t.steps), 1) for t in coarser}
     expected = [steps.get(label, 1) for label, _ in starts]
     order = sorted(range(len(starts)), key=lambda k: -expected[k])

@@ -2,7 +2,7 @@
 
 
 class ConfigurationError(Exception):
-    """Bad user input: config file, mesh/window sizes, tolerances."""
+    """Bad user input: config file, mesh/window sizes, numbers too large."""
 
 
 class ContractViolation(Exception):

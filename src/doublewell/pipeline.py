@@ -72,7 +72,7 @@ def finest_analysis(cfg, problem, eps, p, alpha):
     here).  Returns the window bundle and the blocks."""
     mesh, coeffs = problem.mesh, problem.coeffs
     bundle = window_analysis(cfg, mesh, eps, p, problem.chi)
-    masks = limitsmod.partition_masks(mesh, coeffs, bundle, eta=cfg.eta)
+    masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     alpha = float(alpha)
     ortho = subproblem.orthogonality_residual(problem, eps, p)
     return bundle, {
@@ -116,8 +116,7 @@ def run_experiment(cfg):
         continued = (descent.refine_continue(mesh, best_by_level[-1])
                      if lvl else None)
         traces = descent.multistart(mesh, coeffs, cfg.seeds, rng, continued,
-                                    budget=cfg.budget, tol=cfg.solver_tol,
-                                    level=lvl,
+                                    budget=cfg.budget, level=lvl,
                                     coarser=traces_by_level[-1] if lvl else ())
         best = traces[0]
         traces_by_level.append(traces)

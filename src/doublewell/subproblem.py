@@ -95,6 +95,8 @@ CHEB_RATIO = 30.0
 # The largest coarsest level LU may take: 255 x 255 cells do not coarsen,
 # and LU of their 129,032 interior dofs would take about 242 MB.
 MAX_DIRECT_DOF = 2**15
+# CG stops when the residual |K x + f| falls below this fraction of |f|.
+SOLVER_TOL = 1e-10
 
 
 def _galerkin_levels(problem):
@@ -176,7 +178,7 @@ def _v_cycle(levels, lu, r, k=0):
     return _smooth(A, dinv, rho, r, x)
 
 
-def solve(problem, tol=1e-10, u0=None):
+def solve(problem, tol=SOLVER_TOL, u0=None):
     """Minimize the quadratic by conjugate gradients preconditioned with a
     geometric-multigrid V-cycle on the mesh hierarchy below the problem's
     mesh (`_galerkin_levels`), LU on its coarsest level.  A system

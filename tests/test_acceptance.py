@@ -158,7 +158,7 @@ def test_criterion_02_dual_feasibility(suite, compat2d):
     results = list(suite.values()) + [compat2d]
     worst_ker = max(s["ker_residual"]
                     for s in _all_steps(results))
-    tol = 10.0 * max(r.cfg.solver_tol for r in results)
+    tol = 10.0 * subproblem.SOLVER_TOL
     worst_orth = 0.0
     for res in results:
         mesh, coeffs = res.meshes[-1], res.coeffs_by_level[-1]

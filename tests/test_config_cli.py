@@ -69,11 +69,7 @@ def test_a_key_set_twice_names_both_lines():
 
 def test_negative_tolerance_names_key():
     # a number that is not positive and finite is rejected by its key
-    for text, key in (("[tolerances]\neta = -0.5\n", "eta"),
-                      ("[tolerances]\neta = nan\n", "eta"),
-                      ("[tolerances]\nsolver_tol = nan\n", "solver_tol"),
-                      ("[tolerances]\nsolver_tol = inf\n", "solver_tol"),
-                      ("[mesh]\nextents = nan\n", "extents"),
+    for text, key in (("[mesh]\nextents = nan\n", "extents"),
                       ("[mesh]\ndim = 2\nextents = 1.0 inf\n", "extents")):
         with pytest.raises(ConfigurationError, match=key):
             configmod.parse_config_text(text)
@@ -140,8 +136,6 @@ def test_readme_config_example_parses():
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     cfg = configmod.parse_config_text(block)
     echo = cfg.echo()
-    assert echo["tolerances"]["solver_tol"] == 1e-10
-    assert echo["tolerances"]["eta"] == 0.05
     assert echo["strategy"]["budget"] == 50
     coeffs = cfg.build_coeffs(meshmod.build_mesh((1.0, 1.0), (4, 4), 2))
     assert np.allclose(coeffs.C, [0.0, 0.5, 0.0])
@@ -155,7 +149,6 @@ ALL_KEYS = {
                      "C": ("0.5", "0.5"), "D": ("-0.5", "-0.5")},
     "strategy": {"seeds": ("random zero", ["random", "zero"]),
                  "budget": ("7", 7)},
-    "tolerances": {"solver_tol": ("1e-9", 1e-9), "eta": ("0.1", 0.1)},
     "run": {"window": ("4", 4), "seed": ("3", 3)},
 }
 
@@ -175,10 +168,12 @@ def test_every_schema_key_reaches_the_echo():
             assert default[section][key] != value, (section, key)
 
 
-# removed keys: the derived thresholds, and the output directory, which
-# only `solve --outdir` names
+# removed keys: the whole [tolerances] section (the derived thresholds,
+# the CG tolerance and the pure-phase threshold are constants in the
+# code), and the output directory, which only `solve --outdir` names
 REMOVED_KEYS = [("tolerances", "guard_scale"), ("tolerances", "dirac_tol"),
                 ("tolerances", "tol_den"), ("tolerances", "dist_tol"),
+                ("tolerances", "solver_tol"), ("tolerances", "eta"),
                 ("run", "outdir")]
 
 
@@ -187,13 +182,15 @@ REMOVED_KEYS = [("tolerances", "guard_scale"), ("tolerances", "dirac_tol"),
 def test_derived_thresholds_are_not_config_keys(section, key, tmp_path,
                                                 capsys):
     text = f"[{section}]\n{key} = 1e-5\n"
-    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+    message = (r"unknown section \[tolerances\]" if section == "tolerances"
+               else f"unknown key '{key}'")
+    with pytest.raises(ConfigurationError, match=message):
         configmod.parse_config_text(text)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert cli.main(["solve", str(cfg_path), "--outdir",
                      str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -462,9 +459,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     # rejected as such, and NumPy does not warn about it first
     for text in ("[mesh]\nextents = nan\n", "[mesh]\nextents = inf\n",
                  "[coefficients]\na = sqrt(x - 2)\n",
-                 "[coefficients]\nb = exp(1000)\n",
-                 "[tolerances]\nsolver_tol = nan\n",
-                 "[tolerances]\neta = nan\n"):
+                 "[coefficients]\nb = exp(1000)\n"):
         bad.write_text(text + "[strategy]\nseeds = zero\n")
         capsys.readouterr()
         assert cli.main(["solve", str(bad), "--outdir",
@@ -507,19 +502,27 @@ def test_where_guards_a_branch_that_is_not_finite():
         x > 0.5, np.sqrt(np.abs(x - 0.5)), 0.0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_run_whose_numbers_overflow_writes_no_report(tmp_path, capsys):
-    # moduli of 1e300 pass the coefficient checks but overflow the
-    # descent's gaps: exit 2, naming the first leaf of the report that is
-    # not finite, before anything is written
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_run_whose_numbers_overflow_writes_no_report(tmp_path, capsys,
+                                                       monkeypatch):
+    # moduli of 1e300 pass the coefficient checks but overflow the first
+    # step's gap: exit 2 from that step, naming it, without a NumPy
+    # warning, before a second solve and before anything is written
+    solve, calls = subproblem.solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(subproblem, "solve", counting)
     path = tmp_path / "overflow.cfg"
     path.write_text(SYM_CFG.replace("C = 1.0\nD = -1.0",
                                     "a = 1e300\nb = 1e300\nC = 1.0\n"
                                     "D = -1.0"))
     out_dir = tmp_path / "out"
     assert cli.main(["solve", str(path), "--outdir", str(out_dir)]) == 2
-    assert ("the run's numbers overflow float64: levels[0].traces[0]."
-            "steps[0].gap is inf") in capsys.readouterr().err
+    assert ("the run's numbers overflow float64: level 0, seed "
+            "'laminate:4', step 0: gap is inf") in capsys.readouterr().err
+    assert len(calls) == 1
     assert list(out_dir.iterdir()) == []
 
 

@@ -142,6 +142,15 @@ def test_half_inequality_chain_holds_for_constant_coefficients(cfg):
     alpha = report["final"]["alpha_scheme"]
     chain = report["relaxation"]["inequality_chain"]
     assert chain["half_violation"] <= 1e-10 * (1.0 + abs(alpha))
+    # the same runs hold the invariants of criteria 10, 4 and 1 at their
+    # tolerances: lower bound <= alpha, monotone descent, zero duality gap
+    assert report["relaxation"]["lower_bound"]["bound"] <= alpha + 1e-8
+    for level in report["levels"]:
+        for trace in level["traces"]:
+            alphas = [s["alpha"] for s in trace["steps"]]
+            assert all(b <= a + 1e-10 for a, b in zip(alphas, alphas[1:]))
+            for s in trace["steps"]:
+                assert abs(s["gap"]) <= 1e-8 * (1.0 + abs(s["alpha"]))
 
 
 def test_half_inequality_chain_misses_by_the_formula_residual():
