@@ -147,10 +147,9 @@ def laminate_seed(mesh, coeffs, period_elements):
     volume fraction t is chosen so the mean strain vanishes (projected to
     [0, 1] best-effort otherwise).  In 2D the layer normal is whichever
     rank-one factor of C - D lies closest to a grid axis (x first on a
-    tie), and info['direction'] names that axis.  The laminate is built
-    from element 0's wells; when the wells vary over the domain,
-    info['wells_vary'] is set and a warning says so.  Returns
-    (u, chi, info) or (None, None, info) when the wells are incompatible.
+    tie).  The laminate is built from element 0's wells, with a warning
+    when the wells vary over the domain.  Returns (u, chi), or
+    (None, None) when the wells coincide or are not rank-one compatible.
     """
     if period_elements < 1:
         raise ConfigurationError("laminate period must be >= 1 element")
@@ -159,61 +158,38 @@ def laminate_seed(mesh, coeffs, period_elements):
             f"laminate period {period_elements} does not divide the "
             f"element counts {tuple(mesh.shape.tolist())}")
     C, D = coeffs.C[0], coeffs.D[0]
-    wells_vary = bool(np.any(coeffs.C != C) or np.any(coeffs.D != D))
-    if wells_vary:
+    if np.any(coeffs.C != C) or np.any(coeffs.D != D):
         warnings.warn("the wells vary over the domain; the laminate seed "
                       "is built from element 0's wells", stacklevel=2)
     delta = C - D
     dn2 = float(mesh.frob_dot(delta, delta))
-    info = {"compatible": True, "t": None, "direction": None,
-            "wells_vary": wells_vary}
     if dn2 == 0.0:
-        info["compatible"] = False
-        info["reason"] = "coinciding wells"
-        return None, None, info
-    t_raw = float(mesh.frob_dot(delta, -D)) / dn2
-    t = min(max(t_raw, 0.0), 1.0)
-    info["t"] = t
-    info["exact_mean_zero"] = bool(
-        np.allclose(t * C + (1.0 - t) * D, 0.0, atol=1e-12 * np.sqrt(dn2)))
+        return None, None
+    t = min(max(float(mesh.frob_dot(delta, -D)) / dn2, 0.0), 1.0)
 
     h = mesh.extents / mesh.shape
     if mesh.dim == 1:
-        period = period_elements * h[0]
-        xi = mesh.nodes[:, 0]
-        s = _sawtooth(xi, period, t, -(1.0 - t) * delta[0], t * delta[0])
-        u = s[:, None].copy()
-        info["direction"] = "x"
+        s = _sawtooth(mesh.nodes[:, 0], period_elements * h[0], t,
+                      -(1.0 - t) * delta[0], t * delta[0])
+        u = s[:, None]
     else:
-        M = np.array([[delta[0], delta[1]], [delta[1], delta[2]]])
-        dec = rank_one_decompose(M)
+        dec = rank_one_decompose(
+            np.array([[delta[0], delta[1]], [delta[1], delta[2]]]))
         if dec is None:
-            info["compatible"] = False
-            info["reason"] = "det(C - D) > 0: incompatible wells"
-            return None, None, info
+            return None, None
         eta, nu = dec
-        axes = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}
-        # eta and nu are interchangeable as layer normal; prefer the one
-        # closest to a grid axis
-        best = None
-        for name, ax in axes.items():
-            for cand_nu, cand_eta in ((nu, eta), (eta, nu)):
-                nhat = cand_nu / np.linalg.norm(cand_nu)
-                score = abs(nhat @ ax)
-                if best is None or score > best[0]:
-                    best = (score, name, cand_nu, cand_eta)
-        _, axis_name, nu, eta = best
+        # eta and nu are interchangeable as layer normal: take the one
+        # closest to a grid axis, the first of x before y, nu before eta
+        axis, nu, eta = max(
+            ((k, n, e) for k in (0, 1) for n, e in ((nu, eta), (eta, nu))),
+            key=lambda c: abs(c[1][c[0]]) / np.linalg.norm(c[1]))
         nu_norm = np.linalg.norm(nu)
-        nhat = nu / nu_norm
-        period = period_elements * h[0 if axis_name == "x" else 1]
-        xi = mesh.nodes @ nhat
-        s = _sawtooth(xi, period, t,
-                      -(1.0 - t) * nu_norm, t * nu_norm)
+        s = _sawtooth(mesh.nodes @ (nu / nu_norm), period_elements * h[axis],
+                      t, -(1.0 - t) * nu_norm, t * nu_norm)
         u = np.outer(s, eta)
-        info["direction"] = axis_name
     u[mesh.boundary_mask] = 0.0
     chi = assign_phases(coeffs, mesh.symmetrized_gradient(u))
-    return u, chi, info
+    return u, chi
 
 
 def random_phase(mesh, rng):
@@ -250,14 +226,15 @@ def parse_seed_spec(spec):
 
 def build_seed(mesh, coeffs, spec, rng):
     """The phase field a seed spec (see `parse_seed_spec`) starts from;
-    a laminate on incompatible wells starts from 'random' phases."""
+    a laminate on coinciding or incompatible wells (`laminate_seed`
+    returns None) starts from 'random' phases."""
     name, frac, period = parse_seed_spec(spec)
     if name == "zero":
         return assign_phases(
             coeffs, mesh.symmetrized_gradient(mesh.zero_displacement()))
     if name == "random":
         return random_phase(mesh, rng)
-    _, chi, _ = laminate_seed(mesh, coeffs, period)
+    _, chi = laminate_seed(mesh, coeffs, period)
     if chi is None:
         return random_phase(mesh, rng)
     if frac > 0.0:

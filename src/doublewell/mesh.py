@@ -532,8 +532,7 @@ def write_csv(path, header, columns):
     def block(start):
         cells = [map(repr, col[start:start + CSV_BLOCK_ROWS].tolist())
                  for col in columns]
-        return "".join(",".join(row) + "\r\n"
-                       for row in zip(*cells, strict=True))
+        return "\r\n".join(map(",".join, zip(*cells, strict=True))) + "\r\n"
     starts = range(0, n_rows, CSV_BLOCK_ROWS)
     run_all = parallel.imap if len(starts) >= CSV_PARALLEL_BLOCKS else map
     with open(path, "w", newline="") as fh:

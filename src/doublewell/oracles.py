@@ -147,13 +147,15 @@ def laminate_oracle(mesh, coeffs, period_elements):
 
     Returns (u, chi, J) where J is the quadrature of the nonconvex
     density at the constructed displacement; J = 0 exactly whenever both
-    sawtooth slopes sit at the wells (mean-zero volume fraction).
+    sawtooth slopes sit at the wells (mean-zero volume fraction).  Wells
+    that coincide or are not rank-one compatible (`laminate_seed` builds
+    no laminate) raise ContractViolation.
     """
-    u, chi, info = descent.laminate_seed(mesh, coeffs, period_elements)
+    u, chi = descent.laminate_seed(mesh, coeffs, period_elements)
     if u is None:
         raise ContractViolation(
-            "laminate oracle needs compatible wells: "
-            + info.get("reason", "incompatible"))
+            "laminate oracle needs compatible wells: these coincide "
+            "(C = D) or have det(C - D) > 0")
     eps = mesh.symmetrized_gradient(u)
     value = float(mesh.integrate(energy.h_density(coeffs, eps)))
     return u, chi, value

@@ -19,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -286,9 +287,10 @@ def _leaf_residual(rebuilt, reported):
 
 def verify_run(run_dir):
     """Rebuild the finest-level blocks from the dumps at the reported
-    alpha, with `final.fixed_point`, the last per-level theta and the
+    alpha, with `final.fixed_point`, the last per-level theta, the
     finest level's best trace, whose final state is the dumped one (its
-    last step, flags and alphas), and compare every leaf with
+    last step, flags and alphas), and the pairing diagnostic's limits and
+    finest-level values and residuals, and compare every leaf with
     report.json: floats within `1e-10 * (1 + |alpha|)`, anything else
     exactly.  Also checks the dumped state's energy against alpha, p = m
     eps + E, and the lower bound against the recomputed alpha.  Returns
@@ -298,7 +300,7 @@ def verify_run(run_dir):
     alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
     problem = subproblem.assemble(mesh, coeffs, chi)
-    _, blocks = finest_analysis(cfg, problem, eps, p, alpha_rep)
+    bundle, blocks = finest_analysis(cfg, problem, eps, p, alpha_rep)
     flips = chi.flips(descent.assign_phases(coeffs, eps))
     blocks["final"]["fixed_point"] = flips == 0
     rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
@@ -309,6 +311,15 @@ def verify_run(run_dir):
     trace = f"{level}.traces[0]"
     step = last(f"{trace}.steps")
     duality = blocks["final"]["duality"]
+    pairing = limitsmod.pairing_diagnostic(
+        [mesh], [SimpleNamespace(eps=eps, p=p)], bundle,
+        meshmod.default_test_functions(mesh))
+    rebuilt.update({
+        f"{path}[{i}]": val for path, row in (
+            ("pairing_diagnostic.limit", pairing["limit"]),
+            (last("pairing_diagnostic.value"), pairing["value"][0]),
+            (last("pairing_diagnostic.residual"), pairing["residual"][0]))
+        for i, val in enumerate(row)})
     rebuilt.update({
         last("relaxation.theta_by_level"):
             blocks["relaxation"]["theta_coeff1"],

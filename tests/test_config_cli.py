@@ -651,6 +651,9 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("levels[-1].best_alpha", 123.0),
     ("levels[-1].traces[0].final_alpha", 123.0),
     ("levels[-1].traces[0].steps[-1].gap", 123.0),
+    ("pairing_diagnostic.limit", lambda lim: [lim[0] + 1.0] + lim[1:]),
+    ("pairing_diagnostic.value",
+     lambda rows: rows[:-1] + [[v + 1.0 for v in rows[-1]]]),
 ])
 def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
     # a list index -1 is the last entry, which the message numbers

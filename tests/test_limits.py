@@ -12,7 +12,7 @@ from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 def laminate_run(n=64, period=4, C=1.0, D=-1.0, window=8):
     mesh = make_mesh_1d(n)
     coeffs = make_coeffs(mesh, C=C, D=D)
-    _, chi, _ = descent.laminate_seed(mesh, coeffs, period)
+    _, chi = descent.laminate_seed(mesh, coeffs, period)
     trace = descent.alternate(mesh, coeffs, chi)
     windows = meshmod.build_windows(mesh, window)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
@@ -116,7 +116,7 @@ def test_pairing_diagnostic_levels_shrink():
     mesh, coeffs, trace, windows, bundle = laminate_run()
     coarse = make_mesh_1d(16)
     ccoeffs = make_coeffs(coarse, C=1.0, D=-1.0)
-    _, chi0, _ = descent.laminate_seed(coarse, ccoeffs, 4)
+    _, chi0 = descent.laminate_seed(coarse, ccoeffs, 4)
     t0 = descent.alternate(coarse, ccoeffs, chi0)
     testset = meshmod.default_test_functions(mesh)
     out = limitsmod.pairing_diagnostic([coarse, mesh], [t0, trace], bundle,

@@ -20,7 +20,7 @@ def analysis(C=1.0, D=-1.0, seed_kind="laminate", n=64, period=4):
     mesh = make_mesh_1d(n)
     coeffs = make_coeffs(mesh, C=C, D=D)
     if seed_kind == "laminate":
-        _, init, _ = descent.laminate_seed(mesh, coeffs, period)
+        _, init = descent.laminate_seed(mesh, coeffs, period)
     else:
         init = descent.build_seed(mesh, coeffs, "zero", None)
     trace = descent.alternate(mesh, coeffs, init)

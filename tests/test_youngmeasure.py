@@ -12,7 +12,7 @@ from conftest import make_coeffs, make_mesh_1d, make_mesh_2d
 def laminate_analysis(period=4, C=1.0, D=-1.0, n=64, window=8):
     mesh = make_mesh_1d(n)
     coeffs = make_coeffs(mesh, C=C, D=D)
-    _, chi, _ = descent.laminate_seed(mesh, coeffs, period)
+    _, chi = descent.laminate_seed(mesh, coeffs, period)
     trace = descent.alternate(mesh, coeffs, chi)
     windows = meshmod.build_windows(mesh, window)
     bundle = limitsmod.estimate_limits(mesh, windows, trace.eps, trace.p,
