@@ -146,10 +146,12 @@ def laminate_seed(mesh, coeffs, period_elements):
     Needs constant coefficients with rank-one-compatible wells; the
     volume fraction t is chosen so the mean strain vanishes (projected to
     [0, 1] best-effort otherwise).  In 2D the layer normal is whichever
-    rank-one factor of C - D lies closest to a grid axis (x first on a
-    tie).  The laminate is built from element 0's wells, with a warning
-    when the wells vary over the domain.  Returns (u, chi), or
-    (None, None) when the wells coincide or are not rank-one compatible.
+    rank-one factor of C - D has the smallest off-axis share, so one
+    exactly on a grid axis wins over one only nearly on it (x first, then
+    nu before eta, on a tie).  The laminate is built from element 0's
+    wells, with a warning when the wells vary over the domain.  Returns
+    (u, chi), or (None, None) when the wells coincide or are not
+    rank-one compatible.
     """
     if period_elements < 1:
         raise ConfigurationError("laminate period must be >= 1 element")
@@ -179,10 +181,12 @@ def laminate_seed(mesh, coeffs, period_elements):
             return None, None
         eta, nu = dec
         # eta and nu are interchangeable as layer normal: take the one
-        # closest to a grid axis, the first of x before y, nu before eta
+        # closest to a grid axis, the first of x before y, nu before eta.
+        # The score is the off-axis share, which is exactly 0 on an axis;
+        # the on-axis share rounds to 1 for a factor only nearly on one
         axis, nu, eta = max(
             ((k, n, e) for k in (0, 1) for n, e in ((nu, eta), (eta, nu))),
-            key=lambda c: abs(c[1][c[0]]) / np.linalg.norm(c[1]))
+            key=lambda c: -abs(c[1][1 - c[0]]) / np.linalg.norm(c[1]))
         nu_norm = np.linalg.norm(nu)
         s = _sawtooth(mesh.nodes @ (nu / nu_norm), period_elements * h[axis],
                       t, -(1.0 - t) * nu_norm, t * nu_norm)

@@ -61,12 +61,16 @@ class StructuredMesh:
     measures: np.ndarray           # (n_elem,)
     centers: np.ndarray            # (n_elem, dim)
     boundary_mask: np.ndarray      # (n_nodes,) bool
-    grad: np.ndarray               # (n_elem, n_comp, (dim+1)*dim)
+    # (n_orient, n_comp, (dim+1)*dim): the strain of each local dof, node
+    # by node, of the first cell's elements (one in 1D, two in 2D), which
+    # every element of that orientation shares bit for bit; element e has
+    # orientation e % n_orient
+    strain_templates: np.ndarray
     frob_w: np.ndarray             # Frobenius weights per packed component
 
     def __post_init__(self):
         if not (np.all((self.measures > 0) & (self.measures < np.inf))
-                and np.isfinite(self.grad).all()):
+                and np.isfinite(self.strain_templates).all()):
             raise ConfigurationError(
                 f"extents {self.extents.tolist()} over {self.shape.tolist()}"
                 " cells give element measures or strain gradients that "
@@ -134,86 +138,113 @@ class StructuredMesh:
     # -- kinematics -------------------------------------------------------
 
     def symmetrized_gradient(self, u):
-        """Per-element strain of a nodal displacement field."""
+        """Per-element strain of a nodal displacement field: the elements
+        of each orientation contract their dofs with its template."""
         u = self.check_displacement(u)
-        elem_dofs = u[self.elements].reshape(self.n_elem, -1)
-        return np.einsum("eck,ek->ec", self.grad, elem_dofs)
+        templates = self.strain_templates
+        # np.take gathers whole node rows, several times faster than
+        # u[self.elements]
+        dofs = np.take(u, self.elements, axis=0).reshape(
+            -1, len(templates), templates.shape[-1])
+        eps = np.empty(dofs.shape[:2] + (self.n_comp,))
+        for o, template in enumerate(templates):
+            np.einsum("ck,qk->qc", template, dofs[:, o], out=eps[:, o])
+        return eps.reshape(self.n_elem, self.n_comp)
+
+    def _cell_walk(self):
+        """Where the elements meet the interior nodes.  Returns (offsets,
+        index): offsets (n_orient, dim + 1, dim), the offset on the node
+        grid of each local node of the first cell's elements from the
+        cell's lower corner, node 0; index[o][k], the index of the cell
+        grid (array axes, x last), orientation o appended, that reads for
+        every interior node r, row by row, the element of orientation o
+        in cell r - offsets[o, k], whose local node k is r."""
+        cells = self.shape[::-1].tolist()
+        offsets = np.stack(np.unravel_index(
+            self.elements[:len(self.strain_templates)],
+            tuple(n + 1 for n in cells)), axis=-1)
+        return offsets, [
+            [tuple(slice(1 - d, n - d) for d, n in zip(off, cells)) + (o,)
+             for off in local] for o, local in enumerate(offsets.tolist())]
 
     @cached_property
-    def strain_matrix(self):
-        """The strain on the interior dofs as a sparse CSR matrix G of shape
-        (n_elem * n_comp, n_free_dof): row e * n_comp + c holds grad[e, c]
-        at the element's interior dofs, numbered node * dim + comp in the
-        order of `free_nodes`.  So G x is eps(u) packed and raveled, for u
-        the displacement with interior values x and zero on the boundary.
-        It depends on the geometry alone, so it is built once per mesh.
+    def adjoint_plan(self):
+        """G^T as a stencil, for G the strain on the interior dofs: G x is
+        eps(u) packed and raveled (row e * n_comp + c), for u the
+        displacement with interior values x (node * dim + comp, in the
+        order of `free_nodes`) and zero on the boundary.  Per dof
+        component a, the terms (index, value) that dof a of every
+        interior node sums: a packed element field, as an array over the
+        cells, orientations and strain components, read at `index`, times
+        the template value.  The terms run in ascending element index,
+        then strain component, and skip the zero template entries, which
+        G does not hold: the order in which SciPy's CSC product with G^T
+        adds the same products into each dof, so the sums are its bits."""
+        offsets, index = self._cell_walk()
+        # at every interior node the cell index ascends as the offset
+        # descends; orientation o of a cell is element n_orient q + o
+        order = sorted(np.ndindex(offsets.shape[:2]),
+                       key=lambda ok: (tuple(-offsets[ok]), ok[0]))
+        dim = self.dim
+        terms = [[] for _ in range(dim)]
+        for o, k in order:
+            block = self.strain_templates[o, :, k * dim:(k + 1) * dim]
+            for c, a in np.argwhere(block).tolist():
+                terms[a].append((index[o][k] + (c,), float(block[c, a])))
+        return tuple(map(tuple, terms))
 
-        Its rows are already in (element, component) order, so the CSR
-        arrays are read off `grad` directly, with int32 indices sorted in
-        place: no COO triplets and no duplicate summing."""
-        free_index = np.full(self.n_nodes, -1, dtype=np.int32)
-        free_index[self.free_nodes] = np.arange(self.free_nodes.size)
-        # interior dof of each local dof, node-major as in `grad`; negative
-        # on boundary nodes
-        dof = (np.repeat(free_index[self.elements], self.dim, axis=1)
-               * self.dim
-               + np.tile(np.arange(self.dim, dtype=np.int32), self.dim + 1))
-        keep = (dof[:, None, :] >= 0) & (self.grad != 0)
-        indices = np.broadcast_to(dof[:, None, :], keep.shape)[keep]
-        indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(keep.sum(axis=2))
-        G = sp.csr_matrix((self.grad[keep], indices, indptr),
-                          shape=(self.n_elem * self.n_comp, self.n_free_dof))
-        G.sort_indices()
-        return G
+    def _strain_transpose(self, v, square=False):
+        """G^T v for a packed element field v by `adjoint_plan`, or with
+        square, G's entries squared in place of G's: an (n_free_dof,)
+        vector in the dof order of G."""
+        cells = tuple(self.shape[::-1].tolist())
+        v = v.reshape(cells + self.strain_templates.shape[:2])
+        y = np.zeros((self.dim,) + tuple(n - 1 for n in cells))
+        for a, terms in enumerate(self.adjoint_plan):
+            for index, value in terms:
+                y[a] += v[index] * (value * value if square else value)
+        return np.moveaxis(y, 0, -1).ravel()
 
     def strain_adjoint(self, X):
         """Discrete adjoint of the strain, G^T (|T| frob_w X): the integral
         of X : eps(phi_i) for every interior basis function phi_i, as an
-        (n_free_dof,) vector in the dof order of `strain_matrix`."""
-        return self.strain_matrix.T @ (self.measures[:, None] * self.frob_w
-                                       * X).ravel()
+        (n_free_dof,) vector in the dof order of `adjoint_plan`."""
+        return self._strain_transpose(self.measures[:, None] * self.frob_w
+                                      * X)
 
     @cached_property
     def basis_strain_norms(self):
         """L2 norms of eps(phi_i) for every interior basis function, as an
-        (n_free_dof,) vector in the dof order of `strain_matrix`.  Equals
+        (n_free_dof,) vector in the dof order of `adjoint_plan`.  Equals
         sqrt(diag K) for the unit-coefficient operator."""
-        return np.sqrt(self.strain_matrix.power(2).T
-                       @ (self.measures[:, None] * self.frob_w).ravel())
+        return np.sqrt(self._strain_transpose(
+            self.measures[:, None] * self.frob_w, square=True))
 
     @cached_property
     def stencil_plan(self):
         """The fixed part of every `stiffness` of this mesh, built on first
         use.  Every element of one orientation (one in 1D, two in 2D) is a
         translate of the first cell's, so its local matrix is its weight
-        times that element's template."""
+        times that orientation's template."""
         cells = tuple(self.shape[::-1].tolist())   # array axes, x last
         inner = tuple(n - 1 for n in cells)        # interior node grid
-        n_orient = self.n_elem // int(np.prod(cells))
-        # local node offsets (n_orient, dim + 1, dim) on the node grid: the
-        # first cell's lower corner is node 0
-        offsets = np.stack(np.unravel_index(
-            self.elements[:n_orient], tuple(n + 1 for n in cells)), axis=-1)
+        offsets, index = self._cell_walk()
         slots = np.unique((offsets[:, None] - offsets[:, :, None])
                           .reshape(-1, self.dim), axis=0)
         slot_of = {tuple(d): s for s, d in enumerate(slots.tolist())}
-        g = self.grad[:n_orient]
-        templates = ((g[:, :, :, None] * self.frob_w[:, None, None])
-                     * g[:, :, None, :]).sum(axis=1).reshape(
-            n_orient, self.dim + 1, self.dim, self.dim + 1, self.dim)
+        g = self.strain_templates
+        local_stiffness = ((g[:, :, :, None] * self.frob_w[:, None, None])
+                           * g[:, :, None, :]).sum(axis=1).reshape(
+            -1, self.dim + 1, self.dim, self.dim + 1, self.dim)
         terms = {}
         for o, local in enumerate(offsets.tolist()):
             for k, off_k in enumerate(local):
-                # the cells whose local node k is interior, row by row
-                index = tuple(slice(1 - d, n - d)
-                              for d, n in zip(off_k, cells)) + (o,)
                 for l, off_l in enumerate(local):
                     s = slot_of[tuple(q - p for p, q in zip(off_k, off_l))]
-                    block = templates[o, k, :, l, :]
+                    block = local_stiffness[o, k, :, l, :]
                     for a, b in np.argwhere(block).tolist():
                         terms.setdefault((a, s, b), []).append(
-                            (index, block[a, b]))
+                            (index[o][k], block[a, b]))
         keys = sorted(terms)
         comp, slot, col_comp = np.array(keys).T
         strides = [int(np.prod(inner[ax + 1:])) for ax in range(self.dim)]
@@ -229,8 +260,9 @@ class StructuredMesh:
 
     def stiffness(self, w):
         """The interior-dof stiffness G^T diag(w (x) frob_w) G of per-element
-        weights w = |T| m, for G the `strain_matrix`: every multigrid
-        level's operator.
+        weights w = |T| m, for G the strain on the interior dofs (see
+        `adjoint_plan`), which no array holds: every multigrid level's
+        operator.
 
         Built from `stencil_plan`: each entry of the stencil is the sum of
         its element contributions, in the plan's fixed order, for every
@@ -331,11 +363,9 @@ def build_mesh(extents, resolution, dim):
         centers = 0.5 * (nodes[elements[:, 0], 0] + nodes[elements[:, 1], 0])
         boundary = np.zeros(ne + 1, dtype=bool)
         boundary[[0, -1]] = True
-        grad = np.zeros((ne, 1, 2))
-        grad[:, 0, 0] = -1.0 / h
-        grad[:, 0, 1] = 1.0 / h
+        templates = np.array([[[-1.0 / h, 1.0 / h]]])
         return StructuredMesh(1, extents, resolution, nodes, elements,
-                              measures, centers[:, None], boundary, grad,
+                              measures, centers[:, None], boundary, templates,
                               np.array([1.0]))
 
     (lx, ly), (nx, ny) = extents, resolution
@@ -361,7 +391,8 @@ def build_mesh(extents, resolution, dim):
 
     # every element is a translate of one of the first quad's two
     # triangles and takes its measure and P1 barycentric gradients bit for
-    # bit (node differences elsewhere would round differently)
+    # bit (node differences elsewhere would round differently): the
+    # gradients are stored once per triangle
     p0, p1, p2 = p0[:2], p1[:2], p2[:2]
     det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
            - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
@@ -370,18 +401,18 @@ def build_mesh(extents, resolution, dim):
                      p0[:, 1] - p1[:, 1]], axis=1) / det[:, None]
     dldy = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0],
                      p1[:, 0] - p0[:, 0]], axis=1) / det[:, None]
-    grad = np.zeros((2, 3, 6))
+    templates = np.zeros((2, 3, 6))
     for k in range(3):
-        grad[:, 0, 2 * k] = dldx[:, k]                  # eps_xx
-        grad[:, 1, 2 * k] = 0.5 * dldy[:, k]            # eps_xy
-        grad[:, 1, 2 * k + 1] = 0.5 * dldx[:, k]
-        grad[:, 2, 2 * k + 1] = dldy[:, k]              # eps_yy
-    grad = np.tile(grad, (nx * ny, 1, 1))
+        templates[:, 0, 2 * k] = dldx[:, k]                  # eps_xx
+        templates[:, 1, 2 * k] = 0.5 * dldy[:, k]            # eps_xy
+        templates[:, 1, 2 * k + 1] = 0.5 * dldx[:, k]
+        templates[:, 2, 2 * k + 1] = dldy[:, k]              # eps_yy
     boundary = ((np.isclose(nodes[:, 0], 0.0)) | (np.isclose(nodes[:, 0], lx))
                 | (np.isclose(nodes[:, 1], 0.0))
                 | (np.isclose(nodes[:, 1], ly)))
     return StructuredMesh(2, extents, resolution, nodes, tris, measures,
-                          centers, boundary, grad, np.array([1.0, 2.0, 1.0]))
+                          centers, boundary, templates,
+                          np.array([1.0, 2.0, 1.0]))
 
 
 def refine(mesh):

@@ -130,8 +130,11 @@ def _galerkin_levels(problem):
 def build_caches(mesh):
     """Build the caches of `mesh` that `assemble`, `solve` and
     `duality_report` read, on it and on every coarser multigrid level of
-    `_galerkin_levels`: processes forked afterwards share them."""
-    mesh.basis_strain_norms     # and the strain matrix it is read off
+    `_galerkin_levels`: processes forked afterwards share them.  These are
+    the basis strain norms with the adjoint plan they are read off, and
+    on every level the stiffness plan, the prolongation and the parent
+    map."""
+    mesh.basis_strain_norms     # and the adjoint plan it is read off
     while True:
         mesh.stencil_plan
         if mesh.prolongation is None:

@@ -314,6 +314,23 @@ def test_2d_laminate_sits_at_random_compatible_wells(axis, r, angle,
     assert np.abs(mesh.measures @ eps).max() <= 1e-12 * scale
 
 
+def test_laminate_normal_on_an_axis_beats_one_nearly_on_an_axis():
+    # eta = (1, 1e-9) is x to within 1e-9 rad, and its x share rounds to
+    # 1 as nu = e_y's y share is 1: the normal exactly on an axis, nu, is
+    # the one whose layers put every interior element at a well
+    t, period = 0.5, 4
+    eta, nu = np.array([1.0, 1e-9]), np.array([0.0, 1.0])
+    M = 0.5 * (np.outer(eta, nu) + np.outer(nu, eta))
+    packed = np.array([M[0, 0], M[0, 1], M[1, 1]])
+    mesh = make_mesh_2d(16)
+    coeffs = make_coeffs(mesh, C=(1.0 - t) * packed, D=-t * packed)
+    u, _ = descent.laminate_seed(mesh, coeffs, period)
+    eps = mesh.symmetrized_gradient(u)
+    inside = ~mesh.boundary_mask[mesh.elements].any(axis=1)
+    assert energy.h_density(coeffs, eps)[inside].max() <= 1e-20
+    assert _interior_spread(mesh, u)[0] <= 1e-12
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a, D", [
     # step 1's load has entries of about 5.6e-17, so 2^s is about 2^53:

@@ -86,10 +86,36 @@ def _interior_field(mesh, rng):
     return x, u
 
 
+def _element_gradients(mesh):
+    """The strain gradient of every element, (n_elem, n_comp,
+    (dim+1)*dim): its orientation's template, repeated cell by cell."""
+    n_orient = len(mesh.strain_templates)
+    return np.tile(mesh.strain_templates, (mesh.n_elem // n_orient, 1, 1))
+
+
+def _strain_matrix(mesh):
+    """The strain on the interior dofs as a CSR matrix G of shape
+    (n_elem * n_comp, n_free_dof), built from COO triplets of the element
+    gradients without their zero entries: row e * n_comp + c holds the
+    strain component c of element e, column node * dim + comp the
+    interior dofs in the order of `free_nodes`."""
+    free_index = np.full(mesh.n_nodes, -1)
+    free_index[mesh.free_nodes] = np.arange(mesh.free_nodes.size)
+    dof = (np.repeat(free_index[mesh.elements], mesh.dim, axis=1) * mesh.dim
+           + np.tile(np.arange(mesh.dim), mesh.dim + 1))
+    grad = _element_gradients(mesh)
+    rows, _, cols = np.broadcast_arrays(
+        np.arange(mesh.n_elem * mesh.n_comp).reshape(mesh.n_elem, -1, 1),
+        grad, dof[:, None, :])
+    keep = (cols >= 0) & (grad != 0)
+    return sp.csr_matrix((grad[keep], (rows[keep], cols[keep])),
+                         shape=(mesh.n_elem * mesh.n_comp, mesh.n_free_dof))
+
+
 @pytest.mark.parametrize("dim, n", [(1, 16), (2, 4)])
 def test_strain_matrix_is_the_strain_on_interior_dofs(dim, n):
     mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
-    G = mesh.strain_matrix
+    G = _strain_matrix(mesh)
     assert G.shape == (mesh.n_elem * mesh.n_comp, mesh.n_free_dof)
     x, u = _interior_field(mesh, np.random.default_rng(dim))
     assert np.allclose(G @ x, mesh.symmetrized_gradient(u).ravel(),
@@ -109,29 +135,100 @@ def _same_csr(A, B):
 
 @pytest.mark.parametrize("dim, n", OPERATOR_MESHES)
 def test_strain_matrix_is_the_coo_build(dim, n):
-    # the CSR arrays read off `grad` are those of the COO triplet build,
-    # with sorted int32 indices
+    # the COO build of the tests, which the operator references below
+    # read, is column by column the strain of each interior basis
+    # function, bit for bit, and holds exactly its nonzero entries
     mesh = meshmod.build_mesh((1.0,) * dim, (n,) * dim, dim)
-    free_index = np.full(mesh.n_nodes, -1)
-    free_index[mesh.free_nodes] = np.arange(mesh.free_nodes.size)
-    dof = (np.repeat(free_index[mesh.elements], dim, axis=1) * dim
-           + np.tile(np.arange(dim), dim + 1))
-    rows, _, cols = np.broadcast_arrays(
-        np.arange(mesh.n_elem * mesh.n_comp).reshape(mesh.n_elem, -1, 1),
-        mesh.grad, dof[:, None, :])
-    keep = (cols >= 0) & (mesh.grad != 0)
-    ref = sp.csr_matrix((mesh.grad[keep], (rows[keep], cols[keep])),
-                        shape=(mesh.n_elem * mesh.n_comp, mesh.n_free_dof))
-    G = mesh.strain_matrix
-    assert G.shape == ref.shape
-    assert G.indices.dtype == np.int32 and G.has_sorted_indices
-    assert _same_csr(G, ref)
+    G = _strain_matrix(mesh)
+    strains = np.zeros((mesh.n_elem * mesh.n_comp, mesh.n_free_dof))
+    for i in range(mesh.n_free_dof):
+        u = mesh.zero_displacement()
+        u[mesh.free_nodes] = np.eye(1, mesh.n_free_dof, i).reshape(-1, dim)
+        strains[:, i] = mesh.symmetrized_gradient(u).ravel()
+    assert G.has_canonical_format
+    assert np.array_equal(G.toarray(), strains)
+    assert G.nnz == np.count_nonzero(strains)
+
+
+# the meshes of the bit-for-bit operator tests: 1D and 2D, square and
+# rectangular cells, a single cell, odd and even counts, up to 256 x 256
+STENCIL_MESHES = [((7,), (1.0,)), ((64,), (1.0,)), ((1, 1), (1.0, 1.0)),
+                  ((2, 3), (1.0, 1.0)), ((8, 8), (1.0, 1.0)),
+                  ((16, 8), (2.0, 0.25)), ((10, 6), (0.3, 0.7)),
+                  ((64, 64), (1.0, 1.0)), ((256, 256), (1.0, 1.0))]
+
+
+def _awkward(rng, shape):
+    """Random floats, a third of them scaled by 1e-300 and a fifth signed
+    zeros, with one inf."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 1 / 3] *= 1e-300
+    zero = rng.random(shape) < 0.2
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    x.flat[rng.integers(x.size)] = np.inf
+    return x
+
+
+@pytest.mark.parametrize("shape, extents", STENCIL_MESHES)
+def test_strain_adjoint_and_norms_are_the_csc_products_bit_for_bit(
+        shape, extents):
+    # the stencil adds each dof's products in the order of SciPy's CSC
+    # product with G^T: every bit agrees, signed zeros, underflow and the
+    # infs and NaNs of one inf input included
+    dim = len(shape)
+    mesh = meshmod.build_mesh(extents, shape, dim)
+    G = _strain_matrix(mesh)
+    weights = mesh.measures[:, None] * mesh.frob_w
+    rng = np.random.default_rng(len(STENCIL_MESHES) * dim + shape[0])
+    for X in (rng.standard_normal((mesh.n_elem, mesh.n_comp)),
+              1e-300 * rng.standard_normal((mesh.n_elem, mesh.n_comp)),
+              _awkward(rng, (mesh.n_elem, mesh.n_comp))):
+        with np.errstate(invalid="ignore"):
+            ref = G.T @ (weights * X).ravel()
+            got = mesh.strain_adjoint(X)
+        assert got.shape == (mesh.n_free_dof,)
+        assert got.tobytes() == ref.tobytes()
+    ref = np.sqrt(G.power(2).T @ weights.ravel())
+    assert mesh.basis_strain_norms.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape, extents", STENCIL_MESHES)
+def test_symmetrized_gradient_is_the_tiled_einsum_bit_for_bit(shape,
+                                                              extents):
+    dim = len(shape)
+    mesh = meshmod.build_mesh(extents, shape, dim)
+    rng = np.random.default_rng(shape[0])
+    for u in (rng.standard_normal((mesh.n_nodes, dim)),
+              _awkward(rng, (mesh.n_nodes, dim))):
+        with np.errstate(invalid="ignore"):
+            ref = np.einsum("eck,ek->ec", _element_gradients(mesh),
+                            u[mesh.elements].reshape(mesh.n_elem, -1))
+            got = mesh.symmetrized_gradient(u)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_strain_operators_hold_no_per_element_gradient():
+    # a 128 x 128 mesh with its basis strain norms and one adjoint retains
+    # 2.3 MiB: nodes, elements, measures, centers and two dof vectors.
+    # A gradient tiled per element would hold 4.5 MiB more, a strain
+    # matrix about 4 MiB more
+    X = np.random.default_rng(0).standard_normal((2 * 128 * 128, 3))
+    tracemalloc.start()
+    try:
+        mesh = meshmod.build_mesh((1.0, 1.0), (128, 128), 2)
+        mesh.basis_strain_norms
+        f = mesh.strain_adjoint(X)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert f.shape == (mesh.n_free_dof,)
+    assert retained < 3 * 2**20
 
 
 def _triple_product(mesh, w):
     """The reference stiffness G^T diag(w (x) frob_w) G, as SciPy's CSR
     products form it."""
-    G = mesh.strain_matrix
+    G = _strain_matrix(mesh)
     return (G.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel()) @ G)).tocsr()
 
 
@@ -195,7 +292,7 @@ def test_stiffness_is_the_triple_product_to_round_off(shape, extents, zeros,
     if zeros == 0.0:
         assert all(np.array_equal(getattr(K, k), getattr(ref, k))
                    for k in ("indptr", "indices"))
-    absG = abs(mesh.strain_matrix)
+    absG = abs(_strain_matrix(mesh))
     S = absG.T @ (sp.diags((w[:, None] * mesh.frob_w).ravel()) @ absG)
     assert np.all(abs(K - ref).toarray()
                   <= STIFFNESS_ROUND_OFF * S.toarray())
@@ -227,11 +324,22 @@ def test_elements_of_one_orientation_share_measure_and_gradient(dim, shape,
     # the stiffness templates rest on this: every element is a translate of
     # one of the first cell's, with its measure and gradient bit for bit,
     # also where node differences round differently from cell to cell
+    # one template per orientation; the gradient each element applies is
+    # read off the strains of the unit displacements of every node dof
     mesh = meshmod.build_mesh(extents, shape, dim)
     n_orient = mesh.n_elem // np.prod(shape)
+    assert mesh.strain_templates.shape == (n_orient, mesh.n_comp,
+                                           (dim + 1) * dim)
+    unit_strains = np.stack([
+        mesh.symmetrized_gradient(unit.reshape(-1, dim))
+        for unit in np.eye(mesh.n_nodes * dim)])
+    local_dofs = (mesh.elements[:, :, None] * dim
+                  + np.arange(dim)).reshape(mesh.n_elem, -1)
+    grads = unit_strains[local_dofs, np.arange(mesh.n_elem)[:, None]]
     for o in range(n_orient):
         assert np.unique(mesh.measures[o::n_orient]).size == 1
-        assert np.unique(mesh.grad[o::n_orient], axis=0).shape[0] == 1
+        assert np.unique(grads[o::n_orient], axis=0).shape[0] == 1
+        assert np.array_equal(grads[o].T, mesh.strain_templates[o])
     assert np.isclose(mesh.measures.sum(), np.prod(extents), rtol=1e-14)
 
 
