@@ -60,10 +60,6 @@ class RunTrace:
     def alphas(self):
         return [s["alpha"] for s in self.steps]
 
-    @property
-    def budget_exhausted(self):
-        return not self.fixed_point
-
 
 def assign_phases(coeffs, strain):
     """Elementwise argmin over the two phase energies (ties go to a)."""

@@ -30,11 +30,14 @@ class LimitBundle:
 
 @dataclass
 class PartitionMasks:
-    """Per-window sets: Omega_0's windows and the purity sets."""
+    """Per-window sets: Omega_0's windows, the purity sets and their union."""
     omega0_window: np.ndarray   # window fully inside Omega_0
     w0_plus: np.ndarray         # per window: psi_avg >= 1 - 2 eta
     w0_minus: np.ndarray        # per window: psi_avg <= -1 + 2 eta
-    w0: np.ndarray              # union (min(chia, chib) <= eta)
+
+    @property
+    def w0(self):
+        return self.w0_plus | self.w0_minus
 
 
 def estimate_limits(mesh, windows, strain, p, chi):
@@ -59,8 +62,7 @@ def partition_masks(mesh, coeffs, bundle, eta=0.05):
     np.minimum.at(om0_w, w.elem_window, coeffs.omega0)
     plus = bundle.psi_avg >= 1.0 - 2.0 * eta
     minus = bundle.psi_avg <= -1.0 + 2.0 * eta
-    union = np.minimum(bundle.chia_avg, bundle.chib_avg) <= eta
-    return PartitionMasks(om0_w, plus, minus, union)
+    return PartitionMasks(om0_w, plus, minus)
 
 
 def gap_d(mesh, coeffs, bundle):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -35,8 +36,7 @@ class RunResult:
     report: dict
     meshes: list
     coeffs_by_level: list
-    traces_by_level: list      # list of lists, all multistart traces
-    best_by_level: list        # best trace per level
+    traces_by_level: list      # per level, its traces best first
     bundle: object
     timings: dict
 
@@ -45,7 +45,7 @@ def _trace_record(trace):
     return {
         "seed": trace.seed_label,
         "fixed_point": bool(trace.fixed_point),
-        "budget_exhausted": bool(trace.budget_exhausted),
+        "budget_exhausted": not trace.fixed_point,
         "final_alpha": float(trace.alpha),
         "steps": [dict(step) for step in trace.steps],
     }
@@ -66,11 +66,11 @@ def _theta_for_level(cfg, mesh, coeffs, trace):
 
 
 def finest_analysis(cfg, problem, eps, p, alpha):
-    """The report blocks a finest-level state determines: `final` (without
-    the descent's fixed_point flag), `limits`, `relaxation` (without the
-    per-level thetas) and `young_measure`, each evaluated at the primal
-    value alpha, from the convex problem of its phase field (never solved
-    here).  Returns the window bundle and the blocks."""
+    """The report blocks a finest-level state determines: `final`,
+    `limits`, `relaxation` (without the per-level thetas) and
+    `young_measure`, each evaluated at the primal value alpha, from the
+    convex problem of its phase field (never solved here).  Returns the
+    window bundle and the blocks."""
     mesh, coeffs = problem.mesh, problem.coeffs
     bundle = window_analysis(cfg, mesh, eps, p, problem.chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
@@ -91,7 +91,6 @@ def finest_analysis(cfg, problem, eps, p, alpha):
             "partition": {
                 "omega0_measure": float(mesh.measures[coeffs.omega0].sum()),
                 "omega0_windows": int(masks.omega0_window.sum()),
-                "w0_windows": int(masks.w0.sum()),
                 "w0_plus_windows": int(masks.w0_plus.sum()),
                 "w0_minus_windows": int(masks.w0_minus.sum()),
             },
@@ -111,17 +110,15 @@ def run_experiment(cfg):
     meshes = cfg.build_meshes()
     coeffs_by_level = [cfg.build_coeffs(m) for m in meshes]
 
-    traces_by_level, best_by_level, level_blocks = [], [], []
-    theta_by_level = []
+    traces_by_level, level_blocks, theta_by_level = [], [], []
     for lvl, (mesh, coeffs) in enumerate(zip(meshes, coeffs_by_level)):
-        continued = (descent.refine_continue(mesh, best_by_level[-1])
+        continued = (descent.refine_continue(mesh, traces_by_level[-1][0])
                      if lvl else None)
         traces = descent.multistart(mesh, coeffs, cfg.seeds, rng, continued,
                                     budget=cfg.budget, level=lvl,
                                     coarser=traces_by_level[-1] if lvl else ())
         best = traces[0]
         traces_by_level.append(traces)
-        best_by_level.append(best)
         if lvl < cfg.levels - 1:   # the finest level is analysed below
             theta_by_level.append(_theta_for_level(cfg, mesh, coeffs, best))
         level_blocks.append({
@@ -131,15 +128,13 @@ def run_experiment(cfg):
         })
     t_descent = time.perf_counter()
 
-    best = best_by_level[-1]
     problem = subproblem.assemble(meshes[-1], coeffs_by_level[-1], best.chi)
     bundle, blocks = finest_analysis(cfg, problem, best.eps, best.p,
                                      best.alpha)
-    blocks["final"]["fixed_point"] = bool(best.fixed_point)
     relax = blocks["relaxation"]
     relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
     pairing = limitsmod.pairing_diagnostic(
-        meshes, best_by_level, bundle,
+        meshes, [traces[0] for traces in traces_by_level], bundle,
         meshmod.default_test_functions(meshes[-1]))
     report = {"version": VERSION, "config": cfg.echo(),
               "levels": level_blocks, **blocks,
@@ -154,8 +149,7 @@ def run_experiment(cfg):
                "total_seconds": t_end - t0}
     return RunResult(cfg=cfg, report=report, meshes=meshes,
                      coeffs_by_level=coeffs_by_level,
-                     traces_by_level=traces_by_level,
-                     best_by_level=best_by_level, bundle=bundle,
+                     traces_by_level=traces_by_level, bundle=bundle,
                      timings=timings)
 
 
@@ -186,7 +180,7 @@ def emit_outputs(result, outdir):
             fh.write(f"{k} = {v:12.6f}\n")
 
     mesh = result.meshes[-1]
-    best = result.best_by_level[-1]
+    best = result.traces_by_level[-1][0]
     bundle, windows = result.bundle, result.bundle.windows
     meshmod.dump_node_field(path("u_finest.csv"), mesh, {"u": best.u})
     meshmod.dump_element_field(
@@ -231,11 +225,18 @@ def report_leaf(report, path, kind=float):
 
 def _read_dump(run_dir, name, columns, check):
     """`check` of the named columns of a dumped CSV, stacked; a missing or
-    unreadable file, a missing column or a shape `check` rejects is a
-    VerificationError naming the file."""
+    unreadable file, a missing column, a value that is not finite or a
+    shape `check` rejects (no rows, say) is a VerificationError naming the
+    file, raised before any analysis and without a warning."""
     try:
-        data = meshmod.read_csv(os.path.join(run_dir, name), columns)
-        return check(np.stack(list(data.values()), axis=1))
+        with warnings.catch_warnings():
+            # NumPy warns on a table with no rows; `check` rejects its shape
+            warnings.simplefilter("ignore", UserWarning)
+            data = meshmod.read_csv(os.path.join(run_dir, name), columns)
+        cols = np.stack(list(data.values()), axis=1)
+        if not np.isfinite(cols).all():
+            raise ValueError("a value is not finite")
+        return check(cols)
     except (OSError, ValueError, ContractViolation) as exc:
         raise VerificationError(f"{name}: {exc}") from exc
 
@@ -287,22 +288,21 @@ def _leaf_residual(rebuilt, reported):
 
 def verify_run(run_dir):
     """Rebuild the finest-level blocks from the dumps at the reported
-    alpha, with `final.fixed_point`, the last per-level theta, the
-    finest level's best trace, whose final state is the dumped one (its
-    last step, flags and alphas), and the pairing diagnostic's limits and
-    finest-level values and residuals, and compare every leaf with
-    report.json: floats within `1e-10 * (1 + |alpha|)`, anything else
-    exactly.  Also checks the dumped state's energy against alpha, p = m
-    eps + E, and the lower bound against the recomputed alpha.  Returns
-    a dict of residuals; raises VerificationError naming every failed
-    check and leaf path."""
+    alpha, with the last per-level theta, the finest level's best trace,
+    whose final state is the dumped one (its last step, its alphas and
+    its flags, `fixed_point` from the dumped phases and strain), and the
+    pairing diagnostic's limits and finest-level values and residuals,
+    and compare every leaf with report.json: floats within
+    `1e-10 * (1 + |alpha|)`, anything else exactly.  Also checks the
+    dumped state's energy against alpha, p = m eps + E, and the lower
+    bound against the recomputed alpha.  Returns a dict of residuals;
+    raises VerificationError naming every failed check and leaf path."""
     report = load_report(run_dir)
     alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
     problem = subproblem.assemble(mesh, coeffs, chi)
     bundle, blocks = finest_analysis(cfg, problem, eps, p, alpha_rep)
     flips = chi.flips(descent.assign_phases(coeffs, eps))
-    blocks["final"]["fixed_point"] = flips == 0
     rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
 
     def last(path):     # the path of a reported list's last entry

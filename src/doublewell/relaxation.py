@@ -246,7 +246,6 @@ def relaxation_section(mesh, coeffs, bundle, alpha_scheme):
         "alpha_residual_coefficient_1": float(abs(main - alpha_scheme)),
         "representations_coefficient_1": eval_representations(
             pieces, theta["theta_coeff1"]),
-        "lower_bound_gap": float(alpha_scheme - bnd["bound"]),
         "stuck_suspected": bool(
             alpha_scheme - bnd["bound"] > 1e-3 * (1.0 + abs(alpha_scheme))),
     }

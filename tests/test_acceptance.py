@@ -162,7 +162,7 @@ def test_criterion_02_dual_feasibility(suite, compat2d):
     worst_orth = 0.0
     for res in results:
         mesh, coeffs = res.meshes[-1], res.coeffs_by_level[-1]
-        best = res.best_by_level[-1]
+        best = res.traces_by_level[-1][0]
         worst_orth = max(worst_orth, subproblem.orthogonality_residual(
             subproblem.assemble(mesh, coeffs, best.chi),
             mesh.symmetrized_gradient(best.u), best.p))

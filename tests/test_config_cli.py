@@ -267,7 +267,7 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
     assert strains == []
     fields = meshmod.read_csv(tmp_path / "fields_finest.csv",
                               [f"eps_{k}" for k in range(3)])
-    eps = gradient(result.meshes[-1], result.best_by_level[-1].u)
+    eps = gradient(result.meshes[-1], result.traces_by_level[-1][0].u)
     assert np.column_stack([fields[f"eps_{k}"] for k in range(3)]).tobytes() \
         == eps.tobytes()
 
@@ -646,7 +646,7 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("limits.n_windows", 5),
     ("relaxation.theta_coeff1_in_range", False),
     ("young_measure.dirac.windows", lambda windows: windows + [0]),
-    ("final.fixed_point", False),
+    ("levels[-1].traces[0].fixed_point", False),
     ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5]),
     ("levels[-1].best_alpha", 123.0),
     ("levels[-1].traces[0].final_alpha", 123.0),
@@ -746,25 +746,42 @@ def _delete_the_dump(out_dir):
     (out_dir / "u_finest.csv").unlink()
 
 
-def _blur_a_phase(out_dir):
-    path = out_dir / "fields_finest.csv"
-    header, first, rest = path.read_text().split("\n", 2)
-    cells = first.split(",")
-    cells[header.split(",").index("chi_a")] = "0.7"
-    path.write_text("\n".join([header, ",".join(cells), rest]))
+def _set_a_cell(name, column, value):
+    def edit(out_dir):
+        path = out_dir / name
+        header, first, rest = path.read_text().split("\n", 2)
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        path.write_text("\n".join([header, ",".join(cells), rest]))
+    return edit
 
 
+def _keep_the_header(out_dir):
+    path = out_dir / "u_finest.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["verify"])
 @pytest.mark.parametrize("edit, message", [
     (_rename_a_column, "fields_finest.csv: no column p_0"),
     (_drop_the_last_row, "u_finest.csv: displacement shape (32, 1) does "
                          "not conform to mesh (33, 1)"),
     (_delete_the_dump, "u_finest.csv: [Errno 2] No such file"),
-    (_blur_a_phase, "fields_finest.csv: chi_a is not 0 or 1"),
-], ids=["no-column", "other-shape", "missing", "not-a-phase"])
+    (_set_a_cell("fields_finest.csv", "chi_a", "0.7"),
+     "fields_finest.csv: chi_a is not 0 or 1"),
+    (_keep_the_header, "u_finest.csv: displacement shape (0, 1) does "
+                       "not conform to mesh (33, 1)"),
+    (_set_a_cell("u_finest.csv", "u_0", "inf"),
+     "u_finest.csv: a value is not finite"),
+    (_set_a_cell("fields_finest.csv", "p_0", "nan"),
+     "fields_finest.csv: a value is not finite"),
+], ids=["no-column", "other-shape", "missing", "not-a-phase", "no-rows",
+        "infinite-u", "nan-p"])
 def test_cli_verify_rejects_a_dump(tmp_path, capsys, edit, message,
                                    command):
-    # a dump the run cannot be rebuilt from exits 4 and names the file
+    # a dump the run cannot be rebuilt from exits 4 and names the file,
+    # before any analysis and without a warning
     out_dir = _solved_run(tmp_path)
     edit(out_dir)
     capsys.readouterr()
@@ -845,10 +862,21 @@ def test_report_states_each_number_once():
     for block in report["levels"]:
         assert set(block) == {"n_elem", "best_alpha", "traces"}
         for trace in block["traces"]:
-            assert "level" not in trace
+            # final_alpha and budget_exhausted restate steps[-1].alpha and
+            # not fixed_point, but the benchmark's per-layer counts
+            # (bench/run.py) read them
+            assert set(trace) == {"seed", "fixed_point", "budget_exhausted",
+                                  "final_alpha", "steps"}
             for step in trace["steps"]:
                 assert "level" not in step and "step" not in step
-    assert "eta" not in report["limits"]["partition"]
+    # a trace holds its fixed_point flag, the bound's distance to alpha is
+    # final.alpha_scheme - lower_bound.bound, and the purity set is
+    # w0_plus and w0_minus
+    assert "fixed_point" not in report["final"]
+    assert "lower_bound_gap" not in report["relaxation"]
+    assert list(report["limits"]["partition"]) == [
+        "omega0_measure", "omega0_windows", "w0_plus_windows",
+        "w0_minus_windows"]
     assert "alpha_scheme" not in report["relaxation"]
     assert "alpha_scheme" not in report["young_measure"]["energy"]
     assert isinstance(report["relaxation"]["I_term"], float)

@@ -57,7 +57,7 @@ def test_relaxation_block_leaves_in_report_order():
         "theta_coeff1_in_range", "I_term", "inequality_chain",
         "lower_bound", "alpha_formula_coefficient_1",
         "alpha_residual_coefficient_1", "representations_coefficient_1",
-        "lower_bound_gap", "stuck_suspected"]
+        "stuck_suspected"]
 
 
 def test_formula_matches_scheme_on_laminates():
@@ -300,7 +300,7 @@ def test_relaxation_section_assembles():
     assert out["theta_coeff1_in_range"]
     assert out["alpha_residual_coefficient_1"] <= 1e-10
     assert not out["stuck_suspected"]
-    assert out["lower_bound_gap"] <= 1e-10
+    assert trace.alpha - out["lower_bound"]["bound"] <= 1e-10
 
 
 def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
