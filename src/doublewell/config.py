@@ -137,7 +137,9 @@ def _eval_expr(expr, mesh, key):
         # no NumPy warning: CoefficientSet rejects a value that is not finite
         with np.errstate(all="ignore"):
             val = _eval_node(ast.parse(expr, mode="eval").body, names)
-        return np.broadcast_to(np.asarray(val, float), (mesh.n_elem,)).copy()
+        # a read-only view, of the mesh's centres for `x`: CoefficientSet
+        # copies each coefficient into an array of its own
+        return np.broadcast_to(np.asarray(val, float), (mesh.n_elem,))
     except Exception as exc:
         raise ConfigurationError(
             f"cannot evaluate expression for {key!r}: {exc}") from exc

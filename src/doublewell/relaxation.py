@@ -203,16 +203,22 @@ def dual_lower_bound(mesh, coeffs):
     fw = mesh.frob_w
     a, b, C, D, W = _coefficient_tuples(mesh, coeffs)
     Cw, Dw = (C * fw).T, (D * fw).T
+    a2, b2 = 2.0 * a, 2.0 * b
+    step = max(1, _BOUND_BLOCK_ENTRIES // len(W))
 
     def bounds(Q):
-        """Bound at each row of Q, evaluated block by block."""
-        step = max(1, _BOUND_BLOCK_ENTRIES // len(W))
+        """Bound at each row of Q, evaluated block by block; each block's
+        densities are updated in place, with the same operations in the
+        same order as the expression max(q2/2a - q:C, q2/2b - q:D)."""
         out = np.empty(len(Q))
         for s in range(0, len(Q), step):
             q = Q[s:s + step]
             q2 = ((q * q) @ fw)[:, None]
-            dens = np.maximum(q2 / (2.0 * a) - q @ Cw,
-                              q2 / (2.0 * b) - q @ Dw)
+            dens = q2 / a2
+            dens -= q @ Cw
+            dens_b = q2 / b2
+            dens_b -= q @ Dw
+            np.maximum(dens, dens_b, out=dens)
             out[s:s + step] = 0.0 - dens @ W   # +0.0, not -0.0, at q = 0
         return out
 

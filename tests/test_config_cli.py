@@ -131,6 +131,20 @@ def test_expression_whitelist_evaluates_like_numpy():
         [np.cos(x), 1e-3 * x * y - 1, -y]))
 
 
+def test_coefficients_own_their_memory():
+    # an expression evaluates to a view, of the mesh's centres for `x`;
+    # the coefficient set holds arrays of its own
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 8\n[coefficients]\n"
+        "a = x\nb = 2.0\nC = x; 0.5; y\nD = 0.0; y; x\n")
+    mesh = cfg.build_meshes()[0]
+    coeffs = cfg.build_coeffs(mesh)
+    assert np.array_equal(coeffs.a, mesh.centers[:, 0])
+    for arr in (coeffs.a, coeffs.b, coeffs.C, coeffs.D):
+        assert arr.flags.owndata and arr.flags.writeable
+        assert not np.shares_memory(arr, mesh.centers)
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

@@ -263,7 +263,8 @@ def test_nelder_mead_is_scipys_bit_for_bit(case):
 
 
 def grid_scipy_bound(mesh, coeffs):
-    """dual_lower_bound's grid search polished by SciPy's Nelder-Mead."""
+    """dual_lower_bound's grid search, over the same blocks of grid rows,
+    polished by SciPy's Nelder-Mead."""
     a, b, C, D, W = relaxation._coefficient_tuples(mesh, coeffs)
     bound = bound_rows(a, b, C, D, W, mesh.frob_w)
     scale = max(float(np.max(a * np.sqrt(mesh.frob_norm2(C)))),
@@ -271,7 +272,9 @@ def grid_scipy_bound(mesh, coeffs):
     axis = np.linspace(-2.0 * scale, 2.0 * scale, 9)
     grids = np.meshgrid(*[axis] * mesh.n_comp, indexing="ij")
     cands = np.stack([g.ravel() for g in grids], axis=1)
-    vals = bound(cands)
+    step = max(1, relaxation._BOUND_BLOCK_ENTRIES // len(W))
+    vals = np.concatenate([bound(cands[s:s + step])
+                           for s in range(0, len(cands), step)])
     q, val = cands[np.argmax(vals)], vals.max()
     res = optimize.minimize(objective(bound), q, **NELDER_MEAD)
     if -res.fun > val:
@@ -292,6 +295,54 @@ def test_lower_bound_piecewise_matches_per_element_sum(case):
         coeffs.a / 2.0 * mesh.frob_norm2(coeffs.C),
         coeffs.b / 2.0 * mesh.frob_norm2(coeffs.D))).sum())
     assert out["bound"] <= zero_energy + 1e-12 * (1.0 + zero_energy)
+
+
+def test_lower_bound_over_several_blocks_matches_per_element_sum():
+    # 512 distinct tuples: the 729-point grid takes three blocks of 256
+    # rows, and its best point lies in the second one
+    mesh = make_mesh_2d(16)
+    x, y = mesh.centers.T
+    coeffs = energy.CoefficientSet(
+        mesh, 1.0 + 0.5 * x, 2.0 + x * y,
+        np.column_stack([1.0 + 0.2 * x, 0.5 + 0.25 * y, 0.3 * y]),
+        np.column_stack([np.full_like(x, 0.5), 0.2 + 0.1 * x,
+                         0.8 + 0.3 * x * y]))
+    W = relaxation._coefficient_tuples(mesh, coeffs)[-1]
+    assert len(W) == 512 > relaxation._BOUND_BLOCK_ENTRIES // 9 ** 3
+    out = relaxation.dual_lower_bound(mesh, coeffs)
+    assert out == grid_scipy_bound(mesh, coeffs)
+    ref, size = per_element_bound(mesh, coeffs, out["q"])
+    assert abs(out["bound"] - ref) <= 1e-12 * (1.0 + size)
+
+
+@st.composite
+def graded_configs(draw):
+    """A one-level 2D run on 16x16 cells whose moduli and wells are linear
+    in x and y, so that the bound's grid spans several blocks.  Its seeds
+    draw no laminate, which warns on wells that vary."""
+    def linear(constant, slope):
+        c0, cx, cy = draw(st.tuples(constant, slope, slope))
+        return f"{c0!r} + {cx!r}*x + {cy!r}*y"
+    slopes = st.floats(-1.0, 1.0)
+    a, b = (linear(moduli, st.floats(0.0, 2.0)) for _ in range(2))
+    C, D = (" ; ".join(linear(wells, slopes) for _ in range(3))
+            for _ in range(2))
+    return configmod.parse_config_text(
+        f"[mesh]\ndim = 2\nresolution = 16\n"
+        f"[coefficients]\na = {a}\nb = {b}\nC = {C}\nD = {D}\n"
+        f"[strategy]\nseeds = zero random\n"
+        f"[run]\nwindow = 4\nseed = {draw(st.integers(0, 3))}\n")
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=graded_configs())
+def test_lower_bound_holds_for_graded_coefficients(cfg):
+    report = pipeline.run_experiment(cfg).report
+    alpha = report["final"]["alpha_scheme"]
+    bound = report["relaxation"]["lower_bound"]["bound"]
+    # criterion 10's tolerance; q = 0 is a grid point, where the bound is
+    # +0.0, so the best point is no lower
+    assert 0.0 <= bound <= alpha + 1e-8
 
 
 def test_relaxation_section_assembles():
