@@ -49,10 +49,10 @@ class RunConfig:
     extents: tuple = (1.0,)
     resolution: int = 64
     levels: int = 1
-    a_expr: str = "1.0"
-    b_expr: str = "1.0"
-    C_expr: str = "0.0"
-    D_expr: str = "0.0"
+    a: str = "1.0"
+    b: str = "1.0"
+    C: str = "0.0"
+    D: str = "0.0"
     seeds: tuple = ("laminate", "zero")
     budget: int = 50
     window: int = 8
@@ -81,19 +81,19 @@ class RunConfig:
 
     def build_coeffs(self, mesh):
         """Evaluate the coefficient expressions at element centers."""
-        a = _eval_expr(self.a_expr, mesh, "a")
-        b = _eval_expr(self.b_expr, mesh, "b")
-        C = _eval_matrix(self.C_expr, mesh, "C")
-        D = _eval_matrix(self.D_expr, mesh, "D")
+        a = _eval_expr(self.a, mesh, "a")
+        b = _eval_expr(self.b, mesh, "b")
+        C = _eval_matrix(self.C, mesh, "C")
+        D = _eval_matrix(self.D, mesh, "D")
         return energy.CoefficientSet(mesh, a, b, C, D)
 
     def echo(self):
         """Every config key's value by section, in `_SCHEMA` order, tuples
         as lists: the report's `config` block."""
-        def value(section, key):
-            val = getattr(self, _field_name(section, key))
+        def value(key):
+            val = getattr(self, key)
             return list(val) if isinstance(val, tuple) else val
-        return {section: {key: value(section, key) for key in keys}
+        return {section: {key: value(key) for key in keys}
                 for section, keys in _SCHEMA.items()}
 
 
@@ -213,11 +213,6 @@ _SCHEMA = {
 }
 
 
-def _field_name(section, key):
-    """The RunConfig field of a config key."""
-    return f"{key}_expr" if section == "coefficients" else key
-
-
 def parse_config_text(text):
     """Parse and validate configuration text into a RunConfig."""
     values, set_on = {}, {}
@@ -244,13 +239,12 @@ def parse_config_text(text):
         if key not in _SCHEMA[section]:
             raise ConfigurationError(
                 f"line {line_no}: unknown key {key!r} in [{section}]")
-        name = _field_name(section, key)
-        if name in set_on:
+        if key in set_on:
             raise ConfigurationError(
                 f"line {line_no}: {key!r} in [{section}] is already set on "
-                f"line {set_on[name]}")
-        set_on[name] = line_no
-        values[name] = _SCHEMA[section][key](val, line_no)
+                f"line {set_on[key]}")
+        set_on[key] = line_no
+        values[key] = _SCHEMA[section][key](val, line_no)
 
     cfg = RunConfig(raw_lines=tuple(lines), **values)
     if len(cfg.extents) == 1 and cfg.dim > 1:

@@ -60,7 +60,6 @@ class StructuredMesh:
     elements: np.ndarray           # (n_elem, dim+1) node indices
     measures: np.ndarray           # (n_elem,)
     centers: np.ndarray            # (n_elem, dim)
-    boundary_mask: np.ndarray      # (n_nodes,) bool
     # (n_orient, n_comp, (dim+1)*dim): the strain of each local dof, node
     # by node, of the first cell's elements (one in 1D, two in 2D), which
     # every element of that orientation shares bit for bit; element e has
@@ -88,9 +87,16 @@ class StructuredMesh:
     def n_comp(self):
         return self.frob_w.shape[0]
 
-    @property
+    @cached_property
+    def boundary_mask(self):
+        """(n_nodes,) bool: the outer ring of the node grid."""
+        ring = np.ones(tuple(self.shape[::-1] + 1), dtype=bool)
+        ring[(slice(1, -1),) * self.dim] = False
+        return ring.ravel()
+
+    @cached_property
     def free_nodes(self):
-        return np.nonzero(~self.boundary_mask)[0]
+        return np.flatnonzero(~self.boundary_mask)
 
     @property
     def n_free_dof(self):
@@ -304,11 +310,27 @@ class StructuredMesh:
                                     "is not nested: cell counts must be even")
         return build_mesh(self.extents, self.shape // 2, self.dim)
 
+    def cell_index(self):
+        """Each element's cell on the cell grid: a tuple of (n_elem,) index
+        arrays in array order (y first in 2D, x last)."""
+        return np.unravel_index(
+            np.arange(self.n_elem) // len(self.strain_templates),
+            tuple(self.shape[::-1]))
+
     @cached_property
     def parent(self):
         """The element of `coarse` that contains each element, so a field v
-        of `coarse` reads v[parent] here."""
-        return self.coarse.locate_elements(self.centers)
+        of `coarse` reads v[parent] here: in the cell of half the indices,
+        of the child's orientation where its indices share one parity (on
+        the coarse diagonal), else of its y index's parity."""
+        cell = np.array(self.cell_index())
+        n_orient = len(self.strain_templates)
+        parity = cell % 2
+        orient = np.where((parity == parity[0]).all(axis=0),
+                          np.arange(self.n_elem) % n_orient, parity[0])
+        coarse_cell = np.ravel_multi_index(tuple(cell // 2),
+                                           tuple(self.shape[::-1] // 2))
+        return coarse_cell * n_orient + orient
 
     @cached_property
     def prolongation(self):
@@ -322,19 +344,6 @@ class StructuredMesh:
         P = sp.kron(P_node[:, coarse.free_nodes], sp.identity(self.dim),
                     format="csr")
         return P, P.T.tocsr()
-
-    def locate_elements(self, points):
-        """Element index containing each query point (structured lookup)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        h = self.extents / self.shape
-        cell = np.clip((pts / h).astype(int), 0, self.shape - 1)
-        if self.dim == 1:
-            return cell[:, 0]
-        nx = self.shape[0]
-        quad = cell[:, 1] * nx + cell[:, 0]
-        loc = pts / h - cell
-        tri = np.where(loc[:, 0] >= loc[:, 1], 0, 1)
-        return 2 * quad + tri
 
 
 # extents that float64 cannot mesh overflow here; StructuredMesh rejects them
@@ -361,11 +370,9 @@ def build_mesh(extents, resolution, dim):
         h = length / ne
         measures = np.full(ne, h)
         centers = 0.5 * (nodes[elements[:, 0], 0] + nodes[elements[:, 1], 0])
-        boundary = np.zeros(ne + 1, dtype=bool)
-        boundary[[0, -1]] = True
         templates = np.array([[[-1.0 / h, 1.0 / h]]])
         return StructuredMesh(1, extents, resolution, nodes, elements,
-                              measures, centers[:, None], boundary, templates,
+                              measures, centers[:, None], templates,
                               np.array([1.0]))
 
     (lx, ly), (nx, ny) = extents, resolution
@@ -407,11 +414,8 @@ def build_mesh(extents, resolution, dim):
         templates[:, 1, 2 * k] = 0.5 * dldy[:, k]            # eps_xy
         templates[:, 1, 2 * k + 1] = 0.5 * dldx[:, k]
         templates[:, 2, 2 * k + 1] = dldy[:, k]              # eps_yy
-    boundary = ((np.isclose(nodes[:, 0], 0.0)) | (np.isclose(nodes[:, 0], lx))
-                | (np.isclose(nodes[:, 1], 0.0))
-                | (np.isclose(nodes[:, 1], ly)))
     return StructuredMesh(2, extents, resolution, nodes, tris, measures,
-                          centers, boundary, templates,
+                          centers, templates,
                           np.array([1.0, 2.0, 1.0]))
 
 
@@ -473,12 +477,10 @@ def build_windows(mesh, window_size):
         raise ConfigurationError(
             f"window size {window_size} does not divide element counts "
             f"{tuple(mesh.shape.tolist())}")
-    wshape = mesh.shape // window_size
-    wcell = (mesh.centers / (mesh.extents / mesh.shape)).astype(int) \
-        // window_size
-    widx = wcell @ np.cumprod(np.r_[1, wshape[:-1]])
-    windows = Windows(widx, np.bincount(widx, weights=mesh.measures,
-                                        minlength=int(np.prod(wshape))), None)
+    widx = np.ravel_multi_index(
+        tuple(c // window_size for c in mesh.cell_index()),
+        tuple(mesh.shape[::-1] // window_size))
+    windows = Windows(widx, np.bincount(widx, weights=mesh.measures), None)
     windows.centers = window_average(mesh.centers, mesh, windows)
     return windows
 

@@ -382,6 +382,38 @@ def test_each_phase_field_is_assembled_once(tmp_path, monkeypatch):
     assert calls() == {"stiffness": 0, "assemble": 1, "solve": 0}
 
 
+SCALING_CFG = """
+[mesh]
+dim = 2
+extents = {side}
+resolution = 16
+levels = 2
+[coefficients]
+b = 2.0
+C = 0.0; 0.5; 0.0
+D = 0.0; -0.5; 0.0
+[strategy]
+seeds = laminate:4 random zero
+"""
+
+
+def test_alpha_scales_exactly_with_a_power_of_two_domain(tmp_path):
+    # the infimum depends on the domain only through |Omega|: on a square
+    # of side 2^k every length and measure scales exactly, so alpha is the
+    # unit square's times 4^k bit for bit, also with node coordinates far
+    # below 1e-8, and verify rebuilds every leaf exactly
+    alphas = {}
+    for k in (0, -24, 10):
+        run_dir = tmp_path / str(k)
+        result = pipeline.run_and_emit(configmod.parse_config_text(
+            SCALING_CFG.format(side=2.0 ** k)), run_dir)
+        alphas[k] = result.report["final"]["alpha_scheme"]
+        assert pipeline.verify_run(run_dir)["leaf_residual"] == 0.0
+    assert alphas[0] > 0.0
+    assert alphas[-24] == alphas[0] * 4.0 ** -24
+    assert alphas[10] == alphas[0] * 4.0 ** 10
+
+
 def test_verify_reports_an_unsigned_zero_excess(tmp_path):
     result = pipeline.run_and_emit(configmod.parse_config_text(SYM_CFG),
                                    tmp_path)

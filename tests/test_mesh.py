@@ -405,10 +405,29 @@ def test_interpolation_is_exact_for_affine_fields(extents, shape):
                        rtol=0.0, atol=1e-14)
 
 
+def _point_cells(mesh, points):
+    """Point location on float coordinates, the reference for the mesh's
+    index maps: the cell that contains each point, (n, dim) indices x
+    first, and the point's place in it, in cell widths."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h = mesh.extents / mesh.shape
+    cell = np.clip((pts / h).astype(int), 0, mesh.shape - 1)
+    return cell, pts / h - cell
+
+
+def _locate_elements(mesh, points):
+    """The element that contains each point, by point location."""
+    cell, loc = _point_cells(mesh, points)
+    if mesh.dim == 1:
+        return cell[:, 0]
+    quad = cell[:, 1] * mesh.shape[0] + cell[:, 0]
+    return 2 * quad + np.where(loc[:, 0] >= loc[:, 1], 0, 1)
+
+
 def _evaluate_p1(mesh, u, points):
     """A nodal P1 field of `mesh` at `points`, from barycentric
     coordinates in the element that contains each point."""
-    elems = mesh.elements[mesh.locate_elements(points)]
+    elems = mesh.elements[_locate_elements(mesh, points)]
     corners = mesh.nodes[elems]                        # (n, dim+1, dim)
     lhs = np.concatenate([np.ones(corners.shape[:2])[:, None, :],
                           corners.transpose(0, 2, 1)], axis=1)
@@ -491,12 +510,40 @@ def test_prolongation_constant_per_child():
     fine = meshmod.refine(coarse)
     vals = np.arange(coarse.n_elem, dtype=float)
     out = vals[fine.parent]
-    idx = coarse.locate_elements(fine.centers)
+    idx = _locate_elements(coarse, fine.centers)
     assert np.array_equal(out, vals[idx])
     # measure bookkeeping: each coarse element covered exactly
     for e in range(coarse.n_elem):
         assert np.isclose(fine.measures[out == vals[e]].sum(),
                           coarse.measures[e])
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=st.one_of(st.tuples(st.integers(1, 39)),
+                      st.tuples(st.integers(1, 39), st.integers(1, 39))),
+       log_extents=st.lists(st.floats(-9.0, 9.0), min_size=2, max_size=2),
+       pick=st.integers(0, 2**16))
+@example(half=(8, 8), log_extents=[-7.0, 0.0], pick=3)
+def test_index_maps_are_point_location(half, log_extents, pick):
+    # even cell counts and extents from 1e-9 to 1e9: the boundary is the
+    # ring of nodes whose coordinates are 0 or the extent, and the parent
+    # and window maps are those point location finds for the centres, for
+    # any window size that divides the cell counts
+    shape = 2 * np.array(half)
+    dim = shape.size
+    extents = 10.0 ** np.array(log_extents[:dim])
+    mesh = meshmod.build_mesh(extents, shape, dim)
+    on_bd = (mesh.nodes == 0.0) | (mesh.nodes == extents)
+    assert np.array_equal(mesh.boundary_mask, on_bd.any(axis=1))
+    assert mesh.boundary_mask.sum() == mesh.n_nodes - np.prod(shape - 1)
+    assert np.array_equal(mesh.parent,
+                          _locate_elements(mesh.coarse, mesh.centers))
+    sizes = [w for w in range(1, shape.min() + 1) if not np.any(shape % w)]
+    w = sizes[pick % len(sizes)]
+    cell = _point_cells(mesh, mesh.centers)[0] // w
+    expected = cell @ np.cumprod(np.r_[1, shape[:-1] // w])
+    assert np.array_equal(meshmod.build_windows(mesh, w).elem_window,
+                          expected)
 
 
 def test_test_functions_interior_and_smooth():
