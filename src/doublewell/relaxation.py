@@ -114,11 +114,6 @@ def inequality_chain(pieces, alpha_scheme):
     }
 
 
-# Entries per (candidates x tuples) block of the lower-bound search: 1 MiB
-# per float64 temporary, whatever the number of coefficient tuples.
-_BOUND_BLOCK_ENTRIES = 1 << 17
-
-
 def _coefficient_tuples(mesh, coeffs):
     """Distinct per-element (a, b, C, D) rows and the measure carrying each.
 
@@ -136,105 +131,108 @@ def _coefficient_tuples(mesh, coeffs):
     return rows[:, 0], rows[:, 1], rows[:, 2:2 + n], rows[:, 2 + n:], W
 
 
-def _nelder_mead(f, x0):
-    """Minimize f from x0 by SciPy's non-adaptive Nelder-Mead, operation
-    for operation, so that (x, f(x)) is bit for bit that of
-    `scipy.optimize.minimize(f, x0, method="Nelder-Mead")` with xatol
-    1e-12, fatol 1e-14 and maxiter 4000.  Reflection 1, expansion 2,
-    contraction and shrink 1/2; the first simplex scales one coordinate
-    of x0 by 1.05, or sets it to 0.00025 where it is 0.  Vertices are
-    passed to f as copies, as SciPy passes them.
-    """
-    def ordered(sim, fsim):
-        order = np.argsort(fsim)
-        return sim[order], fsim[order]
-
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x.copy()) for x in sim])
-    sim, fsim = ordered(*ordered(sim, fsim))   # twice, as SciPy: ties may move
-    for _ in range(1, 4000):
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                keep = fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j].copy())
-        sim, fsim = ordered(sim, fsim)
-    return sim[0], np.min(fsim)
-
-
 def dual_lower_bound(mesh, coeffs):
-    """Certified lower bound from constant dual fields.
+    """Certified lower bound from constant dual fields, solved.
 
-    For any constant q,  alpha >= -int max over the two phases of the
-    conjugate densities; the bound is concave in q, maximized over a grid
-    of 9 points per component on [-2 s, 2 s] (s the largest of |aC|, |bD|
-    and 1), then polished from the best grid point by `_nelder_mead`,
-    SciPy's Nelder-Mead step for step, kept only if it improves.  The
-    integrand depends on x only through the coefficients, so the mesh is
-    first reduced to its distinct (a, b, C, D) tuples weighted by their
-    measure: the cost scales with the number of distinct tuples, not of
-    elements.
+    For any constant q,  alpha >= g(q) = -sum_k W_k max(h_a,k, h_b,k)(q)
+    over the distinct coefficient tuples k of measure W_k (so the cost
+    scales with the tuples, not the elements), h_a,k(q) = |q|^2/2a_k -
+    q:C_k, h_b,k likewise.  By Sion's minimax theorem the maximum B of
+    the concave g is the minimum over phase mixtures lam in [0, 1]^K of
+    Phi(lam) = |m|^2/2s, m = sum W (lam C + (1 - lam) D), s = sum W
+    (lam/a + (1 - lam)/b), so any pair brackets g(q) <= B <= Phi(lam).
+    Newton in q runs on g smoothed by the log barrier -mu sum W log(lam
+    (1 - lam)), mu falling tenfold per stage; lam solves a quadratic in
+    phi = h_a - h_b, on the side away from phi's sign so nothing cancels.
+    Once few tuples are tied (nu = min(lam, 1 - lam) > sqrt(mu)), Newton
+    in (q, lam_tied) on phi_tied(q) = 0 and m = s q, every other lam 0 or
+    1 by phi's sign, makes the certificate exact to round-off.  It solves
+    in orthonormal components on tuples divided by powers of two: the
+    wells and measure by those at or below their largest, the moduli by
+    the one midway between their extremes (so no reciprocal overflows).
+    A power-of-two rescaling then rescales q and the bound exactly.
+
+    Returns the bound, the best g(q) seen (never below g(0) = +0.0), its
+    q, and certificate_gap = the least Phi seen - bound, as computed (a
+    few ulps below 0 at worst); the solve stops once that gap is at most
+    1e-14 (1 + |g|) in its unit, or after 17 stages.
     """
-    fw = mesh.frob_w
     a, b, C, D, W = _coefficient_tuples(mesh, coeffs)
-    Cw, Dw = (C * fw).T, (D * fw).T
-    a2, b2 = 2.0 * a, 2.0 * b
-    step = max(1, _BOUND_BLOCK_ENTRIES // len(W))
+    r = np.sqrt(mesh.frob_w)
+    n, eye = len(r), np.eye(len(r))
+    ew, em = (np.frexp(v)[1] - 1 for v in (
+        max(np.abs(C).max(), np.abs(D).max()), W.sum()))
+    ea = (np.frexp(min(a.min(), b.min()))[1]
+          + np.frexp(max(a.max(), b.max()))[1]) // 2
+    a, b, W = np.ldexp(a, -ea), np.ldexp(b, -ea), np.ldexp(W, -em)
+    C, D = np.ldexp(C * r, -ew), np.ldexp(D * r, -ew)
+    u, e = 1.0 / a - 1.0 / b, C - D         # grad phi_k = u_k q - e_k
 
-    def bounds(Q):
-        """Bound at each row of Q, evaluated block by block; each block's
-        densities are updated in place, with the same operations in the
-        same order as the expression max(q2/2a - q:C, q2/2b - q:D)."""
-        out = np.empty(len(Q))
-        for s in range(0, len(Q), step):
-            q = Q[s:s + step]
-            q2 = ((q * q) @ fw)[:, None]
-            dens = q2 / a2
-            dens -= q @ Cw
-            dens_b = q2 / b2
-            dens_b -= q @ Dw
-            np.maximum(dens, dens_b, out=dens)
-            out[s:s + step] = 0.0 - dens @ W   # +0.0, not -0.0, at q = 0
-        return out
+    def heights(q):
+        return (q @ q) / (2.0 * a) - C @ q, (q @ q) / (2.0 * b) - D @ q
 
-    scale = max(
-        float(np.max(a * np.sqrt(mesh.frob_norm2(C)))),
-        float(np.max(b * np.sqrt(mesh.frob_norm2(D)))), 1.0)
-    axes = [np.linspace(-2.0 * scale, 2.0 * scale, 9)] * mesh.n_comp
-    grids = np.meshgrid(*axes, indexing="ij")
-    cands = np.stack([g.ravel() for g in grids], axis=1)
-    vals = bounds(cands)
-    best_idx = int(np.argmax(vals))
-    q_best, val_best = cands[best_idx], vals[best_idx]
-    q_nm, f_nm = _nelder_mead(lambda q: -bounds(q[None, :])[0], q_best)
-    if -f_nm > val_best:
-        q_best, val_best = q_nm, -f_nm
-    return {"bound": float(val_best), "q": [float(v) for v in q_best]}
+    def mix(lam):
+        return ((W * lam) @ C + (W * (1.0 - lam)) @ D,
+                W @ (lam / a + (1.0 - lam) / b))
+
+    def central(q, mu):
+        """phi, the barrier's nu and lam, and the smoothed g at q."""
+        ha, hb = heights(q)
+        phi = ha - hb
+        nu = 2.0 * mu / (2.0 * mu + np.abs(phi) + np.hypot(phi, 2.0 * mu))
+        lam = np.where(phi > 0, 1.0 - nu, nu)
+        return phi, nu, lam, -(W @ (lam * ha + (1.0 - lam) * hb + mu * (
+            np.log(nu) + np.log1p(-nu))))
+
+    q = best_q = np.zeros(n)
+    best, least, mu = 0.0, np.inf, 1.0
+    for _ in range(17):
+        phi, nu, lam, smooth = central(q, mu)
+        for _ in range(60):
+            m, s = mix(lam)
+            dphi = q * u[:, None] - e
+            p = nu * (1.0 - nu)                 # curv = W d lam / d phi
+            curv = W * p * p / (mu * (1.0 - 2.0 * p))
+            dq = np.linalg.solve(s * eye + (dphi.T * curv) @ dphi, m - s * q)
+            # a gain below the smoothed g's round-off: full step, converged
+            done = (m - s * q) @ dq <= 1e-14 * (mu + abs(smooth))
+            t = 1.0
+            while ((trial := central(q + t * dq, mu))[-1] < smooth
+                   and not done and t > 1e-12):
+                t *= 0.5
+            q, (phi, nu, lam, smooth) = q + t * dq, trial
+            if done or t <= 1e-12:
+                break
+        tied = np.flatnonzero(nu > np.sqrt(mu))
+        pairs = [(q, lam)]
+        if len(tied) <= 64:             # an (n + 64)^2 system is cheap
+            qt, lt = q, (phi > 0) * 1.0
+            lt[tied] = lam[tied]
+            for _ in range(8):
+                m, s = mix(lt)
+                ha, hb = heights(qt)
+                dphi = qt * u[tied, None] - e[tied]
+                step = np.linalg.lstsq(
+                    np.block([[-s * eye, -(dphi.T * W[tied])],
+                              [dphi, np.zeros((len(tied),) * 2)]]),
+                    np.concatenate([s * qt - m, hb[tied] - ha[tied]]),
+                    rcond=None)[0]
+                qt, lt[tied] = qt + step[:n], lt[tied] + step[n:]
+            pairs.append((qt, np.clip(lt, 0.0, 1.0)))
+        for qc, lc in pairs:
+            g = 0.0 - W @ np.maximum(*heights(qc))
+            if g > best:
+                best, best_q = g, qc
+            m, s = mix(lc)
+            least = min(least, (m @ m) / (2.0 * s))
+        if least - best <= 1e-14 * (1.0 + abs(best)):
+            break
+        mu *= 0.1
+    eg = 2 * ew + ea + em                   # the exponent of g's unit
+    bound = np.ldexp(best, eg)
+    return {"bound": float(bound),
+            "q": [float(v) for v in np.ldexp(best_q, ew + ea) / r],
+            "certificate_gap": float(np.ldexp(least, eg) - bound)}
 
 
 def relaxation_section(mesh, coeffs, bundle, alpha_scheme):
