@@ -85,10 +85,11 @@ def _cmd_oracle(args):
 
 def _cmd_report(args):
     report = pipeline.load_report(args.run_dir)
+    step = "levels[-1].traces[0].steps[-1]"     # the finest best state's
     lines = [
         ("alpha_scheme", "final.alpha_scheme", float),
-        ("duality_gap", "final.duality.gap", float),
-        ("ker_residual", "final.duality.ker_residual", float),
+        ("duality_gap", f"{step}.gap", float),
+        ("ker_residual", f"{step}.ker_residual", float),
         ("d", "relaxation.d", float),
         ("denominator", "relaxation.denominator", float),
         ("theta_coeff1", "relaxation.theta_coeff1", float),

@@ -37,7 +37,6 @@ class RunResult:
     meshes: list
     coeffs_by_level: list
     traces_by_level: list      # per level, its traces best first
-    bundle: object
     timings: dict
 
 
@@ -69,8 +68,9 @@ def finest_analysis(cfg, problem, eps, p, alpha):
     """The report blocks a finest-level state determines: `final`,
     `limits`, `relaxation` (without the per-level thetas) and
     `young_measure`, each evaluated at the primal value alpha, from the
-    convex problem of its phase field (never solved here).  Returns the
-    window bundle and the blocks."""
+    convex problem of its phase field (never solved here).  The state's
+    duality gap and kernel residual are its last descent step's.  Returns
+    the window bundle and the blocks."""
     mesh, coeffs = problem.mesh, problem.coeffs
     bundle = window_analysis(cfg, mesh, eps, p, problem.chi)
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
@@ -79,8 +79,7 @@ def finest_analysis(cfg, problem, eps, p, alpha):
     return bundle, {
         "final": {
             "alpha_scheme": alpha,
-            "duality": {**subproblem.duality_report(problem, p, alpha),
-                        "orthogonality_residual": float(ortho)},
+            "duality": {"orthogonality_residual": float(ortho)},
             "algebraic_representations": subproblem.alpha_representations(
                 problem, eps, p),
         },
@@ -149,8 +148,7 @@ def run_experiment(cfg):
                "total_seconds": t_end - t0}
     return RunResult(cfg=cfg, report=report, meshes=meshes,
                      coeffs_by_level=coeffs_by_level,
-                     traces_by_level=traces_by_level, bundle=bundle,
-                     timings=timings)
+                     traces_by_level=traces_by_level, timings=timings)
 
 
 # -- persistence ----------------------------------------------------------
@@ -160,9 +158,9 @@ def emit_outputs(result, outdir):
     config.txt (the config's lines), report.json, timing.txt, the
     finest-level dumps u_finest.csv (displacement after the node
     coordinates) and fields_finest.csv (phase, strain and dual field after
-    the element centres), and limits_windows.csv (the window means).
-    Every other number a run computes, the descent traces and the
-    per-level thetas included, is in report.json alone."""
+    the element centres).  Every other number a run computes, the descent
+    traces and the per-level thetas included, is in report.json alone;
+    `verify` rebuilds the window means from the dumps."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -181,15 +179,10 @@ def emit_outputs(result, outdir):
 
     mesh = result.meshes[-1]
     best = result.traces_by_level[-1][0]
-    bundle, windows = result.bundle, result.bundle.windows
     meshmod.dump_node_field(path("u_finest.csv"), mesh, {"u": best.u})
     meshmod.dump_element_field(
         path("fields_finest.csv"), mesh,
-        {"chi_a": best.chi.chi_a, "eps": bundle.eps_raw, "p": best.p})
-    meshmod.write_csv(path("limits_windows.csv"), *meshmod.field_columns({
-        "measure": windows.measures, "eps_avg": bundle.eps_avg,
-        "p_avg": bundle.p_avg, "chia_avg": bundle.chia_avg,
-        "chib_avg": bundle.chib_avg, "psi_avg": bundle.psi_avg}))
+        {"chi_a": best.chi.chi_a, "eps": best.eps, "p": best.p})
     return written
 
 
@@ -210,11 +203,14 @@ def load_report(run_dir):
 
 def report_leaf(report, path, kind=float):
     """The leaf at a dotted path of a loaded report.json, of `kind`: float
-    (any JSON number) or bool.  A missing path or a leaf of another kind
-    is a VerificationError naming the path."""
+    (any JSON number) or bool.  A path may index lists, negative indices
+    counting from the end: `levels[-1].best_alpha`.  A missing path or a
+    leaf of another kind is a VerificationError naming the path."""
     leaf = report
-    for key in path.split("."):
-        if not isinstance(leaf, dict) or key not in leaf:
+    for key in path.replace("[", ".[").split("."):
+        key = int(key[1:-1]) if key.startswith("[") else key
+        keys = range(-len(leaf), len(leaf)) if isinstance(leaf, list) else leaf
+        if not isinstance(leaf, (dict, list)) or key not in keys:
             raise VerificationError(f"report.json has no {path}")
         leaf = leaf[key]
     if type(leaf) not in ((int, float) if kind is float else (kind,)):
@@ -310,7 +306,6 @@ def verify_run(run_dir):
     level = last("levels")
     trace = f"{level}.traces[0]"
     step = last(f"{trace}.steps")
-    duality = blocks["final"]["duality"]
     pairing = limitsmod.pairing_diagnostic(
         [mesh], [SimpleNamespace(eps=eps, p=p)], bundle,
         meshmod.default_test_functions(mesh))
@@ -329,8 +324,8 @@ def verify_run(run_dir):
         f"{trace}.fixed_point": flips == 0,
         f"{trace}.budget_exhausted": flips != 0,
         f"{step}.alpha": alpha_rep,
-        f"{step}.gap": duality["gap"],
-        f"{step}.ker_residual": duality["ker_residual"],
+        **{f"{step}.{key}": val for key, val in
+           subproblem.duality_report(problem, p, alpha_rep).items()},
         f"{step}.flips": flips,
     })
     residuals = {path: _leaf_residual(val, reported[path])

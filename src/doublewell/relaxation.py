@@ -48,8 +48,8 @@ def gap_theta(mesh, coeffs, bundle, den=None):
 def relaxation_pieces(mesh, coeffs, bundle):
     """Every integral the relaxation formulas combine, each evaluated once
     on the window means expanded to elements: the Omega_0 integrals and
-    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt terms of the
-    main formula and of the inequality chain, and the gap denominator.
+    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt term of the
+    main formula and the gap denominator.
     """
     w, a, om0 = mesh.measures, coeffs.a, coeffs.omega0
     eps, p, psi = (window_expand(avg, bundle.windows) for avg in
@@ -59,9 +59,6 @@ def relaxation_pieces(mesh, coeffs, bundle):
     Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
     pieces["tilt_eps"] = float(
         (w * mesh.frob_dot(Ap + psi[:, None] * Am, eps) * om0).sum())
-    dens = (mesh.frob_norm2(Ap) + mesh.frob_norm2(Am)
-            + 2.0 * psi * mesh.frob_dot(Ap, Am)) / a
-    pieces["tilt_sq_over_a"] = float((w * dens * om0).sum())
     pieces["den"] = gap_denominator(mesh, coeffs, bundle)
     return pieces
 
@@ -80,19 +77,15 @@ def eval_limit_formula(pieces, theta):
 
 
 def eval_representations(pieces, theta):
-    """The three equivalent re-expressions of the relaxation formula
-    (same global 1/2 as eval_limit_formula), with gap coefficients
-    -theta, 1 - theta and 1/2 - theta."""
+    """The two equivalent re-expressions of the relaxation formula (same
+    global 1/2 as eval_limit_formula), with gap coefficients -theta and
+    1 - theta; the paper's third, with 1/2 - theta, is their mean."""
     off, den = pieces["I"]["value"], pieces["den"]
     rep_a = 0.5 * (-pieces["a_eps2"] + pieces["B0"] + pieces["p_eps"]
                    + off - theta * den)
     rep_b = 0.5 * (pieces["p2_over_a"] - pieces["p_eps"] + off
                    + (1.0 - theta) * den)
-    rep_c = 0.5 * (0.5 * (pieces["p2_over_a"] - pieces["a_eps2"]
-                          + pieces["B0"])
-                   + off + (0.5 - theta) * den)
-    return {"rep_a": float(rep_a), "rep_b": float(rep_b),
-            "rep_c": float(rep_c)}
+    return {"rep_a": float(rep_a), "rep_b": float(rep_b)}
 
 
 def inequality_chain(pieces, alpha_scheme):
@@ -100,12 +93,14 @@ def inequality_chain(pieces, alpha_scheme):
     with the half constants of the limit inequalities (the full constants
     fail the analytic 1D oracles), and its violation.  The chain holds to
     rounding for constant coefficients; where they vary inside a window,
-    the violation can reach the relaxation formula's residual.
+    the violation can reach the relaxation formula's residual.  The
+    squared tilt (|A+|^2 + |A-|^2 + 2 psi A+:A-)/a, with A+ = a (C + D)/2
+    and A- = a (D - C)/2, expands to the offset B0, so `right` reads B0.
     """
     left = -0.5 * pieces["a_eps2"] + pieces["p_eps"]
     mid = (alpha_scheme + 0.5 * pieces["p_eps"] - 0.5 * pieces["I"]["value"]
            - 0.5 * pieces["B0"])
-    right = 0.5 * (pieces["p2_over_a"] - pieces["tilt_sq_over_a"])
+    right = 0.5 * (pieces["p2_over_a"] - pieces["B0"])
     return {
         "left": float(left),
         "middle_half": float(mid),
@@ -146,7 +141,9 @@ def dual_lower_bound(mesh, coeffs):
     phi = h_a - h_b, on the side away from phi's sign so nothing cancels.
     Once few tuples are tied (nu = min(lam, 1 - lam) > sqrt(mu)), Newton
     in (q, lam_tied) on phi_tied(q) = 0 and m = s q, every other lam 0 or
-    1 by phi's sign, makes the certificate exact to round-off.  It solves
+    1 by phi's sign, makes the certificate exact to round-off; an iterate
+    whose heights or residual are not finite (moduli some 1e300 apart)
+    ends that solve, and its candidate is dropped.  It solves
     in orthonormal components on tuples divided by powers of two: the
     wells and measure by those at or below their largest, the moduli by
     the one midway between their extremes (so no reciprocal overflows).
@@ -208,17 +205,22 @@ def dual_lower_bound(mesh, coeffs):
         if len(tied) <= 64:             # an (n + 64)^2 system is cheap
             qt, lt = q, (phi > 0) * 1.0
             lt[tied] = lam[tied]
-            for _ in range(8):
-                m, s = mix(lt)
-                ha, hb = heights(qt)
-                dphi = qt * u[tied, None] - e[tied]
+            for k in range(9):          # 8 steps, each from a finite iterate
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m, s = mix(lt)
+                    ha, hb = heights(qt)
+                    dphi = qt * u[tied, None] - e[tied]
+                    res = np.concatenate([s * qt - m, hb[tied] - ha[tied]])
+                finite = all(np.isfinite(v).all() for v in (ha, hb, dphi, res))
+                if k == 8 or not finite:
+                    break
                 step = np.linalg.lstsq(
                     np.block([[-s * eye, -(dphi.T * W[tied])],
                               [dphi, np.zeros((len(tied),) * 2)]]),
-                    np.concatenate([s * qt - m, hb[tied] - ha[tied]]),
-                    rcond=None)[0]
+                    res, rcond=None)[0]
                 qt, lt[tied] = qt + step[:n], lt[tied] + step[n:]
-            pairs.append((qt, np.clip(lt, 0.0, 1.0)))
+            if finite:
+                pairs.append((qt, np.clip(lt, 0.0, 1.0)))
         for qc, lc in pairs:
             g = 0.0 - W @ np.maximum(*heights(qc))
             if g > best:

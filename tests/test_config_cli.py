@@ -473,12 +473,17 @@ def test_cli_solve_verify_report(tmp_path, capsys):
     assert cli.main(["verify", str(out_dir)]) == 0
     capsys.readouterr()
     assert cli.main(["report", str(out_dir)]) == 0
-    keys = [line.split(" = ")[0]
-            for line in capsys.readouterr().out.splitlines()]
-    assert keys == ["alpha_scheme", "duality_gap", "ker_residual", "d",
-                    "denominator", "theta_coeff1", "alpha_formula_coeff1",
-                    "lower_bound", "stuck_suspected", "ym_energy_residual",
-                    "dirac_all_passed"]
+    lines = dict(line.split(" = ")
+                 for line in capsys.readouterr().out.splitlines())
+    assert list(lines) == ["alpha_scheme", "duality_gap", "ker_residual",
+                           "d", "denominator", "theta_coeff1",
+                           "alpha_formula_coeff1", "lower_bound",
+                           "stuck_suspected", "ym_energy_residual",
+                           "dirac_all_passed"]
+    # the duality figures are the finest best trace's last step's
+    step = report["levels"][-1]["traces"][0]["steps"][-1]
+    assert lines["duality_gap"] == repr(step["gap"])
+    assert lines["ker_residual"] == repr(step["ker_residual"])
 
 
 @pytest.mark.parametrize("args", [["ym"], ["report", "--full"],
@@ -570,6 +575,31 @@ def test_a_run_whose_numbers_overflow_writes_no_report(tmp_path, capsys,
             "'laminate:4', step 0: gap is inf") in capsys.readouterr().err
     assert len(calls) == 1
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coefficients", [
+    "a = 1e300\nb = 1e-12\nC = 0.0\nD = 1e-100",
+    "a = 1e-12\nb = 1e300\nC = 1e-150\nD = -1e-150",
+], ids=["a-1e300", "b-1e300"])
+def test_moduli_1e312_apart_solve_and_verify_without_a_warning(
+        tmp_path, capfd, coefficients):
+    # a (C + D) squared overflows at a = 1e300, and the lower bound's
+    # tied solve can diverge at either contrast: the run exits 0 and
+    # warns nowhere (LAPACK prints DLASCL to the process's stderr, not
+    # as a Python warning, when lstsq is handed an inf)
+    path = tmp_path / "extreme.cfg"
+    path.write_text("[mesh]\ndim = 1\nresolution = 32\n[coefficients]\n"
+                    f"{coefficients}\n[strategy]\nseeds = laminate:4 zero\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", str(path), "--outdir", str(out_dir)]) == 0
+    assert cli.main(["verify", str(out_dir)]) == 0
+    out, err = capfd.readouterr()
+    assert "leaf_residual = 0.0" in out.splitlines()
+    assert "Warning" not in err and "DLASCL" not in err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["relaxation"]["lower_bound"]["bound"] \
+        <= report["final"]["alpha_scheme"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -684,8 +714,6 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path, new", [
-    ("final.duality.gap", 1.0),
-    ("final.duality.ker_residual", 1.0),
     ("final.duality.orthogonality_residual", 1.0),
     ("final.algebraic_representations.energy_identity_residual", 1.0),
     ("young_measure.energy.residual", 1.0),
@@ -697,6 +725,7 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("levels[-1].best_alpha", 123.0),
     ("levels[-1].traces[0].final_alpha", 123.0),
     ("levels[-1].traces[0].steps[-1].gap", 123.0),
+    ("levels[-1].traces[0].steps[-1].ker_residual", 1.0),
     ("pairing_diagnostic.limit", lambda lim: [lim[0] + 1.0] + lim[1:]),
     ("pairing_diagnostic.value",
      lambda rows: rows[:-1] + [[v + 1.0 for v in rows[-1]]]),
@@ -767,6 +796,21 @@ def test_cli_commands_name_a_missing_report_leaf(tmp_path, capsys, command,
     assert cli.main([command, str(out_dir)]) == cli.EXIT_VERIFY
     out, err = capsys.readouterr()
     assert message in err and out == ""
+
+
+def test_cli_report_names_a_best_trace_without_steps(tmp_path, capsys):
+    # report reads the duality figures from the finest best trace's last
+    # step, so a trace with no steps exits 4 and names that path
+    out_dir = _solved_run(tmp_path)
+    path = out_dir / "report.json"
+    report = json.loads(path.read_text())
+    report["levels"][-1]["traces"][0]["steps"] = []
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["report", str(out_dir)]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert "report.json has no levels[-1].traces[0].steps[-1].gap" in err
+    assert out == ""
 
 
 def test_cli_verify_names_a_missing_leaf(tmp_path, capsys):
@@ -876,21 +920,19 @@ def test_cli_solve_checks_the_outdir_before_the_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cfg_text, headers", [
-    (SYM_CFG, ["x,u_0", "x_center,chi_a,eps_0,p_0",
-               "measure,eps_avg_0,p_avg_0,chia_avg,chib_avg,psi_avg"]),
+    (SYM_CFG, ["x,u_0", "x_center,chi_a,eps_0,p_0"]),
     ("[mesh]\ndim = 2\nresolution = 8\n"
      "[strategy]\nseeds = random random zero\n",
      ["x,y,u_0,u_1",
-      "x_center,y_center,chi_a,eps_0,eps_1,eps_2,p_0,p_1,p_2",
-      "measure,eps_avg_0,eps_avg_1,eps_avg_2,p_avg_0,p_avg_1,p_avg_2,"
-      "chia_avg,chib_avg,psi_avg"]),
+      "x_center,y_center,chi_a,eps_0,eps_1,eps_2,p_0,p_1,p_2"]),
 ], ids=["1d", "2d"])
-def test_run_directory_holds_six_files(tmp_path, cfg_text, headers):
+def test_run_directory_holds_five_files(tmp_path, cfg_text, headers):
     # the descent traces and the per-level thetas are in report.json
-    # alone, and no CSV has a column that repeats the row number
+    # alone, verify rebuilds the window means from the two dumps, and no
+    # CSV has a column that repeats the row number
     result = pipeline.run_experiment(configmod.parse_config_text(cfg_text))
     written = pipeline.emit_outputs(result, tmp_path)
-    csvs = ["u_finest.csv", "fields_finest.csv", "limits_windows.csv"]
+    csvs = ["u_finest.csv", "fields_finest.csv"]
     assert written == ["config.txt", "report.json", "timing.txt"] + csvs
     assert sorted(os.listdir(tmp_path)) == sorted(written)
     assert [(tmp_path / name).read_bytes().split(b"\r\n")[0].decode()
@@ -917,8 +959,13 @@ def test_report_states_each_number_once():
                 assert "level" not in step and "step" not in step
     # a trace holds its fixed_point flag, the bound's distance to alpha is
     # final.alpha_scheme - lower_bound.bound, and the purity set is
-    # w0_plus and w0_minus
+    # w0_plus and w0_minus; the finest state's gap and kernel residual are
+    # its last step's, and the paper's third representation is the mean
+    # of the two
     assert "fixed_point" not in report["final"]
+    assert set(report["final"]["duality"]) == {"orthogonality_residual"}
+    assert set(report["relaxation"]["representations_coefficient_1"]) \
+        == {"rep_a", "rep_b"}
     assert "lower_bound_gap" not in report["relaxation"]
     assert list(report["limits"]["partition"]) == [
         "omega0_measure", "omega0_windows", "w0_plus_windows",

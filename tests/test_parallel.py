@@ -45,8 +45,7 @@ D = 0.0; -0.5; 0.0
 [strategy]
 seeds = laminate:4 random zero
 """
-OUTPUTS = ("report.json", "u_finest.csv", "fields_finest.csv",
-           "limits_windows.csv")
+OUTPUTS = ("report.json", "u_finest.csv", "fields_finest.csv")
 
 
 @pytest.fixture
