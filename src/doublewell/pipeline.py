@@ -7,10 +7,12 @@ finest level and assembles a deterministic JSON report.  Wall-clock
 timings are kept out of report.json so that a fixed config and seed
 reproduce it byte for byte; they go to a separate timing file.
 
-`finest_analysis` is the one builder of the finest-level report blocks.
-The run calls it on its best state; `verify_run` calls it on the dumped
-state and compares every leaf it rebuilds with report.json.  Omega_0
-comes with the coefficients; only the finest level builds purity sets.
+`level_analysis` is the one builder of a level's window means, theta
+and pairing values: the run calls it on each level's best state and
+`verify_run` on the dumped finest one.  `finest_analysis` turns the
+finest level's into the finest-level report blocks, and `verify_run`
+compares every leaf it rebuilds with report.json.  Omega_0 comes with
+the coefficients; only the finest level builds purity sets.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,33 +51,32 @@ def _trace_record(trace):
     }
 
 
-def window_analysis(cfg, mesh, eps, p, chi):
-    """Window means of a state (strain eps, dual field p, phases chi)."""
-    windows = meshmod.build_windows(mesh, cfg.window)
-    return limitsmod.estimate_limits(mesh, windows, eps, p, chi)
+def level_analysis(cfg, mesh, coeffs, eps, p, chi):
+    """A level's state (strain eps, dual field p, phases chi) analysed:
+    its window bundle and `relaxation.gap_theta` record, both None where
+    the window does not divide the level, and its pairing values
+    int phi p.eps per test bump."""
+    values = meshmod.default_test_functions(mesh).values_at(mesh.centers) \
+        @ (mesh.measures * mesh.frob_dot(p, eps))
+    if np.any(mesh.shape % cfg.window):
+        return None, None, values
+    bundle = limitsmod.estimate_limits(
+        mesh, meshmod.build_windows(mesh, cfg.window), eps, p, chi)
+    return bundle, relaxation.gap_theta(mesh, coeffs, bundle), values
 
 
-def _theta_for_level(cfg, mesh, coeffs, trace):
-    """Per-level theta estimate for the refinement plot."""
-    if np.any(mesh.shape % cfg.window != 0):
-        return None
-    bundle = window_analysis(cfg, mesh, trace.eps, trace.p, trace.chi)
-    return relaxation.gap_theta(mesh, coeffs, bundle)["theta_coeff1"]
-
-
-def finest_analysis(cfg, problem, eps, p, alpha):
-    """The report blocks a finest-level state determines: `final`,
-    `limits`, `relaxation` (without the per-level thetas) and
-    `young_measure`, each evaluated at the primal value alpha, from the
-    convex problem of its phase field (never solved here).  The state's
-    duality gap and kernel residual are its last descent step's.  Returns
-    the window bundle and the blocks."""
-    mesh, coeffs = problem.mesh, problem.coeffs
-    bundle = window_analysis(cfg, mesh, eps, p, problem.chi)
+def finest_analysis(problem, p, alpha, bundle, theta):
+    """The report blocks a finest-level state of dual field p determines,
+    from its `level_analysis` bundle and theta record: `final`, `limits`,
+    `relaxation` (without the per-level thetas) and `young_measure`, each
+    evaluated at the primal value alpha, from the convex problem of its
+    phase field (never solved here).  The state's duality gap and kernel
+    residual are its last descent step's."""
+    mesh, coeffs, eps = problem.mesh, problem.coeffs, bundle.eps_raw
     masks = limitsmod.partition_masks(mesh, coeffs, bundle)
     alpha = float(alpha)
     ortho = subproblem.orthogonality_residual(problem, eps, p)
-    return bundle, {
+    return {
         "final": {
             "alpha_scheme": alpha,
             "duality": {"orthogonality_residual": float(ortho)},
@@ -95,7 +95,7 @@ def finest_analysis(cfg, problem, eps, p, alpha):
             },
         },
         "relaxation": relaxation.relaxation_section(mesh, coeffs, bundle,
-                                                    alpha),
+                                                    theta, alpha),
         "young_measure": youngmeasure.young_measure_block(
             mesh, coeffs, bundle, masks, alpha),
     }
@@ -109,7 +109,7 @@ def run_experiment(cfg):
     meshes = cfg.build_meshes()
     coeffs_by_level = [cfg.build_coeffs(m) for m in meshes]
 
-    traces_by_level, level_blocks, theta_by_level = [], [], []
+    traces_by_level, level_blocks, thetas, values = [], [], [], []
     for lvl, (mesh, coeffs) in enumerate(zip(meshes, coeffs_by_level)):
         continued = (descent.refine_continue(mesh, traces_by_level[-1][0])
                      if lvl else None)
@@ -118,8 +118,10 @@ def run_experiment(cfg):
                                     coarser=traces_by_level[-1] if lvl else ())
         best = traces[0]
         traces_by_level.append(traces)
-        if lvl < cfg.levels - 1:   # the finest level is analysed below
-            theta_by_level.append(_theta_for_level(cfg, mesh, coeffs, best))
+        bundle, theta, row = level_analysis(cfg, mesh, coeffs, best.eps,
+                                            best.p, best.chi)
+        thetas.append(None if theta is None else theta["theta_coeff1"])
+        values.append(row)
         level_blocks.append({
             "n_elem": int(mesh.n_elem),
             "best_alpha": float(best.alpha),
@@ -128,12 +130,10 @@ def run_experiment(cfg):
     t_descent = time.perf_counter()
 
     problem = subproblem.assemble(meshes[-1], coeffs_by_level[-1], best.chi)
-    bundle, blocks = finest_analysis(cfg, problem, best.eps, best.p,
-                                     best.alpha)
-    relax = blocks["relaxation"]
-    relax["theta_by_level"] = theta_by_level + [relax["theta_coeff1"]]
+    blocks = finest_analysis(problem, best.p, best.alpha, bundle, theta)
+    blocks["relaxation"]["theta_by_level"] = thetas
     pairing = limitsmod.pairing_diagnostic(
-        meshes, [traces[0] for traces in traces_by_level], bundle,
+        meshes[-1], values, bundle,
         meshmod.default_test_functions(meshes[-1]))
     report = {"version": VERSION, "config": cfg.echo(),
               "levels": level_blocks, **blocks,
@@ -287,7 +287,8 @@ def verify_run(run_dir):
     alpha, with the last per-level theta, the finest level's best trace,
     whose final state is the dumped one (its last step, its alphas and
     its flags, `fixed_point` from the dumped phases and strain), and the
-    pairing diagnostic's limits and finest-level values and residuals,
+    pairing diagnostic from the reported coarser values (each read with
+    `report_leaf`) and the dumped state's, all of it but those values,
     and compare every leaf with report.json: floats within
     `1e-10 * (1 + |alpha|)`, anything else exactly.  Also checks the
     dumped state's energy against alpha, p = m eps + E, and the lower
@@ -297,7 +298,8 @@ def verify_run(run_dir):
     alpha_rep = float(report_leaf(report, "final.alpha_scheme"))
     cfg, mesh, coeffs, eps, chi, p = load_run(run_dir)
     problem = subproblem.assemble(mesh, coeffs, chi)
-    bundle, blocks = finest_analysis(cfg, problem, eps, p, alpha_rep)
+    bundle, theta, values = level_analysis(cfg, mesh, coeffs, eps, p, chi)
+    blocks = finest_analysis(problem, p, alpha_rep, bundle, theta)
     flips = chi.flips(descent.assign_phases(coeffs, eps))
     rebuilt, reported = dict(_flatten(blocks)), dict(_flatten(report))
 
@@ -306,18 +308,18 @@ def verify_run(run_dir):
     level = last("levels")
     trace = f"{level}.traces[0]"
     step = last(f"{trace}.steps")
+    # the coarser levels' values are not dumped: the reported ones stand
+    # in for them, and every other pairing leaf follows from them
+    coarser = [f"pairing_diagnostic.value[{k}]" for k in range(cfg.levels - 1)]
+    rows = [[report_leaf(report, f"{row}[{i}]") for i in range(len(values))]
+            for row in coarser]
     pairing = limitsmod.pairing_diagnostic(
-        [mesh], [SimpleNamespace(eps=eps, p=p)], bundle,
-        meshmod.default_test_functions(mesh))
+        mesh, rows + [values], bundle, meshmod.default_test_functions(mesh))
+    rebuilt.update(
+        (path, leaf) for path, leaf in _flatten(pairing, "pairing_diagnostic")
+        if not path.startswith(tuple(f"{row}[" for row in coarser)))
     rebuilt.update({
-        f"{path}[{i}]": val for path, row in (
-            ("pairing_diagnostic.limit", pairing["limit"]),
-            (last("pairing_diagnostic.value"), pairing["value"][0]),
-            (last("pairing_diagnostic.residual"), pairing["residual"][0]))
-        for i, val in enumerate(row)})
-    rebuilt.update({
-        last("relaxation.theta_by_level"):
-            blocks["relaxation"]["theta_coeff1"],
+        last("relaxation.theta_by_level"): theta["theta_coeff1"],
         f"{level}.n_elem": int(mesh.n_elem),
         f"{level}.best_alpha": alpha_rep,
         f"{trace}.final_alpha": alpha_rep,

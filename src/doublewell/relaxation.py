@@ -28,14 +28,13 @@ def gap_denominator(mesh, coeffs, bundle):
                   * om0).sum())
 
 
-def gap_theta(mesh, coeffs, bundle, den=None):
-    """The gap d (`limits.gap_d`), its denominator den (`gap_denominator`,
-    unless the caller has it), theta = d / den, 0 on the zero branch
-    den <= 1e-12 int a |C - D|^2, and whether theta lies in [0, 1]: the
-    leading leaves of the relaxation block, in report order, and the
-    per-level theta of the refinement plot."""
-    if den is None:
-        den = gap_denominator(mesh, coeffs, bundle)
+def gap_theta(mesh, coeffs, bundle):
+    """The gap d (`limits.gap_d`), its denominator den (`gap_denominator`),
+    theta = d / den, 0 on the zero branch den <= 1e-12 int a |C - D|^2,
+    and whether theta lies in [0, 1]: the leading leaves of the relaxation
+    block, in report order, and the per-level theta of the refinement
+    plot."""
+    den = gap_denominator(mesh, coeffs, bundle)
     d = limits.gap_d(mesh, coeffs, bundle)
     zero = den <= 1e-12 * float((mesh.measures * coeffs.a
                                  * coeffs.cd2).sum())
@@ -48,8 +47,8 @@ def gap_theta(mesh, coeffs, bundle, den=None):
 def relaxation_pieces(mesh, coeffs, bundle):
     """Every integral the relaxation formulas combine, each evaluated once
     on the window means expanded to elements: the Omega_0 integrals and
-    the off-Omega_0 term I (`energy.omega0_pieces`), the tilt term of the
-    main formula and the gap denominator.
+    the off-Omega_0 term I (`energy.omega0_pieces`) and the tilt term of
+    the main formula.
     """
     w, a, om0 = mesh.measures, coeffs.a, coeffs.omega0
     eps, p, psi = (window_expand(avg, bundle.windows) for avg in
@@ -59,13 +58,12 @@ def relaxation_pieces(mesh, coeffs, bundle):
     Am = (a[:, None] * (coeffs.D - coeffs.C)) / 2.0
     pieces["tilt_eps"] = float(
         (w * mesh.frob_dot(Ap + psi[:, None] * Am, eps) * om0).sum())
-    pieces["den"] = gap_denominator(mesh, coeffs, bundle)
     return pieces
 
 
 def eval_limit_formula(pieces, theta):
     """The main relaxation formula for the infimum, with the gap term
-    -theta * den (theta = d / den).
+    -theta * den of the `gap_theta` record theta.
 
     Every term carries a global factor 1/2: the limit inequalities the
     formula is squeezed between have 1/2 prefactors throughout, and only
@@ -73,18 +71,19 @@ def eval_limit_formula(pieces, theta):
     (without it, it evaluates to twice the infimum).
     """
     return 0.5 * (pieces["tilt_eps"] + pieces["B0"] + pieces["I"]["value"]
-                  - theta * pieces["den"])
+                  - theta["theta_coeff1"] * theta["denominator"])
 
 
 def eval_representations(pieces, theta):
     """The two equivalent re-expressions of the relaxation formula (same
     global 1/2 as eval_limit_formula), with gap coefficients -theta and
     1 - theta; the paper's third, with 1/2 - theta, is their mean."""
-    off, den = pieces["I"]["value"], pieces["den"]
+    off, den = pieces["I"]["value"], theta["denominator"]
+    t = theta["theta_coeff1"]
     rep_a = 0.5 * (-pieces["a_eps2"] + pieces["B0"] + pieces["p_eps"]
-                   + off - theta * den)
+                   + off - t * den)
     rep_b = 0.5 * (pieces["p2_over_a"] - pieces["p_eps"] + off
-                   + (1.0 - theta) * den)
+                   + (1.0 - t) * den)
     return {"rep_a": float(rep_a), "rep_b": float(rep_b)}
 
 
@@ -237,11 +236,11 @@ def dual_lower_bound(mesh, coeffs):
             "certificate_gap": float(np.ldexp(least, eg) - bound)}
 
 
-def relaxation_section(mesh, coeffs, bundle, alpha_scheme):
-    """Assemble the full relaxation block of the run report."""
+def relaxation_section(mesh, coeffs, bundle, theta, alpha_scheme):
+    """Assemble the full relaxation block of the run report from the
+    window bundle and its `gap_theta` record."""
     pieces = relaxation_pieces(mesh, coeffs, bundle)
-    theta = gap_theta(mesh, coeffs, bundle, pieces["den"])
-    main = eval_limit_formula(pieces, theta["theta_coeff1"])
+    main = eval_limit_formula(pieces, theta)
     bnd = dual_lower_bound(mesh, coeffs)
     return {
         **theta,
@@ -250,8 +249,7 @@ def relaxation_section(mesh, coeffs, bundle, alpha_scheme):
         "lower_bound": bnd,
         "alpha_formula_coefficient_1": float(main),
         "alpha_residual_coefficient_1": float(abs(main - alpha_scheme)),
-        "representations_coefficient_1": eval_representations(
-            pieces, theta["theta_coeff1"]),
+        "representations_coefficient_1": eval_representations(pieces, theta),
         "stuck_suspected": bool(
             alpha_scheme - bnd["bound"] > 1e-3 * (1.0 + abs(alpha_scheme))),
     }

@@ -197,7 +197,8 @@ def solve(problem, tol=SOLVER_TOL, u0=None):
     the same 2^s, when their residual |K x0 + f| is below |f|, the
     residual of x = 0; otherwise, and without u0, from x = 0.  The
     stopping test |r| < tol |f| and the iteration cap are the same from
-    either start.
+    either start.  A residual that is not finite (moduli some 1e300
+    apart can make the preconditioner return NaN) stops CG at once.
     """
     if problem.n_dof == 0 or not problem.f.any():
         u = problem.to_full(np.zeros(problem.n_dof))
@@ -217,7 +218,11 @@ def solve(problem, tol=SOLVER_TOL, u0=None):
             r0 = -f - problem.K @ x0
             if np.linalg.norm(r0) < np.linalg.norm(f):
                 x, r = x0, r0
-    while its < maxiter and not np.linalg.norm(r) < atol:
+    while its < maxiter and not (norm := np.linalg.norm(r)) < atol:
+        if not np.isfinite(norm):
+            raise SolverError(
+                f"conjugate gradients stopped at iteration {its}: the "
+                f"residual is not finite", residual=norm, iterations=its)
         z = _v_cycle(levels, lu, r)
         rho = np.dot(r, z)
         p = z if its == 0 else (rho / rho_prev) * p + z

@@ -256,19 +256,19 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
         "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
         "[coefficients]\nC = 0.0; 0.5; 0.0\nD = 0.0; -0.5; 0.0\n"
         "[strategy]\nseeds = laminate:4\n[run]\nwindow = 4\n")
-    calls = {"window_analysis": 0, "gap_denominator": 0,
-             "partition_masks": 0}
-    for module, name in ((pipeline, "window_analysis"),
-                         (relaxation, "gap_denominator"),
-                         (limitsmod, "partition_masks")):
+    names = ((pipeline, "level_analysis"), (limitsmod, "estimate_limits"),
+             (limitsmod, "gap_d"), (relaxation, "gap_denominator"),
+             (limitsmod, "partition_masks"))
+    calls = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
         def counted(*args, _orig=getattr(module, name), _name=name,
                     **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     result = pipeline.run_experiment(cfg)
-    assert calls == {"window_analysis": 3, "gap_denominator": 3,
-                     "partition_masks": 1}
+    assert calls == {"level_analysis": 3, "estimate_limits": 3, "gap_d": 3,
+                     "gap_denominator": 3, "partition_masks": 1}
     relax = result.report["relaxation"]
     assert len(relax["theta_by_level"]) == 3
     assert relax["theta_by_level"][-1] == relax["theta_coeff1"]
@@ -284,6 +284,29 @@ def test_each_level_is_analysed_once(tmp_path, monkeypatch):
     eps = gradient(result.meshes[-1], result.traces_by_level[-1][0].u)
     assert np.column_stack([fields[f"eps_{k}"] for k in range(3)]).tobytes() \
         == eps.tobytes()
+
+
+def test_level_analysis_rebuilds_each_levels_theta_and_pairing_row():
+    # the window (8) does not divide the coarsest level's 4 x 4 cells, so
+    # that level has no theta; on every level the builder, called on the
+    # best trace, gives the reported theta and pairing row bit for bit
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 2\nresolution = 4\nlevels = 3\n"
+        "[coefficients]\nb = 2.0 + x\nC = 0.0; 0.5; 0.0\n"
+        "D = 0.0; -0.5; 0.0\n[strategy]\nseeds = laminate:4 zero\n")
+    result = pipeline.run_experiment(cfg)
+    report = json.loads(json.dumps(result.report))
+    thetas = report["relaxation"]["theta_by_level"]
+    assert thetas[0] is None and None not in thetas[1:]
+    for k, (mesh, coeffs, traces) in enumerate(zip(
+            result.meshes, result.coeffs_by_level, result.traces_by_level)):
+        best = traces[0]
+        bundle, theta, values = pipeline.level_analysis(
+            cfg, mesh, coeffs, best.eps, best.p, best.chi)
+        assert (bundle is None) == (theta is None) == (k == 0)
+        assert (None if theta is None else theta["theta_coeff1"]) \
+            == thetas[k]
+        assert values.tolist() == report["pairing_diagnostic"]["value"][k]
 
 
 def in_workers(monkeypatch):
@@ -602,6 +625,22 @@ def test_moduli_1e312_apart_solve_and_verify_without_a_warning(
         <= report["final"]["alpha_scheme"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_cg_stops_at_a_residual_that_is_not_finite():
+    # the period-2 laminate at moduli 1e312 apart: LU of the operator
+    # (entries 3.2e-11 to 3.2e301) returns NaN on the first
+    # preconditioner call, and CG stops there, not at its iteration cap
+    cfg = configmod.parse_config_text(
+        "[mesh]\ndim = 1\nresolution = 32\n[coefficients]\n"
+        "a = 1e-12\nb = 1e300\nC = 1e-150\nD = -1e-150\n"
+        "[strategy]\nseeds = laminate zero\n")
+    with pytest.raises(SolverError) as exc:
+        pipeline.run_experiment(cfg)
+    assert exc.value.iterations <= 1
+    assert str(exc.value).startswith("level 0, seed 'laminate', step 0: ")
+    assert str(exc.value).endswith("the residual is not finite")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wells_whose_squares_overflow_are_rejected_before_any_solve(
         tmp_path, capsys, monkeypatch):
@@ -681,18 +720,18 @@ def test_cli_solver_failure_names_level_seed_and_step(tmp_path, capsys,
             "conjugate gradients did not reach tol=1e-10") in err
 
 
-def _solved_run(tmp_path):
+def _solved_run(tmp_path, text=SYM_CFG):
     cfg_path = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
-    cfg_path.write_text(SYM_CFG)
+    cfg_path.write_text(text)
     assert cli.main(["solve", str(cfg_path),
                      "--outdir", str(out_dir)]) == 0
     return out_dir
 
 
-def _verify_tampered(tmp_path, tamper):
+def _verify_tampered(tmp_path, tamper, text=SYM_CFG):
     """Exit code of `verify` after `tamper` edits a solved report."""
-    out_dir = _solved_run(tmp_path)
+    out_dir = _solved_run(tmp_path, text)
     report_path = out_dir / "report.json"
     report = json.loads(report_path.read_text())
     tamper(report)
@@ -713,6 +752,12 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     assert "relaxation.lower_bound.bound" in capsys.readouterr().err
 
 
+# pairing leaves that a run of one level does not have or whose first row
+# is the finest level's
+COARSER_LEAVES = ("pairing_diagnostic.residual",
+                  "pairing_diagnostic.non_decreasing_flags")
+
+
 @pytest.mark.parametrize("path, new", [
     ("final.duality.orthogonality_residual", 1.0),
     ("final.algebraic_representations.energy_identity_residual", 1.0),
@@ -729,6 +774,11 @@ def test_cli_verify_detects_tampered_lower_bound(tmp_path, capsys):
     ("pairing_diagnostic.limit", lambda lim: [lim[0] + 1.0] + lim[1:]),
     ("pairing_diagnostic.value",
      lambda rows: rows[:-1] + [[v + 1.0 for v in rows[-1]]]),
+    # on a run of two levels: its coarser residual row and a flag
+    ("pairing_diagnostic.residual",
+     lambda rows: [[rows[0][0] + 1.0] + rows[0][1:]] + rows[1:]),
+    ("pairing_diagnostic.non_decreasing_flags",
+     lambda flags: [not flags[0]] + flags[1:]),
 ])
 def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
     # a list index -1 is the last entry, which the message numbers
@@ -745,7 +795,9 @@ def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
             named.append(key)
         report[last] = new(report[last]) if callable(new) else new
         named.append(last)
-    assert _verify_tampered(tmp_path, tamper) == 4
+    text = (SYM_CFG.replace("resolution = 32", "resolution = 32\nlevels = 2")
+            if path in COARSER_LEAVES else SYM_CFG)
+    assert _verify_tampered(tmp_path, tamper, text) == 4
     assert ".".join(named) in capsys.readouterr().err
 
 

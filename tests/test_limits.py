@@ -119,8 +119,10 @@ def test_pairing_diagnostic_levels_shrink():
     _, chi0 = descent.laminate_seed(coarse, ccoeffs, 4)
     t0 = descent.alternate(coarse, ccoeffs, chi0)
     testset = meshmod.default_test_functions(mesh)
-    out = limitsmod.pairing_diagnostic([coarse, mesh], [t0, trace], bundle,
-                                       testset)
+    values = [testset.values_at(m.centers)
+              @ (m.measures * m.frob_dot(t.p, t.eps))
+              for m, t in ((coarse, t0), (mesh, trace))]
+    out = limitsmod.pairing_diagnostic(mesh, values, bundle, testset)
     assert np.shape(out["limit"]) == (testset.n_test,)
     assert np.shape(out["value"]) == np.shape(out["residual"]) \
         == (2, testset.n_test)

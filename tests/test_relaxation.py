@@ -51,7 +51,9 @@ def test_theta_zero_branch_for_convex_case():
 def test_relaxation_block_leaves_in_report_order():
     # theta is one number: d / den, its zero branch and its range test
     mesh, coeffs, trace, bundle, d = analysis()
-    out = relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
+    out = relaxation.relaxation_section(
+        mesh, coeffs, bundle, relaxation.gap_theta(mesh, coeffs, bundle),
+        trace.alpha)
     assert list(out) == [
         "d", "denominator", "theta_coeff1", "theta_zero_branch",
         "theta_coeff1_in_range", "I_term", "inequality_chain",
@@ -63,8 +65,8 @@ def test_relaxation_block_leaves_in_report_order():
 def test_formula_matches_scheme_on_laminates():
     for C, D in ((1.0, -1.0), (1.0, -3.0)):
         mesh, coeffs, trace, bundle, d = analysis(C=C, D=D)
-        den = relaxation.gap_denominator(mesh, coeffs, bundle)
-        theta = d / den
+        theta = relaxation.gap_theta(mesh, coeffs, bundle)
+        assert theta["theta_coeff1"] == d / theta["denominator"]
         pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle)
         val = relaxation.eval_limit_formula(pieces, theta)
         assert abs(val - trace.alpha) <= 1e-10
@@ -77,9 +79,11 @@ def test_formula_matches_scheme_on_convex_case():
     mesh, coeffs, trace, bundle, d = analysis(C=1.0, D=1.0,
                                               seed_kind="zero")
     pieces = relaxation.relaxation_pieces(mesh, coeffs, bundle)
-    val = relaxation.eval_limit_formula(pieces, 0.0)
+    theta = relaxation.gap_theta(mesh, coeffs, bundle)
+    assert theta["theta_coeff1"] == 0.0
+    val = relaxation.eval_limit_formula(pieces, theta)
     assert abs(val - 0.5) <= 1e-10
-    reps = relaxation.eval_representations(pieces, 0.0)
+    reps = relaxation.eval_representations(pieces, theta)
     for v in reps.values():
         assert abs(v - 0.5) <= 1e-10
 
@@ -384,7 +388,9 @@ def test_lower_bound_holds_for_graded_coefficients(cfg):
 
 def test_relaxation_section_assembles():
     mesh, coeffs, trace, bundle, d = analysis()
-    out = relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
+    out = relaxation.relaxation_section(
+        mesh, coeffs, bundle, relaxation.gap_theta(mesh, coeffs, bundle),
+        trace.alpha)
     assert out["theta_coeff1_in_range"]
     assert out["alpha_residual_coefficient_1"] <= 1e-10
     assert not out["stuck_suspected"]
@@ -402,5 +408,7 @@ def test_relaxation_section_evaluates_each_piece_once(monkeypatch):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    relaxation.relaxation_section(mesh, coeffs, bundle, trace.alpha)
+    relaxation.relaxation_section(
+        mesh, coeffs, bundle, relaxation.gap_theta(mesh, coeffs, bundle),
+        trace.alpha)
     assert calls == dict.fromkeys(calls, 1)
