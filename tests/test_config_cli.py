@@ -758,47 +758,64 @@ COARSER_LEAVES = ("pairing_diagnostic.residual",
                   "pairing_diagnostic.non_decreasing_flags")
 
 
-@pytest.mark.parametrize("path, new", [
-    ("final.duality.orthogonality_residual", 1.0),
-    ("final.algebraic_representations.energy_identity_residual", 1.0),
-    ("young_measure.energy.residual", 1.0),
-    ("limits.n_windows", 5),
-    ("relaxation.theta_coeff1_in_range", False),
-    ("young_measure.dirac.windows", lambda windows: windows + [0]),
-    ("levels[-1].traces[0].fixed_point", False),
-    ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5]),
-    ("levels[-1].best_alpha", 123.0),
-    ("levels[-1].traces[0].final_alpha", 123.0),
-    ("levels[-1].traces[0].steps[-1].gap", 123.0),
-    ("levels[-1].traces[0].steps[-1].ker_residual", 1.0),
-    ("pairing_diagnostic.limit", lambda lim: [lim[0] + 1.0] + lim[1:]),
+# (path, new value or edit, the paths the message names, space-separated):
+# list entries are named by index; an index -1 in `path` is the last entry
+TAMPERED_LEAVES = [
+    ("final.duality.orthogonality_residual", 1.0,
+     "final.duality.orthogonality_residual"),
+    ("final.algebraic_representations.energy_identity_residual", 1.0,
+     "final.algebraic_representations.energy_identity_residual"),
+    ("young_measure.energy.residual", 1.0, "young_measure.energy.residual"),
+    ("limits.n_windows", 5, "limits.n_windows"),
+    ("relaxation.theta_coeff1_in_range", False,
+     "relaxation.theta_coeff1_in_range"),
+    ("young_measure.dirac.windows", lambda windows: windows + [0],
+     "len(young_measure.dirac.windows)"),
+    ("levels[-1].traces[0].fixed_point", False,
+     "levels[0].traces[0].fixed_point"),
+    ("relaxation.theta_by_level", lambda thetas: thetas[:-1] + [0.5],
+     "relaxation.theta_by_level[0]"),
+    ("levels[-1].best_alpha", 123.0, "levels[0].best_alpha"),
+    ("levels[-1].traces[0].final_alpha", 123.0,
+     "levels[0].traces[0].final_alpha"),
+    ("levels[-1].traces[0].steps[-1].gap", 123.0,
+     "levels[0].traces[0].steps[0].gap"),
+    ("levels[-1].traces[0].steps[-1].ker_residual", 1.0,
+     "levels[0].traces[0].steps[0].ker_residual"),
+    ("pairing_diagnostic.limit", lambda lim: [lim[0] + 1.0] + lim[1:],
+     "pairing_diagnostic.limit[0]"),
     ("pairing_diagnostic.value",
-     lambda rows: rows[:-1] + [[v + 1.0 for v in rows[-1]]]),
+     lambda rows: rows[:-1] + [[v + 1.0 for v in rows[-1]]],
+     "pairing_diagnostic.value[0][0] pairing_diagnostic.value[0][1] "
+     "pairing_diagnostic.value[0][2]"),
     # on a run of two levels: its coarser residual row and a flag
     ("pairing_diagnostic.residual",
-     lambda rows: [[rows[0][0] + 1.0] + rows[0][1:]] + rows[1:]),
+     lambda rows: [[rows[0][0] + 1.0] + rows[0][1:]] + rows[1:],
+     "pairing_diagnostic.residual[0][0]"),
     ("pairing_diagnostic.non_decreasing_flags",
-     lambda flags: [not flags[0]] + flags[1:]),
-])
-def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new):
-    # a list index -1 is the last entry, which the message numbers
-    named = []
+     lambda flags: [not flags[0]] + flags[1:],
+     "pairing_diagnostic.non_decreasing_flags[0]"),
+]
 
+
+@pytest.mark.parametrize("path, new, named", TAMPERED_LEAVES, ids=[
+    f"{path}-{getattr(new, '__name__', new)}"
+    for path, new, _ in TAMPERED_LEAVES])
+def test_cli_verify_names_the_tampered_leaf(tmp_path, capsys, path, new,
+                                            named):
     def tamper(report):
         *keys, last = path.split(".")
         for key in keys:
             name, _, index = key.rstrip("]").partition("[")
             report = report[name]
             if index:
-                k = int(index) % len(report)
-                report, key = report[k], f"{name}[{k}]"
-            named.append(key)
+                report = report[int(index) % len(report)]
         report[last] = new(report[last]) if callable(new) else new
-        named.append(last)
     text = (SYM_CFG.replace("resolution = 32", "resolution = 32\nlevels = 2")
             if path in COARSER_LEAVES else SYM_CFG)
     assert _verify_tampered(tmp_path, tamper, text) == 4
-    assert ".".join(named) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.findall(r"([^\s;:]+): reported", err) == named.split()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -627,6 +627,36 @@ def test_write_csv_blocks_are_the_one_shot_bytes(tmp_path, monkeypatch,
         assert path.read_bytes() == reference_csv(header, columns)
 
 
+def test_write_csv_formats_each_bit_pattern_apart(tmp_path, monkeypatch):
+    # a table of two blocks whose first block holds -0.0 and 0.0 in one
+    # column, each value also in the other columns, ±inf and subnormals:
+    # a cell takes the text of its own bit pattern, not of an equal float
+    n_rows = meshmod.CSV_BLOCK_ROWS + 3
+    values = np.resize(EDGE_FLOATS + [np.inf, -np.inf], n_rows)
+    columns = [values, values[::-1], -values]
+    header = ["a", "b", "c"]
+    path = tmp_path / "t.csv"
+    monkeypatch.setattr(meshmod, "CSV_PARALLEL_BLOCKS", 2)
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        meshmod.write_csv(path, header, columns)
+        assert path.read_bytes() == reference_csv(header, columns)
+
+
+def test_write_csv_checks_the_columns_before_the_file(tmp_path, monkeypatch):
+    # a ragged table raises before the file is opened or a worker forks:
+    # a file already at the path keeps its bytes
+    n_rows = 3 * meshmod.CSV_BLOCK_ROWS + 1
+    path = tmp_path / "t.csv"
+    for cores in (1, 2):
+        monkeypatch.setattr(parallel, "_cores", lambda: cores)
+        path.write_bytes(b"x\r\n1.0\r\n")
+        with pytest.raises(ValueError, match="column b is shorter"):
+            meshmod.write_csv(path, ["a", "b"],
+                              [np.zeros(n_rows), np.zeros(n_rows - 5)])
+        assert path.read_bytes() == b"x\r\n1.0\r\n"
+
+
 def test_write_csv_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
     # 200,000 rows x 9 columns: formatting the whole table at once peaks
     # at 55 MiB of Python floats and strings; one block is about 1 MiB.
